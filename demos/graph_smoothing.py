@@ -9,7 +9,7 @@ and measures how a single GCN layer shrinks within-clique distances.
 import numpy as np
 
 from genregraph.graph import GenreLabel, build_graph, normalize
-from genregraph.nn import gcn_forward, init_layer
+from genregraph.nn import embedding_forward, init_layer
 
 # 1. Sixteen songs, two genres, no cross-genre edges anywhere.
 labels = [GenreLabel.from_name("Rock")] * 10 + [GenreLabel.from_name("Folk")] * 6
@@ -18,9 +18,11 @@ print(f"graph: {graph.n_nodes} nodes, {graph.edge_count} edges "
       f"(10-clique has 45, 6-clique has 15)")
 
 # 2. Inside a clique of size n every neighbor weight is 1/(n-1); there is
-#    no self edge, so a node's own features drop out entirely.
+#    no self edge, so a node's own features drop out entirely. The
+#    adjacency is never stored as a matrix (each row of A X is a per-genre
+#    sum), so the dense weights are read off as A times the identity.
 norm_adj = normalize(graph, add_self_loops=False)
-dense = norm_adj.matrix.toarray()
+dense = norm_adj.apply(np.eye(graph.n_nodes))
 print(f"row 0 weights: self {dense[0, 0]:.4f}, "
       f"clique-mate {dense[0, 1]:.4f} (expect 1/9 = {1 / 9:.4f})")
 print(f"cross-genre weight: {dense[0, 12]:.4f}")
@@ -31,7 +33,7 @@ print(f"cross-genre weight: {dense[0, 12]:.4f}")
 rng = np.random.default_rng(3)
 feats = rng.normal(size=(16, 30))
 layer = init_layer(30, 60, rng)
-hidden = gcn_forward(norm_adj, feats, layer)
+hidden = embedding_forward(norm_adj.apply(feats), layer)
 
 def spread(rows):
     diffs = rows[:, None, :] - rows[None, :, :]
@@ -49,6 +51,6 @@ gap = np.sqrt(((hidden[:10].mean(axis=0) - hidden[10:].mean(axis=0)) ** 2).sum()
 print(f"between-genre centroid distance after one layer: {gap:.3f}")
 
 # Self-loops put weight 1/n on the node itself; same collapse, softer.
-with_loops = normalize(graph, add_self_loops=True).matrix.toarray()
+with_loops = normalize(graph, add_self_loops=True).apply(np.eye(graph.n_nodes))
 print(f"with self-loops, row 0: self {with_loops[0, 0]:.4f}, "
       f"clique-mate {with_loops[0, 1]:.4f} (both 1/10)")

@@ -30,10 +30,7 @@ from .graph import (
     attach_unseen,
     build_graph,
     extended_adjacency_row,
-    load_graph,
     normalize,
-    sample_neighbors,
-    save_graph,
 )
 from .mfcc import (
     MfccConfig,
@@ -54,9 +51,7 @@ from .nn import (
     Variant,
     adam_step,
     build_model,
-    gcn_forward,
     mlp_forward,
-    sage_forward,
     softmax_cross_entropy,
 )
 from .recommend import (

@@ -8,13 +8,10 @@ member lists; neighbor lists are materialized on demand in sorted order.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 GENRE_NAMES = (
     "Electronic",
@@ -130,27 +127,40 @@ class GenreGraph:
         sizes = {g: len(m) for g, m in self._members.items()}
         return np.array([sizes[int(g)] - 1 for g in self.label_indices], dtype=np.int64)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and self.label_indices[u] == self.label_indices[v]
-
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
-    """Symmetrically degree-normalized adjacency D^{-1/2} A D^{-1/2}."""
+    """Symmetrically degree-normalized adjacency D^{-1/2} A D^{-1/2}.
 
-    matrix: sp.csr_matrix
+    The graph is a union of cliques, so the matrix is kept as its clique
+    member lists. Inside a clique of size n every entry is 1/(n-1) off the
+    diagonal without self-loops, or 1/n everywhere with them.
+    """
+
+    cliques: tuple[np.ndarray, ...]
+    n_nodes: int
     self_loops: bool
 
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, features: np.ndarray) -> np.ndarray:
-        """Left-multiply node features by the normalized adjacency."""
-        return np.asarray(self.matrix @ features)
+        """Left-multiply node features by the normalized adjacency.
 
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        With S the sum of a clique's feature rows, row i becomes
+        (S - x_i)/(n-1), or S/n with self-loops: O(N*d), no n x n block.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape[0] != self.n_nodes:
+            raise ValueError(
+                f"adjacency is {self.n_nodes} nodes but features have {features.shape[0]} rows"
+            )
+        out = np.empty_like(features)
+        for members in self.cliques:
+            rows = features[members]
+            total = rows.sum(axis=0)
+            if self.self_loops:
+                out[members] = total / len(members)
+            else:
+                out[members] = (total - rows) / (len(members) - 1)
+        return out
 
 
 def build_graph(labels: Sequence[GenreLabel], node_ids: Sequence[str] | None = None) -> GenreGraph:
@@ -161,45 +171,23 @@ def build_graph(labels: Sequence[GenreLabel], node_ids: Sequence[str] | None = N
 
 
 def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdjacency:
-    """Normalized adjacency of the graph, optionally after adding self-loops.
-
-    Inside a clique of size n every entry is 1/(n-1) off-diagonal without
-    self-loops, or 1/n everywhere (diagonal included) with them.
-    """
-    rows, cols, vals = [], [], []
-    for genre_index in sorted(g for g in range(len(GENRE_NAMES)) if len(graph.genre_members(g))):
-        members = graph.genre_members(genre_index)
-        n = len(members)
-        if n == 1 and not add_self_loops:
+    """Normalized adjacency of the graph, optionally after adding self-loops."""
+    cliques = tuple(graph.genre_members(g) for g in np.unique(graph.label_indices))
+    for members in cliques:
+        if len(members) == 1 and not add_self_loops:
             raise IsolatedNodeError(graph.node_ids[int(members[0])])
-        if add_self_loops:
-            weight = 1.0 / n
-            block = np.full((n, n), weight)
-        else:
-            weight = 1.0 / (n - 1)
-            block = np.full((n, n), weight)
-            np.fill_diagonal(block, 0.0)
-        grid_r, grid_c = np.meshgrid(members, members, indexing="ij")
-        rows.append(grid_r.ravel())
-        cols.append(grid_c.ravel())
-        vals.append(block.ravel())
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(graph.n_nodes, graph.n_nodes),
-    )
-    return NormalizedAdjacency(matrix=matrix, self_loops=add_self_loops)
+    return NormalizedAdjacency(cliques=cliques, n_nodes=graph.n_nodes, self_loops=add_self_loops)
 
 
-def sample_neighbors(graph: GenreGraph, node_id: str, k: int, seed: int) -> list[str]:
-    """Uniform sample of min(k, degree) distinct neighbors of node_id."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    idx = graph.index_of(node_id)
-    neighbor_idx = graph.neighbors(idx)
-    if len(neighbor_idx) > k:
-        rng = np.random.default_rng(seed)
-        neighbor_idx = rng.choice(neighbor_idx, size=k, replace=False)
-    return [graph.node_ids[int(i)] for i in neighbor_idx]
+def draw_neighbors(neighbors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample of min(k, len(neighbors)) distinct entries of `neighbors`.
+
+    With at most k neighbors every one is kept, in order, and the
+    generator is not advanced.
+    """
+    if len(neighbors) > k:
+        return rng.choice(neighbors, size=k, replace=False)
+    return neighbors
 
 
 def attach_unseen(
@@ -265,22 +253,3 @@ def extended_adjacency_row(
     weights = 1.0 / np.sqrt(d_new * neighbor_degrees)
     self_weight = 1.0 / d_new if self_loops else 0.0
     return weights, self_weight
-
-
-def save_graph(graph: GenreGraph, self_loops: bool, path: str | Path) -> None:
-    """Write the JSON manifest; adjacency is reconstructed from labels."""
-    doc = {
-        "nodes": [
-            {"id": node_id, "genre": label.name}
-            for node_id, label in zip(graph.node_ids, graph.labels)
-        ],
-        "self_loops": self_loops,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_graph(path: str | Path) -> tuple[GenreGraph, bool]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    node_ids = [entry["id"] for entry in doc["nodes"]]
-    labels = [GenreLabel.from_name(entry["genre"]) for entry in doc["nodes"]]
-    return build_graph(labels, node_ids=node_ids), bool(doc["self_loops"])

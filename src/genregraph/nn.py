@@ -1,18 +1,20 @@
-"""Dense layers, GCN and GraphSAGE propagation, softmax cross-entropy,
-manual backpropagation, and Adam.
+"""Dense layers, the graph layer, softmax cross-entropy, manual
+backpropagation, and Adam.
 
-Everything is plain numpy with explicit gradients; no autodiff. Forward
-passes are pure given (inputs, params, seed) and repeat bit-identically.
+Everything is plain numpy with explicit gradients; no autodiff. The graph
+layer sees one input block per node set: A_hat X for GCN, or each node's
+feature beside its sampled-neighbor mean for GraphSAGE. Forward passes are
+pure given (inputs, params, seed) and repeat bit-identically.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GenreGraph, NormalizedAdjacency
+from .graph import GenreGraph, draw_neighbors
 
 INPUT_DIM = 30
 EMBED_DIM = 60
@@ -106,14 +108,6 @@ class EmbeddingModel:
     def embedding_dim(self) -> int:
         return INPUT_DIM if self.variant is Variant.PLAIN else EMBED_DIM
 
-    def parameter_counts(self) -> dict[str, int]:
-        counts = {"mlp": sum(l.param_count for l in self.mlp)}
-        if self.graph_layer is not None:
-            counts["graph_layer"] = self.graph_layer.param_count
-        if self.embed_head is not None:
-            counts["embed_head"] = self.embed_head.param_count
-        return counts
-
 
 def build_model(variant: Variant, seed: int) -> EmbeddingModel:
     """Construct a model with fixed architecture and seeded initialization.
@@ -151,17 +145,6 @@ def _check_affine_shapes(features: np.ndarray, layer: LayerParams, name: str) ->
         )
 
 
-def gcn_forward(norm_adj: NormalizedAdjacency, features: np.ndarray, layer: LayerParams) -> np.ndarray:
-    """ReLU(A_hat X W + b) with A_hat the normalized adjacency."""
-    features = np.asarray(features, dtype=np.float64)
-    _check_affine_shapes(features, layer, "gcn_forward")
-    if norm_adj.n_nodes != features.shape[0]:
-        raise ValueError(
-            f"adjacency is {norm_adj.n_nodes} nodes but features have {features.shape[0]} rows"
-        )
-    return _relu(norm_adj.apply(features) @ layer.weight + layer.bias)
-
-
 def sampled_neighbor_means(
     graph: GenreGraph, features: np.ndarray, sample_k: int, seed: int
 ) -> np.ndarray:
@@ -173,34 +156,17 @@ def sampled_neighbor_means(
     if sample_k < 1:
         raise ValueError(f"sample_k must be >= 1, got {sample_k}")
     features = np.asarray(features, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    means = np.zeros_like(features)
-    for v in range(graph.n_nodes):
-        neighbors = graph.neighbors(v)
-        if len(neighbors) == 0:
-            continue
-        if len(neighbors) > sample_k:
-            neighbors = rng.choice(neighbors, size=sample_k, replace=False)
-        means[v] = features[neighbors].mean(axis=0)
-    return means
-
-
-def sage_forward(
-    graph: GenreGraph,
-    features: np.ndarray,
-    layer: LayerParams,
-    sample_k: int,
-    seed: int,
-) -> np.ndarray:
-    """ReLU([x_v || mean of sampled neighbors] W + b) per node."""
-    features = np.asarray(features, dtype=np.float64)
     if graph.n_nodes != features.shape[0]:
         raise ValueError(
             f"graph has {graph.n_nodes} nodes but features have {features.shape[0]} rows"
         )
-    concat = np.hstack([features, sampled_neighbor_means(graph, features, sample_k, seed)])
-    _check_affine_shapes(concat, layer, "sage_forward")
-    return _relu(concat @ layer.weight + layer.bias)
+    rng = np.random.default_rng(seed)
+    means = np.zeros_like(features)
+    for v in range(graph.n_nodes):
+        neighbors = graph.neighbors(v)
+        if len(neighbors):
+            means[v] = features[draw_neighbors(neighbors, sample_k, rng)].mean(axis=0)
+    return means
 
 
 def mlp_forward(inputs: np.ndarray, mlp: list[LayerParams]) -> np.ndarray:
@@ -282,57 +248,26 @@ def adam_step(
     return params, state
 
 
-def embedding_forward(
-    variant: Variant,
-    features: np.ndarray,
-    graph_layer: LayerParams,
-    norm_adj: NormalizedAdjacency | None = None,
-    graph: GenreGraph | None = None,
-    sample_k: int | None = None,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Graph-layer output rows (the embeddings) for every node."""
-    if variant is Variant.GCN:
-        if norm_adj is None:
-            raise ValueError("GCN needs the normalized adjacency")
-        return gcn_forward(norm_adj, features, graph_layer)
-    if variant is Variant.SAGE:
-        if graph is None or sample_k is None or seed is None:
-            raise ValueError("SAGE needs graph, sample_k, and seed")
-        return sage_forward(graph, features, graph_layer, sample_k, seed)
-    raise ValueError(f"variant {variant} has no graph layer")
+def embedding_forward(block: np.ndarray, graph_layer: LayerParams) -> np.ndarray:
+    """Graph-layer output rows (the embeddings): ReLU(block W + b)."""
+    block = np.asarray(block, dtype=np.float64)
+    _check_affine_shapes(block, graph_layer, "embedding_forward")
+    return _relu(block @ graph_layer.weight + graph_layer.bias)
 
 
 def embedding_loss_and_grads(
-    variant: Variant,
-    features: np.ndarray,
+    block: np.ndarray,
     targets: np.ndarray,
     graph_layer: LayerParams,
     head: LayerParams,
-    norm_adj: NormalizedAdjacency | None = None,
-    graph: GenreGraph | None = None,
-    sample_k: int | None = None,
-    seed: int | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Loss and exact gradients for the graph layer plus linear head.
 
-    GCN aggregates through norm_adj; SAGE concatenates each node's feature
-    with its sampled-neighbor mean (the sample stays fixed through the
-    backward pass). Gradients come back as [dWg, dbg, dWh, dbh].
+    The block is the graph layer's input and does not depend on the
+    parameters (a SAGE neighbor sample stays fixed through the backward
+    pass). Gradients come back as [dWg, dbg, dWh, dbh].
     """
-    features = np.asarray(features, dtype=np.float64)
-    if variant is Variant.GCN:
-        if norm_adj is None:
-            raise ValueError("GCN needs the normalized adjacency")
-        block = norm_adj.apply(features)
-    elif variant is Variant.SAGE:
-        if graph is None or sample_k is None or seed is None:
-            raise ValueError("SAGE needs graph, sample_k, and seed")
-        means = sampled_neighbor_means(graph, features, sample_k, seed)
-        block = np.hstack([features, means])
-    else:
-        raise ValueError(f"no graph layer to train for variant {variant}")
-
+    block = np.asarray(block, dtype=np.float64)
     z1 = block @ graph_layer.weight + graph_layer.bias
     hidden = _relu(z1)
     logits = hidden @ head.weight + head.bias

@@ -1,6 +1,6 @@
-"""Euclidean top-10 recommendation over embeddings and the Γ accuracy score.
+"""Euclidean top-k recommendation over embeddings and the Γ accuracy score.
 
-Γ is the mean over genres of the mean fraction of a query's top-10
+Γ is the mean over genres of the mean fraction of a query's top-k
 recommendations that share its genre, reported as a percentage. The
 experiment harness compares the plain-MFCC baseline against the
 graph-refined embeddings on a held-out split.
@@ -124,11 +124,13 @@ def gamma(
     attachment_mode: str = "",
     catalog_size: int = 0,
 ) -> EvalReport:
-    """Score recommendation lists: per-genre mean of R/10 as a percentage.
+    """Score recommendation lists: per-genre mean of R/L as a percentage.
 
-    R counts the top-10 recommendations sharing the query's genre. The
-    average is the unweighted mean over the genres that appear among the
-    queries. Every query and recommended id must have a label.
+    R counts the recommendations sharing the query's genre and L is the
+    length of the list, min(k, catalog size - 1) for a list from
+    recommend(). The average is the unweighted mean over the genres that
+    appear among the queries. Every query and recommended id must have a
+    label, and no list may be empty.
     """
     if not recommendations:
         raise ValueError("no recommendation lists to score")
@@ -142,7 +144,9 @@ def gamma(
             if song_id not in labels:
                 raise KeyError(f"recommended song {song_id!r} has no genre label")
             hits += labels[song_id].name == query_genre
-        per_genre_scores.setdefault(query_genre, []).append(hits / TOP_K)
+        if not rec.items:
+            raise ValueError(f"query {rec.query_id!r} has an empty recommendation list")
+        per_genre_scores.setdefault(query_genre, []).append(hits / len(rec.items))
 
     ordered = [name for name in GENRE_NAMES if name in per_genre_scores]
     per_genre = {name: 100.0 * float(np.mean(per_genre_scores[name])) for name in ordered}

@@ -95,16 +95,24 @@ def read_feature_store(path: str | Path) -> list[FeatureRecord]:
         raise StoreFormatError(f"{path}: unsupported version {version}")
     count = reader.u32()
     dimension = reader.u32()
-    records = []
+    ids, genres, chunks = [], [], []
     for _ in range(count):
         id_len = reader.u32()
-        song_id = reader.take(id_len).decode("utf-8")
-        genre_index = reader.u8()
-        values = reader.f64_array(dimension)
-        records.append(FeatureRecord(song_id=song_id, genre_index=genre_index, values=values))
+        ids.append(reader.take(id_len).decode("utf-8"))
+        genres.append(reader.u8())
+        chunks.append(reader.take(8 * dimension))
     if reader.pos != len(reader.data):
         raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
-    return records
+    values = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
+    values = values.reshape(count, dimension)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise StoreFormatError(f"{path}: song {ids[bad]!r} has a non-finite feature value")
+    return [
+        FeatureRecord(song_id=song_id, genre_index=genre, values=row)
+        for song_id, genre, row in zip(ids, genres, values)
+    ]
 
 
 def _model_layers(model: EmbeddingModel) -> list[LayerParams]:

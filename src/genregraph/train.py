@@ -18,15 +18,12 @@ from .graph import (
     AttachmentMode,
     GenreGraph,
     GenreLabel,
-    NormalizedAdjacency,
     attach_unseen,
+    draw_neighbors,
     extended_adjacency_row,
     normalize,
 )
 from .nn import (
-    EMBED_DIM,
-    MLP_HIDDEN,
-    N_GENRES,
     AdamState,
     EmbeddingModel,
     LayerParams,
@@ -35,16 +32,15 @@ from .nn import (
     build_model,
     embedding_forward,
     embedding_loss_and_grads,
-    init_layer,
     mlp_forward,
     mlp_loss_and_grads,
+    sampled_neighbor_means,
     softmax_cross_entropy,
 )
 
 # stream tags for deriving independent per-purpose seeds from one run seed
 _STREAM_EPOCH = 0
 _STREAM_FINAL = 1
-_STREAM_MLP_INIT = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -145,6 +141,22 @@ def _check_finite(loss: float, epoch: int) -> None:
         raise TrainingDivergedError(epoch)
 
 
+def graph_block(
+    variant: Variant, graph: GenreGraph, features: np.ndarray, cfg: TrainConfig, seed: int
+) -> np.ndarray:
+    """The graph layer's input rows for every node.
+
+    GCN: A_hat X. SAGE: each node's feature beside the mean of a neighbor
+    sample of at most cfg.sage_sample_k drawn from `seed`.
+    """
+    if variant is Variant.GCN:
+        return normalize(graph, add_self_loops=cfg.self_loops).apply(features)
+    if variant is Variant.SAGE:
+        means = sampled_neighbor_means(graph, features, cfg.sage_sample_k, seed)
+        return np.hstack([features, means])
+    raise ValueError(f"variant {variant} has no graph layer")
+
+
 def train_embeddings(
     graph: GenreGraph,
     features: np.ndarray,
@@ -165,38 +177,24 @@ def train_embeddings(
         raise ValueError(f"{features.shape[0]} feature rows for {graph.n_nodes} nodes")
 
     model = build_model(cfg.variant, cfg.seed)
-    norm_adj = normalize(graph, add_self_loops=cfg.self_loops) if cfg.variant is Variant.GCN else None
     params = model.graph_layer.arrays() + model.embed_head.arrays()
     state = AdamState.for_params(params, lr=cfg.embed_lr)
 
     train_losses = np.empty(cfg.epochs)
     eval_losses = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        epoch_seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
-        loss, grads = embedding_loss_and_grads(
-            cfg.variant,
-            features,
-            targets,
-            model.graph_layer,
-            model.embed_head,
-            norm_adj=norm_adj,
-            graph=graph,
-            sample_k=cfg.sage_sample_k,
-            seed=epoch_seed,
-        )
+        # A_hat X is the same every epoch, so GCN builds it once (as in
+        # SGC); SAGE draws a fresh neighbor sample per epoch.
+        if epoch == 0 or cfg.variant is Variant.SAGE:
+            epoch_seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
+            block = graph_block(cfg.variant, graph, features, cfg, epoch_seed)
+        loss, grads = embedding_loss_and_grads(block, targets, model.graph_layer, model.embed_head)
         _check_finite(loss, epoch)
         train_losses[epoch] = loss
         adam_step(params, grads, state)
 
-        hidden = embedding_forward(
-            cfg.variant,
-            features,
-            model.graph_layer,
-            norm_adj=norm_adj,
-            graph=graph,
-            sample_k=cfg.sage_sample_k,
-            seed=epoch_seed,
-        )
+        # the post-step loss reuses the epoch's block, SAGE sample included
+        hidden = embedding_forward(block, model.graph_layer)
         logits = hidden @ model.embed_head.weight + model.embed_head.bias
         eval_loss, _ = softmax_cross_entropy(logits, targets)
         _check_finite(eval_loss, epoch)
@@ -219,36 +217,23 @@ def compute_embeddings(
     so weights loaded from disk yield the same catalog as the training
     run that wrote them (given the same cfg).
     """
+    features = np.asarray(features, dtype=np.float64)
     if model.variant is Variant.PLAIN:
-        return np.asarray(features, dtype=np.float64)
-    norm_adj = normalize(graph, add_self_loops=cfg.self_loops) if model.variant is Variant.GCN else None
-    return embedding_forward(
-        model.variant,
-        np.asarray(features, dtype=np.float64),
-        model.graph_layer,
-        norm_adj=norm_adj,
-        graph=graph,
-        sample_k=cfg.sage_sample_k,
-        seed=derive_seed(cfg.seed, _STREAM_FINAL),
-    )
+        return features
+    block = graph_block(model.variant, graph, features, cfg, derive_seed(cfg.seed, _STREAM_FINAL))
+    return embedding_forward(block, model.graph_layer)
 
 
 def train_classifier(
     inputs: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
-    mlp: list[LayerParams] | None = None,
+    mlp: list[LayerParams],
 ) -> tuple[list[LayerParams], LossCurve]:
-    """Train the three-layer MLP on frozen inputs (raw MFCC or embeddings)."""
+    """Train the three-layer MLP (as from build_model) on frozen inputs
+    (raw MFCC or embeddings), updating its layers in place."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    if mlp is None:
-        rng = np.random.default_rng(derive_seed(cfg.seed, _STREAM_MLP_INIT))
-        mlp = [
-            init_layer(inputs.shape[1], MLP_HIDDEN[0], rng),
-            init_layer(MLP_HIDDEN[0], MLP_HIDDEN[1], rng),
-            init_layer(MLP_HIDDEN[1], N_GENRES, rng, zero=True),
-        ]
     if mlp[0].in_dim != inputs.shape[1]:
         raise ValueError(f"classifier expects {mlp[0].in_dim}-dim inputs, got {inputs.shape[1]}")
 
@@ -300,9 +285,10 @@ def infer_embedding(
 ) -> np.ndarray:
     """Embed a song that is not in the training graph.
 
-    The song is attached by ORACLE or FEATURE_KNN, then one graph-layer
-    forward pass runs over its neighbors' stored training features. PLAIN
-    passes the raw feature through unchanged.
+    The song is attached by ORACLE or FEATURE_KNN; its one-row block is
+    built from its neighbors' stored training features and goes through
+    the same graph-layer forward as catalog rows. PLAIN passes the raw
+    feature through unchanged.
     """
     new_feature = np.asarray(new_feature, dtype=np.float64).ravel()
     if model.variant is Variant.PLAIN:
@@ -318,23 +304,15 @@ def infer_embedding(
         train_features=train_features,
     )
     neighbor_idx = np.array([graph.index_of(nid) for nid in neighbor_ids], dtype=np.int64)
-    layer = model.graph_layer
 
     if model.variant is Variant.GCN:
         weights, self_weight = extended_adjacency_row(graph, neighbor_idx, self_loops)
-        if len(neighbor_idx):
-            aggregated = weights @ train_features[neighbor_idx] + self_weight * new_feature
-        else:
-            aggregated = self_weight * new_feature
-        return np.maximum(aggregated @ layer.weight + layer.bias, 0.0)
-
-    # SAGE: mean over a sampled subset of the attached neighbors
-    if len(neighbor_idx) > sample_k:
-        rng = np.random.default_rng(seed)
-        neighbor_idx = rng.choice(neighbor_idx, size=sample_k, replace=False)
-    if len(neighbor_idx):
-        neighbor_mean = train_features[neighbor_idx].mean(axis=0)
+        row = weights @ train_features[neighbor_idx] + self_weight * new_feature
     else:
-        neighbor_mean = np.zeros_like(new_feature)
-    concat = np.concatenate([new_feature, neighbor_mean])
-    return np.maximum(concat @ layer.weight + layer.bias, 0.0)
+        sampled = draw_neighbors(neighbor_idx, sample_k, np.random.default_rng(seed))
+        if len(sampled):
+            neighbor_mean = train_features[sampled].mean(axis=0)
+        else:
+            neighbor_mean = np.zeros_like(new_feature)
+        row = np.concatenate([new_feature, neighbor_mean])
+    return embedding_forward(row[None, :], model.graph_layer)[0]

@@ -193,10 +193,7 @@ def test_criterion_05_gradient_correctness(capsys):
             logits = np.maximum(z1, 0.0) @ head.weight + head.bias
             return softmax_cross_entropy(logits, targets)[0], (z1 > 0,)
 
-        loss, grads = embedding_loss_and_grads(
-            variant, features, targets, layer, head,
-            norm_adj=norm_adj, graph=graph, sample_k=10, seed=sample_seed,
-        )
+        loss, grads = embedding_loss_and_grads(block, targets, layer, head)
         assert abs(loss - embed_loss()[0]) < 1e-12
         assert loss < 4.0
         tally(finite_difference_check(layer.arrays() + head.arrays(), grads, embed_loss))

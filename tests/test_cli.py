@@ -160,16 +160,37 @@ class TestTrain:
         assert rc == EXIT_USAGE
 
     def test_divergence_exits_internal(self, tmp_path, capsys):
+        # finite features, but a learning rate that overflows the weights
+        rng = np.random.default_rng(0)
         records = [
-            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=np.full(30, np.nan))
+            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=rng.normal(size=30))
             for g in range(8)
             for s in range(3)
         ]
+        store = tmp_path / "big_lr.grmf"
+        write_feature_store(store, records)
+        rc = main(
+            ["train", "--store", str(store), "--variant", "gcn", "--embed-lr", "1e300",
+             "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_INTERNAL
+        assert "epoch" in capsys.readouterr().err
+
+    def test_non_finite_store_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        records = [
+            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=rng.normal(size=30))
+            for g in range(8)
+            for s in range(3)
+        ]
+        records[9].values[4] = np.nan
         store = tmp_path / "nan.grmf"
         write_feature_store(store, records)
         rc = main(["train", "--store", str(store), "--variant", "gcn", "--out", str(tmp_path)])
-        assert rc == EXIT_INTERNAL
-        assert "epoch" in capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err and "g3/s0" in err
+        assert not (tmp_path / "gcn.grmw").exists()
 
 
 class TestEvaluate:
@@ -240,6 +261,26 @@ class TestEvaluate:
             knn_avg = results["feature_knn"][variant]["gamma_percent"]["average"]
             oracle_avg = results["oracle"][variant]["gamma_percent"]["average"]
             assert knn_avg <= oracle_avg, variant
+
+    def test_recommend_k_20_scores_within_range(self, desk_cli_workspace, tmp_path):
+        # 45 training songs per genre: oracle GCN lists of 20 are all
+        # genre-mates, which is 100%, not 20/10.
+        rc = main(
+            [
+                "evaluate",
+                "--store", str(desk_cli_workspace["store"]),
+                "--weights",
+                str(desk_cli_workspace["weights"]["plain"]),
+                str(desk_cli_workspace["weights"]["gcn"]),
+                "--seed", "0",
+                "--recommend-k", "20",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == EXIT_OK
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["gcn"]["gamma_percent"]["average"] == 100.0
+        assert 0.0 <= doc["plain"]["gamma_percent"]["average"] <= 100.0
 
     def test_store_weights_dimension_mismatch(self, tiny_workspace, tmp_path, capsys):
         records = [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genregraph.graph import GenreLabel, build_graph, normalize
 from genregraph.nn import (
@@ -18,15 +20,15 @@ from genregraph.nn import (
     Variant,
     adam_step,
     build_model,
+    embedding_forward,
     embedding_loss_and_grads,
-    gcn_forward,
     init_layer,
     mlp_forward,
     mlp_loss_and_grads,
-    sage_forward,
     sampled_neighbor_means,
     softmax_cross_entropy,
 )
+from genregraph.train import TrainConfig, graph_block
 
 
 def labels_for(counts):
@@ -73,6 +75,15 @@ def naive_affine_relu(block, layer, relu=True):
     return out
 
 
+def gcn_forward(graph, feats, layer, self_loops=False):
+    return embedding_forward(normalize(graph, add_self_loops=self_loops).apply(feats), layer)
+
+
+def sage_forward(graph, feats, layer, sample_k, seed):
+    cfg = TrainConfig(variant=Variant.SAGE, sage_sample_k=sample_k)
+    return embedding_forward(graph_block(Variant.SAGE, graph, feats, cfg, seed), layer)
+
+
 def stable_loss(logits, targets):
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -82,9 +93,8 @@ def stable_loss(logits, targets):
 class TestGcnForward:
     def test_single_self_loop_node_zero_features(self):
         graph = build_graph(labels_for({0: 1}))
-        norm_adj = normalize(graph, add_self_loops=True)
         layer = random_layer(INPUT_DIM, EMBED_DIM, np.random.default_rng(0))
-        out = gcn_forward(norm_adj, np.zeros((1, INPUT_DIM)), layer)
+        out = gcn_forward(graph, np.zeros((1, INPUT_DIM)), layer, self_loops=True)
         assert np.array_equal(out[0], np.maximum(layer.bias, 0.0))
 
     def test_identical_rows_are_a_fixed_point_of_aggregation(self):
@@ -93,9 +103,8 @@ class TestGcnForward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=INPUT_DIM)
         graph = build_graph(labels_for({2: 3}))
-        norm_adj = normalize(graph)
         layer = random_layer(INPUT_DIM, EMBED_DIM, rng)
-        out = gcn_forward(norm_adj, np.tile(x, (3, 1)), layer)
+        out = gcn_forward(graph, np.tile(x, (3, 1)), layer)
         expected = np.maximum(x @ layer.weight + layer.bias, 0.0)
         for row in out:
             np.testing.assert_allclose(row, expected, atol=1e-12)
@@ -105,28 +114,44 @@ class TestGcnForward:
         graph = build_graph(labels_for({0: 2, 5: 3}))
         feats = rng.normal(size=(5, INPUT_DIM))
         layer = random_layer(INPUT_DIM, EMBED_DIM, rng)
-        out = gcn_forward(normalize(graph), feats, layer)
+        out = gcn_forward(graph, feats, layer)
         expected = naive_affine_relu(dense_normalized(graph) @ feats, layer)
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_rejects_mismatched_shapes(self):
         graph = build_graph(labels_for({0: 3}))
-        norm_adj = normalize(graph)
         layer = random_layer(INPUT_DIM, EMBED_DIM, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            gcn_forward(norm_adj, np.zeros((3, INPUT_DIM + 1)), layer)
+            gcn_forward(graph, np.zeros((3, INPUT_DIM + 1)), layer)
         with pytest.raises(ValueError):
-            gcn_forward(norm_adj, np.zeros((4, INPUT_DIM)), layer)
+            gcn_forward(graph, np.zeros((4, INPUT_DIM)), layer)
 
     def test_repeat_calls_are_bit_identical(self):
         rng = np.random.default_rng(3)
         graph = build_graph(labels_for({1: 4, 3: 4}))
         feats = rng.normal(size=(8, INPUT_DIM))
         layer = random_layer(INPUT_DIM, EMBED_DIM, rng)
-        norm_adj = normalize(graph)
-        first = gcn_forward(norm_adj, feats, layer)
-        second = gcn_forward(norm_adj, feats, layer)
+        first = gcn_forward(graph, feats, layer)
+        second = gcn_forward(graph, feats, layer)
         assert np.array_equal(first, second)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        genres=st.lists(st.integers(0, N_GENRES - 1), min_size=2, max_size=40),
+        self_loops=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuting_nodes_permutes_embeddings(self, genres, self_loops, seed):
+        if not self_loops and min(np.bincount(genres)[np.unique(genres)]) < 2:
+            genres = genres + genres  # every clique needs company without self-loops
+        rng = np.random.default_rng(seed)
+        labels = [GenreLabel.from_index(g) for g in genres]
+        feats = rng.normal(size=(len(labels), INPUT_DIM))
+        layer = random_layer(INPUT_DIM, EMBED_DIM, rng)
+        perm = rng.permutation(len(labels))
+        out = gcn_forward(build_graph(labels), feats, layer, self_loops)
+        permuted = gcn_forward(build_graph([labels[i] for i in perm]), feats[perm], layer, self_loops)
+        np.testing.assert_allclose(permuted, out[perm], rtol=0, atol=1e-12)
 
 
 class TestSampledNeighborMeans:
@@ -435,12 +460,9 @@ class TestEmbeddingGradients:
         layer = random_layer(width, EMBED_DIM, rng, scale=0.3)
         head = random_layer(EMBED_DIM, N_GENRES, rng, scale=0.3)
 
-        norm_adj = normalize(graph) if variant is Variant.GCN else None
-        kwargs = dict(norm_adj=norm_adj) if variant is Variant.GCN else dict(
-            graph=graph, sample_k=3, seed=77
-        )
+        cfg = TrainConfig(variant=variant, sage_sample_k=3)
         loss, grads = embedding_loss_and_grads(
-            variant, feats, targets, layer, head, **kwargs
+            graph_block(variant, graph, feats, cfg, 77), targets, layer, head
         )
 
         # The aggregation block does not depend on the parameters, so it is
@@ -558,10 +580,8 @@ class TestCliqueContraction:
         graph = build_graph(labels_for({0: n}))
         feats = rng.normal(size=(n, INPUT_DIM)) * 5.0
         layer = random_layer(INPUT_DIM, EMBED_DIM, rng)
-        norm_adj = normalize(graph)
-
-        pre = norm_adj.apply(feats) @ layer.weight + layer.bias
-        post = gcn_forward(norm_adj, feats, layer)
+        pre = normalize(graph).apply(feats) @ layer.weight + layer.bias
+        post = gcn_forward(graph, feats, layer)
         spectral = np.linalg.norm(layer.weight, 2)
         bound = spectral / (n - 1)
 

@@ -1,4 +1,4 @@
-"""Top-10 recommendation, the Γ metric, and the comparison experiment."""
+"""Top-k recommendation, the Γ metric, and the comparison experiment."""
 
 import json
 
@@ -158,9 +158,34 @@ class TestGamma:
             RecommendationList(query_id="qb", items=(("a", 1.0), ("x", 2.0))),
         ]
         report = gamma(recs, labels)
-        # hits/10 per query: 2/10 and 1/10, averaged then ×100
-        assert report.gamma_per_genre == {GENRE_NAMES[0]: pytest.approx(15.0)}
+        # hits over list length per query: 2/2 and 1/2, averaged then ×100
+        assert report.gamma_per_genre == {GENRE_NAMES[0]: pytest.approx(75.0)}
         assert report.queries_per_genre == {GENRE_NAMES[0]: 2}
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_gamma_divides_by_the_list_length(self, k):
+        # 30 catalog songs, the first 12 sharing the query's genre and all
+        # nearer than the rest: the top k hold min(k, 12) genre-mates.
+        labels = {f"s{i:02d}": folk(0 if i < 12 else 1) for i in range(30)}
+        labels["q"] = folk(0)
+        catalog = {sid: np.array([float(i)]) for i, sid in enumerate(sorted(labels)) if sid != "q"}
+        rec = recommend(np.array([-1.0]), catalog, k=k, query_id="q")
+        assert len(rec.items) == k
+        report = gamma([rec], labels)
+        assert report.gamma_average == pytest.approx(100.0 * min(k, 12) / k)
+
+    def test_catalog_smaller_than_k_scores_the_whole_list(self):
+        labels = {"a": folk(3), "b": folk(3), "c": folk(4), "q": folk(3)}
+        catalog = {sid: np.array([float(i)]) for i, sid in enumerate("abc")}
+        rec = recommend(np.zeros(1), catalog, k=10, query_id="q")
+        assert len(rec.items) == 3
+        assert gamma([rec], labels).gamma_average == pytest.approx(200.0 / 3)
+        pure = recommend(np.zeros(1), {"a": np.zeros(1), "b": np.ones(1)}, k=10, query_id="q")
+        assert gamma([pure], labels).gamma_average == 100.0
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            gamma([RecommendationList(query_id="q", items=())], {"q": folk(0)})
 
     def test_missing_labels_raise_key_error(self):
         labels = {"q": folk(0)}

@@ -109,6 +109,24 @@ class TestFeatureStore:
         with pytest.raises(StoreFormatError, match="trailing"):
             read_feature_store(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        records = sample_records(n=3)
+        records[1].values[7] = bad
+        path = tmp_path / "bad.grmf"
+        write_feature_store(path, records)
+        with pytest.raises(StoreFormatError, match="non-finite"):
+            read_feature_store(path)
+
+    def test_oversized_header_count_is_truncation(self, tmp_path):
+        path = tmp_path / "big.grmf"
+        write_feature_store(path, sample_records(n=1))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 2**32 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="truncated"):
+            read_feature_store(path)
+
     def test_corrupt_genre_index_rejected(self, tmp_path):
         path = tmp_path / "g.grmf"
         write_feature_store(path, sample_records(n=1))

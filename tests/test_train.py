@@ -216,14 +216,16 @@ class TestTrainClassifier:
         rng = np.random.default_rng(1)
         inputs = rng.normal(scale=20.0, size=(40, INPUT_DIM))
         targets = np.full(40, 2)
-        _, curve = train_classifier(inputs, targets, TrainConfig(variant=Variant.PLAIN, seed=1))
+        cfg = TrainConfig(variant=Variant.PLAIN, seed=1)
+        _, curve = train_classifier(inputs, targets, cfg, build_model(Variant.PLAIN, 1).mlp)
         assert curve.eval_losses[-1] < 0.01
 
     def test_zero_init_head_starts_at_ln8(self):
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(24, INPUT_DIM))
         targets = rng.integers(0, N_GENRES, size=24)
-        _, curve = train_classifier(inputs, targets, TrainConfig(variant=Variant.PLAIN, epochs=1))
+        cfg = TrainConfig(variant=Variant.PLAIN, epochs=1)
+        _, curve = train_classifier(inputs, targets, cfg, build_model(Variant.PLAIN, 0).mlp)
         assert abs(curve.train_losses[0] - LN8) < 1e-6
 
     def test_rejects_width_mismatch_with_provided_mlp(self):
@@ -237,7 +239,10 @@ class TestTrainClassifier:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as excinfo:
                 train_classifier(
-                    np.full((10, INPUT_DIM), np.inf), np.zeros(10, dtype=int), TrainConfig()
+                    np.full((10, INPUT_DIM), np.inf),
+                    np.zeros(10, dtype=int),
+                    TrainConfig(),
+                    build_model(Variant.PLAIN, 0).mlp,
                 )
         assert excinfo.value.epoch == 0
 
