@@ -55,6 +55,7 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .recommend import (
+    Catalog,
     EvalReport,
     ExperimentConfig,
     RecommendationList,
@@ -66,6 +67,7 @@ from .recommend import (
 )
 from .stores import (
     FeatureRecord,
+    FeatureTable,
     StoreFormatError,
     read_feature_store,
     read_model,

@@ -15,8 +15,6 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .audio import (
     WINDOW_SEED_STREAM,
     ClipTooShortError,
@@ -30,6 +28,7 @@ from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
 from .mfcc import MfccConfig, mfcc
 from .nn import Variant
 from .recommend import (
+    Catalog,
     ExperimentConfig,
     recommend,
     render_text_report,
@@ -133,11 +132,8 @@ def _train_config(args: argparse.Namespace, config: dict, variant: Variant) -> T
 
 
 def _read_store_arrays(path: str):
-    records = read_feature_store(path)
-    ids = [rec.song_id for rec in records]
-    labels = np.array([rec.genre_index for rec in records], dtype=np.int64)
-    features = np.array([rec.values for rec in records], dtype=np.float64)
-    return ids, labels, features
+    table = read_feature_store(path)
+    return table.ids, table.genre_indices, table.values
 
 
 def _check_model_dim(model, feature_dim: int, path: str) -> None:
@@ -297,6 +293,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    if (args.song_id is None) == (args.audio is None):
+        raise UsageError("give exactly one of --song-id or --audio")
+    true_label = None
+    if args.audio is not None:
+        attachment = AttachmentMode(_setting(args, config, "attachment", "feature_knn"))
+        if attachment is AttachmentMode.ORACLE:
+            if args.genre is None:
+                raise UsageError("oracle attachment for an audio file needs --genre")
+            true_label = GenreLabel.from_name(args.genre)
+
     ids, labels, features = _read_store_arrays(args.store)
     model = read_model(args.weights)
     _check_model_dim(model, features.shape[1], args.weights)
@@ -305,17 +311,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    genre_labels = [GenreLabel.from_index(int(g)) for g in labels]
-    graph = build_graph(genre_labels, node_ids=ids)
-    catalog_vectors = compute_embeddings(model, graph, features, cfg)
-    catalog = {sid: catalog_vectors[i] for i, sid in enumerate(ids)}
-    labels_by_id = dict(zip(ids, genre_labels))
+    graph = build_graph([GenreLabel.from_index(g) for g in labels.tolist()], node_ids=ids)
+    if args.song_id is not None and args.song_id not in ids:
+        raise UsageError(f"unknown song id {args.song_id!r}")
+    catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg))
 
-    if (args.song_id is None) == (args.audio is None):
-        raise UsageError("give exactly one of --song-id or --audio")
     if args.song_id is not None:
-        if args.song_id not in catalog:
-            raise UsageError(f"unknown song id {args.song_id!r}")
         query_vec = catalog[args.song_id]
         query_id = args.song_id
     else:
@@ -329,12 +330,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             clip, mcfg.window_seconds, seed=derive_seed(cfg.seed, WINDOW_SEED_STREAM)
         )
         vec = mfcc(window, mcfg).values
-        attachment = AttachmentMode(_setting(args, config, "attachment", "feature_knn"))
-        true_label = None
-        if attachment is AttachmentMode.ORACLE:
-            if args.genre is None:
-                raise UsageError("oracle attachment for an audio file needs --genre")
-            true_label = GenreLabel.from_name(args.genre)
         query_vec = infer_embedding(
             model,
             graph,
@@ -354,7 +349,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     )
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
-        print(f"{rank:>4}  {song_id:<40} {labels_by_id[song_id].name:<14} {distance:.6f}")
+        genre = graph.labels[graph.index_of(song_id)].name
+        print(f"{rank:>4}  {song_id:<40} {genre:<14} {distance:.6f}")
     return EXIT_OK
 
 

@@ -62,16 +62,21 @@ class GenreLabel:
 
     @classmethod
     def from_index(cls, index: int) -> "GenreLabel":
+        """The shared label of genre `index`."""
         if not (0 <= index < len(GENRE_NAMES)):
             raise ValueError(f"genre index {index} out of range 0..{len(GENRE_NAMES) - 1}")
-        return cls(index=index, name=GENRE_NAMES[index])
+        return _LABELS[index]
 
     @classmethod
     def from_name(cls, name: str) -> "GenreLabel":
         try:
-            return cls(index=GENRE_NAMES.index(name), name=name)
+            return _LABELS[GENRE_NAMES.index(name)]
         except ValueError:
             raise ValueError(f"unknown genre {name!r}; expected one of {GENRE_NAMES}") from None
+
+
+# the eight labels, built once: a store of N songs needs no N label objects
+_LABELS = tuple(GenreLabel(index=i, name=name) for i, name in enumerate(GENRE_NAMES))
 
 
 class GenreGraph:

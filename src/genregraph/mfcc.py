@@ -7,6 +7,8 @@ arithmetic mean over frames.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +81,7 @@ def power_spectrogram(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     pad = n_fft // 2
     padded = np.pad(clip.samples, pad, mode="reflect")
     n_frames = 1 + (padded.size - n_fft) // hop
-    window = get_window("hann", n_fft, fftbins=True)
+    window = _constants(cfg)[0]
 
     shape = (n_frames, n_fft)
     strides = (hop * padded.strides[0], padded.strides[0])
@@ -107,6 +109,29 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+@functools.lru_cache(maxsize=8)
+def _build_constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
+    window = get_window("hann", cfg.n_fft, fftbins=True)
+    filterbank = mel_filterbank(cfg)
+    window.flags.writeable = False
+    filterbank.flags.writeable = False
+    return window, filterbank
+
+
+_constants_lock = threading.Lock()
+
+
+def _constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic Hann window and mel filterbank of a config, read-only.
+
+    Built once per config and process. The lock makes threads that miss
+    the cache together (extract's pool) wait for one build, not each
+    make their own.
+    """
+    with _constants_lock:
+        return _build_constants(cfg)
+
+
 def filter_peak_frequencies(cfg: MfccConfig) -> np.ndarray:
     """Center (peak) frequency in Hz of each mel filter."""
     mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
@@ -121,7 +146,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     per frame -> arithmetic mean over frames.
     """
     spec = power_spectrogram(clip, cfg)
-    mel_energy = spec @ mel_filterbank(cfg).T
+    mel_energy = spec @ _constants(cfg)[1].T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
     cepstra = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc]
     return MfccVector(values=cepstra.mean(axis=0), song_id=song_id)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GenreGraph, draw_neighbors
+from .graph import GenreGraph
 
 INPUT_DIM = 30
 EMBED_DIM = 60
@@ -151,7 +151,9 @@ def sampled_neighbor_means(
     """Per-node mean of sample_k uniformly sampled neighbor feature rows.
 
     Nodes with no neighbors get a zero row. Nodes are visited in index
-    order with a single seeded generator, so the result is deterministic.
+    order with a single seeded generator, so the result is deterministic:
+    it equals, bit for bit, a loop taking the mean of
+    features[draw_neighbors(graph.neighbors(v), sample_k, rng)] per node.
     """
     if sample_k < 1:
         raise ValueError(f"sample_k must be >= 1, got {sample_k}")
@@ -161,11 +163,27 @@ def sampled_neighbor_means(
             f"graph has {graph.n_nodes} nodes but features have {features.shape[0]} rows"
         )
     rng = np.random.default_rng(seed)
+    degrees = graph.degrees
+    # Drawing positions in 0..deg-1 takes the generator through the same
+    # stream as drawing from the neighbor array itself (draw_neighbors).
+    positions = np.empty((graph.n_nodes, sample_k), dtype=np.int64)
+    for v in np.flatnonzero(degrees > sample_k):
+        positions[v] = rng.choice(degrees[v], size=sample_k, replace=False)
+
     means = np.zeros_like(features)
-    for v in range(graph.n_nodes):
-        neighbors = graph.neighbors(v)
-        if len(neighbors):
-            means[v] = features[draw_neighbors(neighbors, sample_k, rng)].mean(axis=0)
+    for g in np.unique(graph.label_indices):
+        members = graph.genre_members(g)
+        n = len(members)
+        if n == 1:
+            continue
+        if n - 1 > sample_k:
+            pos = positions[members]
+        else:
+            pos = np.broadcast_to(np.arange(n - 1), (n, n - 1))
+        # position p among a member's sorted neighbors is clique slot p,
+        # or p + 1 from the member's own slot on
+        slots = pos + (pos >= np.arange(n)[:, None])
+        means[members] = features[members[slots]].mean(axis=1)
     return means
 
 

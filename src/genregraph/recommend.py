@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,6 +91,35 @@ class EvalReport:
         }
 
 
+class Catalog(Mapping[str, np.ndarray]):
+    """Catalog vectors keyed by song id, as one matrix in id order.
+
+    The ids are sorted once (Python string order); row i of `vectors` is
+    the vector of `ids[i]`. Built once per catalog and searched by every
+    query.
+    """
+
+    def __init__(self, ids: Sequence[str], vectors: np.ndarray):
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} ids for vectors of shape {vectors.shape}")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = [ids[i] for i in order]
+        self.vectors = vectors[order]
+        self._rows = {song_id: row for row, song_id in enumerate(self.ids)}
+        if len(self._rows) != len(self.ids):
+            raise ValueError("catalog ids must be unique")
+
+    def __getitem__(self, song_id: str) -> np.ndarray:
+        return self.vectors[self._rows[song_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 def recommend(
     query: np.ndarray,
     catalog: Mapping[str, np.ndarray],
@@ -100,20 +129,24 @@ def recommend(
     """The k catalog songs nearest the query in Euclidean distance.
 
     The query's own id is excluded; exact distance ties break by
-    ascending song id.
+    ascending song id. A catalog that is not a Catalog is turned into one
+    first, so callers with many queries should build the Catalog once.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ids = sorted(i for i in catalog if i != query_id)
-    if not ids:
+    if len(catalog) - (query_id in catalog) < 1:
         raise ValueError("catalog is empty (or holds only the query itself)")
+    if not isinstance(catalog, Catalog):
+        ids = list(catalog)
+        catalog = Catalog(ids, np.array([catalog[i] for i in ids], dtype=np.float64))
     query = np.asarray(query, dtype=np.float64).ravel()
-    vectors = np.array([catalog[i] for i in ids], dtype=np.float64)
-    distances = np.sqrt(((vectors - query) ** 2).sum(axis=1))
-    order = np.argsort(distances, kind="stable")[:k]
+    distances = np.sqrt(((catalog.vectors - query) ** 2).sum(axis=1))
+    order = np.argsort(distances, kind="stable")[: k + 1]
+    own = catalog._rows.get(query_id, -1)
+    order = order[order != own][:k]
     return RecommendationList(
         query_id=query_id,
-        items=tuple((ids[int(i)], float(distances[int(i)])) for i in order),
+        items=tuple((catalog.ids[i], float(distances[i])) for i in order.tolist()),
     )
 
 
@@ -220,7 +253,7 @@ def run_experiment(
                 model, _, catalog_vectors = train_embeddings(
                     graph, train_features, train_targets, vcfg
                 )
-        catalog = {sid: catalog_vectors[i] for i, sid in enumerate(train_ids)}
+        catalog = Catalog(train_ids, catalog_vectors)
 
         recommendations = []
         for qi in query_idx:

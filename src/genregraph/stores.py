@@ -14,6 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +72,9 @@ class _Reader:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
 
-def write_feature_store(path: str | Path, records: list[FeatureRecord], dimension: int = 30) -> None:
+def write_feature_store(
+    path: str | Path, records: Sequence[FeatureRecord], dimension: int = 30
+) -> None:
     parts = [FEATURE_MAGIC, struct.pack("<III", STORE_VERSION, len(records), dimension)]
     for rec in records:
         if rec.values.shape != (dimension,):
@@ -86,8 +89,36 @@ def write_feature_store(path: str | Path, records: list[FeatureRecord], dimensio
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_feature_store(path: str | Path) -> list[FeatureRecord]:
-    reader = _Reader(Path(path).read_bytes(), what=str(path))
+class FeatureTable(Sequence[FeatureRecord]):
+    """Read-only records of a feature store, kept as three columns.
+
+    `ids` holds the song ids, `genre_indices` their genre indices (int64)
+    and `values` one float64 row per song. A FeatureRecord is built only
+    when one is indexed or iterated; callers that want arrays read the
+    columns.
+    """
+
+    def __init__(self, ids: list[str], genre_indices: np.ndarray, values: np.ndarray):
+        self.ids = ids
+        self.genre_indices = genre_indices
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> FeatureRecord:
+        i = range(len(self.ids))[index]
+        return FeatureRecord(
+            song_id=self.ids[i], genre_index=int(self.genre_indices[i]), values=self.values[i]
+        )
+
+    def __iter__(self) -> Iterator[FeatureRecord]:
+        return (self[i] for i in range(len(self.ids)))
+
+
+def read_feature_store(path: str | Path) -> FeatureTable:
+    data = Path(path).read_bytes()
+    reader = _Reader(data, what=str(path))
     if reader.take(4) != FEATURE_MAGIC:
         raise StoreFormatError(f"{path}: bad magic, not a feature store")
     version = reader.u32()
@@ -95,24 +126,45 @@ def read_feature_store(path: str | Path) -> list[FeatureRecord]:
         raise StoreFormatError(f"{path}: unsupported version {version}")
     count = reader.u32()
     dimension = reader.u32()
+
+    # one walk over the length prefixes; the values stay in the buffer
+    view = memoryview(data)
+    row_bytes = 8 * dimension
     ids, genres, chunks = [], [], []
-    for _ in range(count):
-        id_len = reader.u32()
-        ids.append(reader.take(id_len).decode("utf-8"))
-        genres.append(reader.u8())
-        chunks.append(reader.take(8 * dimension))
-    if reader.pos != len(reader.data):
-        raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
+    pos = reader.pos
+    for i in range(count):
+        start = pos + 4
+        if start <= len(data):
+            end = start + struct.unpack_from("<I", data, pos)[0]
+            pos = end + 1 + row_bytes
+        if start > len(data) or pos > len(data):
+            raise StoreFormatError(
+                f"{path}: truncated in record {i} of {count} (file ends at byte {len(data)})"
+            )
+        try:
+            ids.append(data[start:end].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise StoreFormatError(f"{path}: song id at byte {start} is not UTF-8") from None
+        genres.append(data[end])
+        chunks.append(view[end + 1 : pos])
+    if pos != len(data):
+        raise StoreFormatError(f"{path}: {len(data) - pos} trailing bytes")
+
+    genres = np.array(genres, dtype=np.int64)
+    out_of_range = np.flatnonzero(genres >= len(GENRE_NAMES))
+    if len(out_of_range):
+        bad = int(out_of_range[0])
+        raise StoreFormatError(
+            f"{path}: song {ids[bad]!r} has genre index {genres[bad]} out of range "
+            f"0..{len(GENRE_NAMES) - 1}"
+        )
     values = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
     values = values.reshape(count, dimension)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise StoreFormatError(f"{path}: song {ids[bad]!r} has a non-finite feature value")
-    return [
-        FeatureRecord(song_id=song_id, genre_index=genre, values=row)
-        for song_id, genre, row in zip(ids, genres, values)
-    ]
+    return FeatureTable(ids, genres, values)
 
 
 def _model_layers(model: EmbeddingModel) -> list[LayerParams]:

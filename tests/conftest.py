@@ -2,9 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from genregraph.cli import main
 from genregraph.synth import SyntheticSpec, synthesize_features
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
+# and no per-example deadline, which a loaded runner would trip.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

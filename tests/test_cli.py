@@ -383,6 +383,69 @@ class TestRecommend:
         )
         assert rc2 == EXIT_USAGE
 
+    def test_query_flags_checked_before_the_store_is_read(self, tmp_path, capsys):
+        missing = ["--store", str(tmp_path / "no.grmf"), "--weights", str(tmp_path / "no.grmw")]
+        for extra in (["--song-id", "a", "--audio", "b.wav"], []):
+            assert main(["recommend", *missing, *extra]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "exactly one of --song-id or --audio" in err and "not found" not in err
+        rc = main(["recommend", *missing, "--audio", "b.wav", "--attachment", "oracle"])
+        assert rc == EXIT_USAGE
+        assert "--genre" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def gaussian_workspace(tmp_path_factory):
+    """Feature-only store (8 genres x 16 songs around seeded centres) plus
+    weights for every variant, trained through the CLI for 3 epochs."""
+    root = tmp_path_factory.mktemp("gaussian")
+    rng = np.random.default_rng(11)
+    centres = rng.normal(scale=0.5, size=(len(GENRE_NAMES), 30))
+    records = [
+        FeatureRecord(
+            song_id=f"{genre}/{genre}_{i:02d}",
+            genre_index=g,
+            values=centres[g] + rng.standard_normal(30),
+        )
+        for g, genre in enumerate(GENRE_NAMES)
+        for i in range(16)
+    ]
+    write_feature_store(root / "features.grmf", records)
+    for variant in Variant:
+        rc = main(
+            ["train", "--store", str(root / "features.grmf"), "--variant", variant.value,
+             "--epochs", "3", "--out", str(root)]
+        )
+        assert rc == EXIT_OK
+    return root
+
+
+class TestRecommendMatchesExhaustiveRanking:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_song_queries_match_a_full_sort_of_compute_embeddings(
+        self, gaussian_workspace, capsys, variant
+    ):
+        store = read_feature_store(gaussian_workspace / "features.grmf")
+        ids = np.array(store.ids)
+        labels = [GenreLabel.from_index(g) for g in store.genre_indices]
+        graph = build_graph(labels, node_ids=store.ids)
+        weights = gaussian_workspace / f"{variant.value}.grmw"
+        model = read_model(weights)
+        emb = compute_embeddings(model, graph, store.values, TrainConfig(variant=variant))
+        id_rank = np.argsort(np.argsort(ids))
+        for q in (0, 37, 127):
+            rc = main(
+                ["recommend", "--store", str(gaussian_workspace / "features.grmf"),
+                 "--weights", str(weights), "--song-id", store.ids[q]]
+            )
+            assert rc == EXIT_OK
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+            dist = np.sqrt(((emb - emb[q]) ** 2).sum(axis=1))
+            order = [int(j) for j in np.lexsort((id_rank, dist)) if j != q][:10]
+            assert [r[1] for r in rows] == [store.ids[j] for j in order]
+            assert [r[2] for r in rows] == [GENRE_NAMES[store.genre_indices[j]] for j in order]
+            assert [r[3] for r in rows] == [f"{dist[j]:.6f}" for j in order]
+
 
 class TestConfigFile:
     def test_config_values_apply_and_flags_override(self, tiny_workspace, tmp_path):

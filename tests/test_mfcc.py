@@ -5,6 +5,10 @@ naive O(n^2) DFT (explicit exponential matrix), sharing no code with
 the implementation under test.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -194,3 +198,39 @@ class TestMfcc:
             MfccVector(values=np.array([np.inf] * 30))
         with pytest.raises(ValueError):
             MfccVector(values=np.zeros((2, 30)))
+
+    def test_cached_constants_are_built_once_under_threads(self, monkeypatch):
+        # extract runs mfcc on a thread pool; threads that miss the cache
+        # together must share one filterbank build, so call counts repeat
+        module = sys.modules["genregraph.mfcc"]
+        built = []
+        original = module.mel_filterbank
+
+        def counting(cfg):
+            built.append(threading.get_ident())
+            return original(cfg)
+
+        monkeypatch.setattr(module, "mel_filterbank", counting)
+        cfg = MfccConfig(n_mels=96, window_seconds=0.5)
+        clip = AudioClip(samples=np.random.default_rng(0).normal(size=22050), sample_rate=22050)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                module._build_constants.cache_clear()
+                built.clear()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    vectors = list(pool.map(lambda _: mfcc(clip, cfg).values, range(16)))
+                assert len(built) == 1
+                assert all(np.array_equal(v, vectors[0]) for v in vectors)
+        finally:
+            sys.setswitchinterval(interval)
+            module._build_constants.cache_clear()
+
+    def test_cached_filterbank_is_read_only_and_public_one_is_fresh(self):
+        module = sys.modules["genregraph.mfcc"]
+        window, filterbank = module._constants(CFG)
+        assert not window.flags.writeable and not filterbank.flags.writeable
+        fresh = mel_filterbank(CFG)
+        assert fresh.flags.writeable and fresh is not mel_filterbank(CFG)
+        assert np.array_equal(fresh, filterbank)

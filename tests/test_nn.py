@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genregraph.graph import GenreLabel, build_graph, normalize
+from genregraph.graph import GenreLabel, build_graph, draw_neighbors, normalize
 from genregraph.nn import (
     EMBED_DIM,
     GCN_GRAPH_PARAM_COUNT,
@@ -186,6 +186,31 @@ class TestSampledNeighborMeans:
         graph = build_graph(labels_for({0: 3}))
         with pytest.raises(ValueError):
             sampled_neighbor_means(graph, np.zeros((3, 2)), sample_k=0, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([1, 10, 25]),
+        sizes=st.lists(st.sampled_from(["1", "2", "k", "k+1", "512"]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_node_draw_neighbors_loop(self, k, sizes, seed):
+        # Shuffled cliques interleave the genres, so the per-node draws must
+        # come in node order, not clique by clique, to match the reference.
+        counts = [{"1": 1, "2": 2, "k": k, "k+1": k + 1, "512": 512}[s] for s in sizes]
+        rng = np.random.default_rng(seed)
+        genres = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        graph = build_graph([GenreLabel.from_index(int(g)) for g in genres])
+        feats = rng.normal(size=(len(genres), 5)) * 10.0 ** rng.uniform(-3, 3, size=5)
+
+        reference = np.zeros_like(feats)
+        draws = np.random.default_rng(seed)
+        for v in range(graph.n_nodes):
+            neighbors = graph.neighbors(v)
+            if len(neighbors):
+                reference[v] = feats[draw_neighbors(neighbors, k, draws)].mean(axis=0)
+
+        means = sampled_neighbor_means(graph, feats, sample_k=k, seed=seed)
+        assert means.tobytes() == reference.tobytes()
 
 
 class TestSageForward:

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genregraph.graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
 from genregraph.nn import Variant
 from genregraph.recommend import (
+    Catalog,
     EvalReport,
     ExperimentConfig,
     RecommendationList,
@@ -105,6 +108,56 @@ class TestRecommend:
             recommend(np.zeros(3), {"q": np.zeros(3)}, k=10, query_id="q")
         with pytest.raises(ValueError):
             recommend(np.zeros(3), {"a": np.zeros(3)}, k=0)
+
+
+class TestCatalog:
+    def test_rows_follow_sorted_ids(self):
+        vectors = np.arange(12.0).reshape(4, 3)
+        catalog = Catalog(["b", "é", "a", "Z"], vectors)
+        assert catalog.ids == ["Z", "a", "b", "é"]
+        assert np.array_equal(catalog.vectors, vectors[[3, 2, 0, 1]])
+        assert np.array_equal(catalog["a"], vectors[2])
+        assert len(catalog) == 4 and "é" in catalog and "q" not in catalog
+        assert list(catalog) == catalog.ids
+
+    def test_rejects_duplicate_ids_and_misshapen_vectors(self):
+        with pytest.raises(ValueError):
+            Catalog(["a", "a"], np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            Catalog(["a", "b"], np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            Catalog(["a"], np.zeros(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 4),
+        where=st.sampled_from(["present", "absent"]),
+    )
+    def test_matches_exhaustive_sort_with_ties(self, data, n, dim, where):
+        # Coordinates on a small integer grid make exact distance ties common.
+        ids = data.draw(
+            st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True)
+        )
+        point = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        vectors = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=np.float64)
+        mapping = dict(zip(ids, vectors))
+        if where == "present":
+            query_id = data.draw(st.sampled_from(ids))
+            query = mapping[query_id]
+        else:
+            query_id = "\x00not in the catalog"
+            query = np.array(data.draw(point), dtype=np.float64)
+        if len(mapping) - (query_id in mapping) < 1:
+            return
+        k = data.draw(st.integers(1, n + 3))
+
+        expected = exhaustive_top_k(query, mapping, k, query_id=query_id)
+        from_catalog = recommend(query, Catalog(ids, vectors), k=k, query_id=query_id)
+        from_dict = recommend(query, mapping, k=k, query_id=query_id)
+        assert list(from_catalog.items) == expected
+        assert from_dict == from_catalog
 
 
 def folk(i):

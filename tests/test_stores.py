@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from genregraph.cli import EXIT_OK, EXIT_USAGE, main
 from genregraph.nn import Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
@@ -135,13 +138,94 @@ class TestFeatureStore:
         id_len = struct.unpack_from("<I", raw, 16)[0]
         raw[16 + 4 + id_len] = 200
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
+        with pytest.raises(StoreFormatError, match="genre index 200"):
             read_feature_store(path)
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.grmf"
         write_feature_store(path, [])
-        assert read_feature_store(path) == []
+        assert len(read_feature_store(path)) == 0
+
+
+# a function-scoped tmp_path is fine here: every example rewrites its files
+_EXAMPLES = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+# (offset, 0): cut the file at offset; (offset, mask): XOR the byte at offset
+_CORRUPTION = st.tuples(st.integers(0, 10**6), st.integers(0, 255))
+
+
+def _corrupted(raw: bytes, corruption: tuple[int, int]) -> bytes:
+    offset, mask = corruption
+    offset %= len(raw)
+    if mask == 0:
+        return raw[:offset]
+    return raw[:offset] + bytes([raw[offset] ^ mask]) + raw[offset + 1 :]
+
+
+class TestFeatureStoreRobustness:
+    @_EXAMPLES
+    @given(corruption=_CORRUPTION)
+    def test_corrupt_store_reads_or_raises_a_format_error(self, tmp_path, corruption):
+        path = tmp_path / "c.grmf"
+        write_feature_store(path, sample_records(n=5))
+        path.write_bytes(_corrupted(path.read_bytes(), corruption))
+        try:
+            read_feature_store(path)
+        except (StoreFormatError, ValueError):
+            pass
+
+    @_EXAMPLES
+    @given(corruption=_CORRUPTION, variant=st.sampled_from(list(Variant)))
+    def test_recommend_on_a_corrupt_store_exits_0_or_2(
+        self, tmp_path, capsys, corruption, variant
+    ):
+        records = [
+            FeatureRecord(song_id=f"g{i % 8}/s{i}", genre_index=i % 8, values=np.full(30, i / 7.0))
+            for i in range(16)
+        ]
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        write_feature_store(store, records)
+        write_model(weights, build_model(variant, seed=0))
+        store.write_bytes(_corrupted(store.read_bytes(), corruption))
+        capsys.readouterr()
+        rc = main(
+            ["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"]
+        )
+        err = capsys.readouterr().err
+        assert rc in (EXIT_OK, EXIT_USAGE)
+        assert "Traceback" not in err
+        if rc == EXIT_USAGE:
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @_EXAMPLES
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(max_size=6),
+                st.integers(0, 7),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            ),
+            max_size=6,
+        )
+    )
+    def test_write_read_write_is_byte_identical(self, tmp_path, rows):
+        records = [FeatureRecord(song_id=i, genre_index=g, values=np.array(v)) for i, g, v in rows]
+        first, second = tmp_path / "a.grmf", tmp_path / "b.grmf"
+        write_feature_store(first, records, dimension=3)
+        write_feature_store(second, read_feature_store(first), dimension=3)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_bad_utf8_id_is_a_format_error(self, tmp_path):
+        path = tmp_path / "u.grmf"
+        write_feature_store(path, sample_records(n=1))
+        raw = bytearray(path.read_bytes())
+        raw[20] = 0xFF  # first byte of the first id
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="UTF-8"):
+            read_feature_store(path)
 
 
 class TestWeightStore:
