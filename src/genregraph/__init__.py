@@ -14,6 +14,7 @@ from .audio import (
     UnsupportedWavError,
     WavDecodeError,
     decode_wav,
+    derive_seed,
     encode_wav,
     random_window,
     resample,
@@ -40,6 +41,7 @@ from .mfcc import (
     mel_to_hz,
     mfcc,
     power_spectrogram,
+    wav_mfcc,
 )
 from .nn import (
     EMBED_DIM,
@@ -87,7 +89,6 @@ from .train import (
     TrainConfig,
     TrainingDivergedError,
     compute_embeddings,
-    derive_seed,
     infer_embedding,
     split_train_test,
     train_classifier,

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import resample_poly
 
+# highest sample rate decode_wav accepts; resample's filter grows with the
+# rate, so a corrupt header rate would otherwise allocate gigabytes
+MAX_SAMPLE_RATE = 384_000
+
 
 class WavDecodeError(Exception):
     """Base class for WAV decoding failures."""
@@ -72,8 +76,9 @@ class AudioClip:
 def decode_wav(data: bytes) -> AudioClip:
     """Decode PCM WAV bytes to a mono AudioClip.
 
-    Supports 8/16/24-bit integer and 32-bit float PCM, 1 or 2 channels.
-    Stereo is averaged to mono; integer samples are scaled to [-1, 1].
+    Supports 8/16/24-bit integer and 32-bit float PCM, 1 or 2 channels,
+    up to MAX_SAMPLE_RATE Hz. Stereo is averaged to mono; integer samples
+    are scaled to [-1, 1].
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE file")
@@ -108,6 +113,8 @@ def decode_wav(data: bytes) -> AudioClip:
         raise UnsupportedWavError(f"unsupported channel count {channels}")
     if sample_rate <= 0:
         raise MalformedWavError(f"invalid sample rate {sample_rate}")
+    if sample_rate > MAX_SAMPLE_RATE:
+        raise UnsupportedWavError(f"sample rate {sample_rate} Hz is above {MAX_SAMPLE_RATE} Hz")
     if len(payload) == 0:
         raise EmptyWavError("zero-length data payload")
 
@@ -162,8 +169,12 @@ def resample(clip: AudioClip, target_sample_rate: int) -> AudioClip:
     return AudioClip(samples=np.clip(samples, -1.0, 1.0), sample_rate=target_sample_rate)
 
 
-# seed stream tag for per-song window offsets; extraction paths must share
-# it so the file pipeline and the in-memory pipeline cut identical windows
+def derive_seed(*parts: int) -> int:
+    """Stable child seed from a run seed plus stream/epoch indices."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+# seed stream tag for per-song window offsets (mfcc.wav_mfcc)
 WINDOW_SEED_STREAM = 5
 
 

@@ -15,17 +15,10 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .audio import (
-    WINDOW_SEED_STREAM,
-    ClipTooShortError,
-    WavDecodeError,
-    decode_wav,
-    random_window,
-    resample,
-)
+from .audio import ClipTooShortError, WavDecodeError, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
-from .mfcc import MfccConfig, mfcc
+from .mfcc import MfccConfig, wav_mfcc
 from .nn import Variant
 from .recommend import (
     Catalog,
@@ -48,7 +41,6 @@ from .train import (
     TrainConfig,
     TrainingDivergedError,
     compute_embeddings,
-    derive_seed,
     infer_embedding,
     split_train_test,
     train_pipeline,
@@ -105,12 +97,30 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+# the JSON types a config value may take, by the type of the setting's default
+_CONFIG_TYPES = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    tuple: ("a string or a list of strings", (str, list)),
+}
+
+
 def _setting(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag value if given, else config file value, else default."""
+    """Flag value if given, else config file value, else default.
+
+    A config value must have the JSON type of the default; true and false
+    are booleans only, not numbers.
+    """
     value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    return value
+    if value is None and key in config:
+        value = config[key]
+        kind, types = _CONFIG_TYPES[type(default)]
+        listed = value if type(value) is list else []
+        if type(value) not in types or any(type(g) is not str for g in listed):
+            raise UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    return default if value is None else value
 
 
 def _genre_list(value) -> tuple[str, ...]:
@@ -131,21 +141,21 @@ def _train_config(args: argparse.Namespace, config: dict, variant: Variant) -> T
     )
 
 
+def _mfcc_config(args: argparse.Namespace, config: dict) -> MfccConfig:
+    return MfccConfig(
+        window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
+        target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
+    )
+
+
 def _read_store_arrays(path: str):
     table = read_feature_store(path)
     return table.ids, table.genre_indices, table.values
 
 
 def _check_model_dim(model, feature_dim: int, path: str) -> None:
-    if model.variant is Variant.PLAIN:
-        expected = model.mlp[0].in_dim
-        actual = feature_dim
-    elif model.variant is Variant.GCN:
-        expected = model.graph_layer.in_dim
-        actual = feature_dim
-    else:
-        expected = model.graph_layer.in_dim
-        actual = 2 * feature_dim
+    expected = (model.mlp[0] if model.graph_layer is None else model.graph_layer).in_dim
+    actual = 2 * feature_dim if model.variant is Variant.SAGE else feature_dim
     if expected != actual:
         raise UsageError(
             f"{path}: {model.variant.value} weights expect input dim {expected}, "
@@ -156,17 +166,14 @@ def _check_model_dim(model, feature_dim: int, path: str) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     genres = _genre_list(_setting(args, config, "genres", GENRE_NAMES))
-    try:
-        spec = SyntheticSpec(
-            songs_per_genre=int(_setting(args, config, "songs_per_genre", 50)),
-            clip_seconds=float(_setting(args, config, "clip_seconds", 6.0)),
-            sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-            seed=int(_setting(args, config, "seed", 0)),
-            test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
-            genres=genres,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SyntheticSpec(
+        songs_per_genre=int(_setting(args, config, "songs_per_genre", 50)),
+        clip_seconds=float(_setting(args, config, "clip_seconds", 6.0)),
+        sample_rate=int(_setting(args, config, "sample_rate", 22050)),
+        seed=int(_setting(args, config, "seed", 0)),
+        test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
+        genres=genres,
+    )
     out_dir = Path(args.out)
     manifest = generate_dataset(spec, out_dir)
     print(f"wrote {len(manifest)} WAV files across {len(spec.genres)} genres to {out_dir}")
@@ -180,28 +187,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.load(manifest_path)
     base = manifest_path.parent
     seed = int(_setting(args, config, "seed", 0))
-    cfg = MfccConfig(
-        window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
-        target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-    )
+    cfg = _mfcc_config(args, config)
     workers = int(_setting(args, config, "workers", 0)) or min(8, len(manifest))
 
     def extract_one(item: tuple[int, object]):
         index, entry = item
         path = manifest.resolve(entry, base)
         try:
-            clip = decode_wav(path.read_bytes())
-            clip = resample(clip, cfg.target_sample_rate)
-            window = random_window(
-                clip, cfg.window_seconds, seed=derive_seed(seed, WINDOW_SEED_STREAM, index)
-            )
-            vec = mfcc(window, cfg, song_id=entry.path)
+            values = wav_mfcc(path.read_bytes(), cfg, seed, index)
         except (WavDecodeError, ClipTooShortError, OSError, ValueError) as exc:
             return index, None, f"{path}: {exc}"
         record = FeatureRecord(
             song_id=entry.path,
             genre_index=GenreLabel.from_name(entry.genre).index,
-            values=vec.values,
+            values=values,
         )
         return index, record, None
 
@@ -226,10 +225,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     variant = Variant(args.variant)
-    try:
-        cfg = _train_config(args, config, variant)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _train_config(args, config, variant)
     ids, labels, features = _read_store_arrays(args.store)
     test_fraction = float(_setting(args, config, "test_fraction", 0.1))
     train_idx, _ = split_train_test(labels, test_fraction=test_fraction, seed=cfg.seed)
@@ -306,10 +302,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     ids, labels, features = _read_store_arrays(args.store)
     model = read_model(args.weights)
     _check_model_dim(model, features.shape[1], args.weights)
-    try:
-        cfg = _train_config(args, config, model.variant)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _train_config(args, config, model.variant)
 
     graph = build_graph([GenreLabel.from_index(g) for g in labels.tolist()], node_ids=ids)
     if args.song_id is not None and args.song_id not in ids:
@@ -320,16 +313,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         query_vec = catalog[args.song_id]
         query_id = args.song_id
     else:
-        mcfg = MfccConfig(
-            window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
-            target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-        )
-        clip = decode_wav(Path(args.audio).read_bytes())
-        clip = resample(clip, mcfg.target_sample_rate)
-        window = random_window(
-            clip, mcfg.window_seconds, seed=derive_seed(cfg.seed, WINDOW_SEED_STREAM)
-        )
-        vec = mfcc(window, mcfg).values
+        vec = wav_mfcc(Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
         query_vec = infer_embedding(
             model,
             graph,

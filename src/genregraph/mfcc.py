@@ -2,7 +2,7 @@
 
 One song becomes one 30-dimensional vector: Hann-windowed power spectrogram,
 triangular mel filterbank, log compression, orthonormal DCT-II, then the
-arithmetic mean over frames.
+arithmetic mean over frames. wav_mfcc runs the whole chain from WAV bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.signal import get_window
 
-from .audio import AudioClip
+from .audio import WINDOW_SEED_STREAM, AudioClip, decode_wav, derive_seed, random_window, resample
 
 LOG_FLOOR = 1e-10
 
@@ -150,3 +150,13 @@ def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
     cepstra = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc]
     return MfccVector(values=cepstra.mean(axis=0), song_id=song_id)
+
+
+def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:
+    """MFCC vector of WAV bytes: decode, resample to the config's rate, cut
+    a window seeded by (seed, WINDOW_SEED_STREAM, index), then mfcc. The one
+    path for extract, audio queries and the in-memory corpus alike.
+    """
+    clip = resample(decode_wav(data), cfg.target_sample_rate)
+    window_seed = derive_seed(seed, WINDOW_SEED_STREAM, index)
+    return mfcc(random_window(clip, cfg.window_seconds, window_seed), cfg).values

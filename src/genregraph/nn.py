@@ -3,8 +3,10 @@ backpropagation, and Adam.
 
 Everything is plain numpy with explicit gradients; no autodiff. The graph
 layer sees one input block per node set: A_hat X for GCN, or each node's
-feature beside its sampled-neighbor mean for GraphSAGE. Forward passes are
-pure given (inputs, params, seed) and repeat bit-identically.
+feature beside its sampled-neighbor mean for GraphSAGE. Over a fixed block
+the graph layer under its linear head is a two-layer dense stack, with the
+same backward pass as the classifier. Forward passes are pure given
+(inputs, params, seed) and repeat bit-identically.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def sampled_neighbor_means(
 
 
 def mlp_forward(inputs: np.ndarray, mlp: list[LayerParams]) -> np.ndarray:
-    """Three affine layers, ReLU after the first two, raw logits out."""
+    """Affine layers with ReLU between them, raw logits out."""
     inputs = np.asarray(inputs, dtype=np.float64)
     _check_affine_shapes(inputs, mlp[0], "mlp_forward")
     hidden = inputs
@@ -279,33 +281,23 @@ def embedding_loss_and_grads(
     graph_layer: LayerParams,
     head: LayerParams,
 ) -> tuple[float, list[np.ndarray]]:
-    """Loss and exact gradients for the graph layer plus linear head.
+    """mlp_loss_and_grads of the stack [graph_layer, head]: [dWg, dbg, dWh, dbh].
 
-    The block is the graph layer's input and does not depend on the
-    parameters (a SAGE neighbor sample stays fixed through the backward
-    pass). Gradients come back as [dWg, dbg, dWh, dbh].
+    Training calls mlp_loss_and_grads itself; this name stays because
+    perfbench/tracer.py wraps it.
     """
-    block = np.asarray(block, dtype=np.float64)
-    z1 = block @ graph_layer.weight + graph_layer.bias
-    hidden = _relu(z1)
-    logits = hidden @ head.weight + head.bias
-    loss, dlogits = softmax_cross_entropy(logits, targets)
-
-    d_wh = hidden.T @ dlogits
-    d_bh = dlogits.sum(axis=0)
-    d_hidden = dlogits @ head.weight.T
-    d_z1 = d_hidden * (z1 > 0)
-    d_wg = block.T @ d_z1
-    d_bg = d_z1.sum(axis=0)
-    return loss, [d_wg, d_bg, d_wh, d_bh]
+    return mlp_loss_and_grads(block, targets, [graph_layer, head])
 
 
 def mlp_loss_and_grads(
     inputs: np.ndarray, targets: np.ndarray, mlp: list[LayerParams]
 ) -> tuple[float, list[np.ndarray]]:
-    """Loss and exact gradients for the three-layer classifier.
+    """Loss and exact gradients for a dense stack (ReLU between layers).
 
-    Gradients come back as [dW1, db1, dW2, db2, dW3, db3].
+    The stack is the three-layer classifier, or the graph layer under its
+    linear head; the graph layer's input block does not depend on the
+    parameters (a SAGE neighbor sample stays fixed through the backward
+    pass). Gradients come back as [dW1, db1, dW2, db2, ...].
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     pre_acts = []

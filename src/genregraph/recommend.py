@@ -129,8 +129,10 @@ def recommend(
     """The k catalog songs nearest the query in Euclidean distance.
 
     The query's own id is excluded; exact distance ties break by
-    ascending song id. A catalog that is not a Catalog is turned into one
-    first, so callers with many queries should build the Catalog once.
+    ascending song id. A distance that overflows (or is NaN) raises
+    ValueError naming the catalog song. A catalog that is not a Catalog is
+    turned into one first, so callers with many queries should build the
+    Catalog once.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -140,7 +142,12 @@ def recommend(
         ids = list(catalog)
         catalog = Catalog(ids, np.array([catalog[i] for i in ids], dtype=np.float64))
     query = np.asarray(query, dtype=np.float64).ravel()
-    distances = np.sqrt(((catalog.vectors - query) ** 2).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = np.sqrt(((catalog.vectors - query) ** 2).sum(axis=1))
+    finite = np.isfinite(distances)
+    if not finite.all():
+        song_id = catalog.ids[int(np.argmin(finite))]
+        raise ValueError(f"distance from the query to {song_id!r} is not finite")
     order = np.argsort(distances, kind="stable")[: k + 1]
     own = catalog._rows.get(query_id, -1)
     order = order[order != own][:k]

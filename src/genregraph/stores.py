@@ -203,11 +203,13 @@ def read_model(path: str | Path) -> EmbeddingModel:
         raise StoreFormatError(f"{path}: {variant.value} model must have {expected} layers, got {layer_count}")
 
     layers = []
-    for _ in range(layer_count):
+    for i in range(layer_count):
         in_dim = reader.u32()
         out_dim = reader.u32()
         weight = reader.f64_array(in_dim * out_dim).reshape(in_dim, out_dim)
         bias = reader.f64_array(out_dim)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise StoreFormatError(f"{path}: layer {i} of {layer_count} has a non-finite weight")
         layers.append(LayerParams(weight=weight, bias=bias))
     if reader.pos != len(reader.data):
         raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")

@@ -15,12 +15,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .audio import WINDOW_SEED_STREAM, AudioClip, decode_wav, encode_wav, random_window, resample
+from .audio import AudioClip, derive_seed, encode_wav
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
-from .mfcc import MfccConfig, mfcc
+from .mfcc import MfccConfig, wav_mfcc
 from .stores import FeatureRecord
-from .train import derive_seed, split_train_test
+from .train import split_train_test
 
 _STREAM_CLIP = 4
 
@@ -213,9 +213,9 @@ def synthesize_features(
 ) -> list[FeatureRecord]:
     """Desk-corpus features without touching disk.
 
-    Mirrors the file pipeline exactly, 16-bit WAV round trip and window
-    seed stream included, so the records match a synth + extract run on
-    the same seeds byte for byte.
+    Each clip goes through its 16-bit WAV bytes and wav_mfcc, as in
+    extract, so the records match a synth + extract run on the same seeds
+    byte for byte.
     """
     cfg = cfg or MfccConfig()
     seed = spec.seed if extract_seed is None else extract_seed
@@ -227,14 +227,8 @@ def synthesize_features(
         for si in range(spec.songs_per_genre):
             rng = np.random.default_rng(song_seed(spec, gi, si))
             clip = generate_clip(recipe, spec.clip_seconds, spec.sample_rate, rng)
-            clip = resample(decode_wav(encode_wav(clip)), cfg.target_sample_rate)
-            window = random_window(
-                clip, cfg.window_seconds, seed=derive_seed(seed, WINDOW_SEED_STREAM, index)
-            )
             song_id = f"{genre}/{genre}_{si:03d}.wav"
-            vec = mfcc(window, cfg, song_id=song_id)
-            records.append(
-                FeatureRecord(song_id=song_id, genre_index=genre_index, values=vec.values)
-            )
+            values = wav_mfcc(encode_wav(clip), cfg, seed, index)
+            records.append(FeatureRecord(song_id=song_id, genre_index=genre_index, values=values))
             index += 1
     return records

@@ -2,18 +2,22 @@
 
 Stage 1 trains the graph layer with a throwaway linear head at lr 0.01;
 stage 2 freezes the embeddings and trains the three-layer classifier at
-lr 0.001. Both stages run full-batch Adam for the configured epoch count
-and are bit-for-bit reproducible for a fixed seed.
+lr 0.001. Both stages are the same full-batch Adam loop over a dense stack
+for the configured epoch count and are bit-for-bit reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
+from .audio import derive_seed
 from .graph import (
     AttachmentMode,
     GenreGraph,
@@ -31,7 +35,6 @@ from .nn import (
     adam_step,
     build_model,
     embedding_forward,
-    embedding_loss_and_grads,
     mlp_forward,
     mlp_loss_and_grads,
     sampled_neighbor_means,
@@ -110,11 +113,6 @@ class LossCurve:
         return cls(train_losses=np.array(train), eval_losses=np.array(eval_))
 
 
-def derive_seed(*parts: int) -> int:
-    """Stable child seed from a run seed plus stream/epoch indices."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def split_train_test(
     label_indices: np.ndarray, test_fraction: float = 0.1, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +134,30 @@ def split_train_test(
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def _check_finite(loss: float, epoch: int) -> None:
-    if not np.isfinite(loss):
+def _check_finite(epoch: int, *losses: float) -> None:
+    if not np.all(np.isfinite(losses)):
         raise TrainingDivergedError(epoch)
+
+
+def _fit(
+    layers: list[LayerParams], batches: Iterable[np.ndarray], targets: np.ndarray, lr: float
+) -> LossCurve:
+    """Full-batch Adam on a dense stack, one epoch per input block, updating
+    the layers in place. Records each epoch's loss before the step and
+    after it, on the same block."""
+    params = [arr for layer in layers for arr in layer.arrays()]
+    state = AdamState.for_params(params, lr=lr)
+    train_losses, eval_losses = [], []
+    for epoch, inputs in enumerate(batches):
+        # a diverging step overflows; _check_finite reports it as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = mlp_loss_and_grads(inputs, targets, layers)
+            adam_step(params, grads, state)
+            eval_loss, _ = softmax_cross_entropy(mlp_forward(inputs, layers), targets)
+        _check_finite(epoch, loss, eval_loss)
+        train_losses.append(loss)
+        eval_losses.append(eval_loss)
+    return LossCurve(train_losses=train_losses, eval_losses=eval_losses)
 
 
 def graph_block(
@@ -177,32 +196,19 @@ def train_embeddings(
         raise ValueError(f"{features.shape[0]} feature rows for {graph.n_nodes} nodes")
 
     model = build_model(cfg.variant, cfg.seed)
-    params = model.graph_layer.arrays() + model.embed_head.arrays()
-    state = AdamState.for_params(params, lr=cfg.embed_lr)
 
-    train_losses = np.empty(cfg.epochs)
-    eval_losses = np.empty(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        # A_hat X is the same every epoch, so GCN builds it once (as in
-        # SGC); SAGE draws a fresh neighbor sample per epoch.
-        if epoch == 0 or cfg.variant is Variant.SAGE:
-            epoch_seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
-            block = graph_block(cfg.variant, graph, features, cfg, epoch_seed)
-        loss, grads = embedding_loss_and_grads(block, targets, model.graph_layer, model.embed_head)
-        _check_finite(loss, epoch)
-        train_losses[epoch] = loss
-        adam_step(params, grads, state)
+    def block(epoch: int) -> np.ndarray:
+        seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
+        return graph_block(cfg.variant, graph, features, cfg, seed)
 
-        # the post-step loss reuses the epoch's block, SAGE sample included
-        hidden = embedding_forward(block, model.graph_layer)
-        logits = hidden @ model.embed_head.weight + model.embed_head.bias
-        eval_loss, _ = softmax_cross_entropy(logits, targets)
-        _check_finite(eval_loss, epoch)
-        eval_losses[epoch] = eval_loss
-
-    embeddings = compute_embeddings(model, graph, features, cfg)
-    curve = LossCurve(train_losses=train_losses, eval_losses=eval_losses)
-    return model, curve, embeddings
+    # A_hat X is the same every epoch, so GCN builds it once (as in SGC);
+    # SAGE draws a fresh neighbor sample per epoch.
+    if cfg.variant is Variant.GCN:
+        blocks = itertools.repeat(block(0), cfg.epochs)
+    else:
+        blocks = map(block, range(cfg.epochs))
+    curve = _fit([model.graph_layer, model.embed_head], blocks, targets, cfg.embed_lr)
+    return model, curve, compute_embeddings(model, graph, features, cfg)
 
 
 def compute_embeddings(
@@ -237,19 +243,7 @@ def train_classifier(
     if mlp[0].in_dim != inputs.shape[1]:
         raise ValueError(f"classifier expects {mlp[0].in_dim}-dim inputs, got {inputs.shape[1]}")
 
-    params = [arr for layer in mlp for arr in layer.arrays()]
-    state = AdamState.for_params(params, lr=cfg.mlp_lr)
-    train_losses = np.empty(cfg.epochs)
-    eval_losses = np.empty(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        loss, grads = mlp_loss_and_grads(inputs, targets, mlp)
-        _check_finite(loss, epoch)
-        train_losses[epoch] = loss
-        adam_step(params, grads, state)
-        eval_loss, _ = softmax_cross_entropy(mlp_forward(inputs, mlp), targets)
-        _check_finite(eval_loss, epoch)
-        eval_losses[epoch] = eval_loss
-    return mlp, LossCurve(train_losses=train_losses, eval_losses=eval_losses)
+    return mlp, _fit(mlp, itertools.repeat(inputs, cfg.epochs), targets, cfg.mlp_lr)
 
 
 def train_pipeline(
@@ -261,13 +255,10 @@ def train_pipeline(
     """Run both stages for cfg.variant; PLAIN skips the embedding stage."""
     curves: dict[str, LossCurve] = {}
     if cfg.variant is Variant.PLAIN:
-        model = build_model(Variant.PLAIN, cfg.seed)
-        mlp, curves["classifier"] = train_classifier(features, targets, cfg, mlp=model.mlp)
-        model.mlp = mlp
-        return model, curves
-    model, curves["embedding"], embeddings = train_embeddings(graph, features, targets, cfg)
-    mlp, curves["classifier"] = train_classifier(embeddings, targets, cfg, mlp=model.mlp)
-    model.mlp = mlp
+        model, inputs = build_model(Variant.PLAIN, cfg.seed), features
+    else:
+        model, curves["embedding"], inputs = train_embeddings(graph, features, targets, cfg)
+    _, curves["classifier"] = train_classifier(inputs, targets, cfg, mlp=model.mlp)
     return model, curves
 
 

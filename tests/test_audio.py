@@ -107,6 +107,14 @@ class TestDecodeWav:
         with pytest.raises(UnsupportedWavError):
             decode_wav(data)
 
+    def test_sample_rate_above_384_khz_is_unsupported(self):
+        # resample's filter grows with the rate: a corrupt header rate must
+        # stop here, not allocate gigabytes
+        assert decode_wav(wav_bytes(np.zeros(4), sample_rate=384_000)).sample_rate == 384_000
+        for rate in (384_001, 8_410_658, 67_130_914):
+            with pytest.raises(UnsupportedWavError, match=f"sample rate {rate} Hz"):
+                decode_wav(wav_bytes(np.zeros(4), sample_rate=rate))
+
     def test_unsupported_channel_count(self):
         data = _raw_wav(bits=16, channels=3, payload=b"\x00\x00" * 3)
         with pytest.raises(UnsupportedWavError):

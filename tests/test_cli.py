@@ -9,13 +9,14 @@ import pytest
 from genregraph.audio import encode_wav, AudioClip
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from genregraph.graph import GENRE_NAMES, GenreLabel
-from genregraph.nn import Variant
+from genregraph.nn import Variant, build_model
 from genregraph.recommend import recommend
 from genregraph.stores import (
     FeatureRecord,
     read_feature_store,
     read_model,
     write_feature_store,
+    write_model,
 )
 from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import TrainConfig, compute_embeddings
@@ -174,7 +175,8 @@ class TestTrain:
              "--out", str(tmp_path)]
         )
         assert rc == EXIT_INTERNAL
-        assert "epoch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "epoch" in err and err.count("\n") == 1
 
     def test_non_finite_store_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -383,6 +385,22 @@ class TestRecommend:
         )
         assert rc2 == EXIT_USAGE
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_overflowing_distance_is_a_usage_error(self, tmp_path, capsys, variant):
+        records = [
+            FeatureRecord(song_id=f"g{i % 8}/s{i:02d}", genre_index=i % 8, values=np.full(30, i / 7.0))
+            for i in range(16)
+        ]
+        records[5] = FeatureRecord(song_id="g5/s05", genre_index=5, values=np.full(30, 1e200))
+        store, weights = tmp_path / "big.grmf", tmp_path / "w.grmw"
+        write_feature_store(store, records)
+        write_model(weights, build_model(variant, seed=0))
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s00"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not finite" in err
+
     def test_query_flags_checked_before_the_store_is_read(self, tmp_path, capsys):
         missing = ["--store", str(tmp_path / "no.grmf"), "--weights", str(tmp_path / "no.grmw")]
         for extra in (["--song-id", "a", "--audio", "b.wav"], []):
@@ -505,3 +523,47 @@ class TestConfigFile:
         rc = main(["synth", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+
+class TestConfigValueTypes:
+    """A config value must have its setting's JSON type; anything else exits
+    2 naming the key, before any work is done."""
+
+    def run_train(self, tiny_workspace, tmp_path, capsys, doc, variant="gcn"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(
+            ["train", "--store", str(tiny_workspace / "features.grmf"), "--variant", variant,
+             "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        return rc, capsys.readouterr().err
+
+    def test_bool_setting_needs_a_json_boolean(self, tiny_workspace, tmp_path, capsys):
+        for bad in ("false", 0, None):
+            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"self_loops": bad})
+            assert rc == EXIT_USAGE and "'self_loops'" in err and err.count("\n") == 1
+        rc, _ = self.run_train(tiny_workspace, tmp_path, capsys, {"self_loops": True, "epochs": 2})
+        assert rc == EXIT_OK
+
+    def test_int_setting_needs_a_json_integer(self, tiny_workspace, tmp_path, capsys):
+        for bad in (True, 2.0, "2"):
+            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"epochs": bad})
+            assert rc == EXIT_USAGE and "'epochs'" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_float_setting_needs_a_json_number(self, tiny_workspace, tmp_path, capsys):
+        for bad in (True, "0.01", [0.01]):
+            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"embed_lr": bad})
+            assert rc == EXIT_USAGE and "'embed_lr'" in err and err.count("\n") == 1
+        # an integer is a number
+        rc, _ = self.run_train(tiny_workspace, tmp_path, capsys, {"mlp_lr": 1, "epochs": 2}, "plain")
+        assert rc == EXIT_OK
+
+    def test_genres_need_a_string_or_a_list_of_strings(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        for bad in (5, ["Rock", 3], {"Rock": 1}):
+            cfg_path.write_text(json.dumps({"genres": bad}))
+            rc = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg_path)])
+            err = capsys.readouterr().err
+            assert rc == EXIT_USAGE and "'genres'" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()

@@ -101,6 +101,15 @@ class TestRecommend:
             rec = recommend(query, catalog, k=10, query_id="c000")
             assert list(rec.items) == exhaustive_top_k(query, catalog, 10, query_id="c000")
 
+    def test_overflowing_distance_names_the_catalog_song(self):
+        catalog = {f"s{i:02d}": np.full(30, i / 7.0) for i in range(16)}
+        catalog["s05"] = np.full(30, 1e200)
+        with pytest.raises(ValueError, match="'s05' is not finite"):
+            recommend(catalog["s00"], catalog, query_id="s00")
+        # from the huge row itself every other distance overflows
+        with pytest.raises(ValueError, match="'s00' is not finite"):
+            recommend(catalog["s05"], catalog, query_id="s05")
+
     def test_rejects_empty_catalog_and_bad_k(self):
         with pytest.raises(ValueError):
             recommend(np.zeros(3), {}, k=10)

@@ -4,9 +4,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from genregraph.audio import AudioClip, encode_wav
 from genregraph.cli import EXIT_OK, EXIT_USAGE, main
 from genregraph.nn import Variant, build_model
 from genregraph.stores import (
@@ -165,6 +166,29 @@ def _corrupted(raw: bytes, corruption: tuple[int, int]) -> bytes:
     return raw[:offset] + bytes([raw[offset] ^ mask]) + raw[offset + 1 :]
 
 
+def _sixteen_song_store(path) -> None:
+    records = [
+        FeatureRecord(song_id=f"g{i % 8}/s{i}", genre_index=i % 8, values=np.full(30, i / 7.0))
+        for i in range(16)
+    ]
+    write_feature_store(path, records)
+
+
+def _recommend_exits_0_or_2(capsys, *argv: str) -> None:
+    """`recommend` exits 0 with finite distances and nothing on stderr, or
+    2 with one `error:` line; never a traceback."""
+    capsys.readouterr()
+    rc = main(["recommend", *argv])
+    out, err = capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err
+    if rc == EXIT_USAGE:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+        assert all(np.isfinite(float(line.split()[-1])) for line in out.splitlines()[1:])
+
+
 class TestFeatureStoreRobustness:
     @_EXAMPLES
     @given(corruption=_CORRUPTION)
@@ -182,23 +206,13 @@ class TestFeatureStoreRobustness:
     def test_recommend_on_a_corrupt_store_exits_0_or_2(
         self, tmp_path, capsys, corruption, variant
     ):
-        records = [
-            FeatureRecord(song_id=f"g{i % 8}/s{i}", genre_index=i % 8, values=np.full(30, i / 7.0))
-            for i in range(16)
-        ]
         store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
-        write_feature_store(store, records)
+        _sixteen_song_store(store)
         write_model(weights, build_model(variant, seed=0))
         store.write_bytes(_corrupted(store.read_bytes(), corruption))
-        capsys.readouterr()
-        rc = main(
-            ["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"]
+        _recommend_exits_0_or_2(
+            capsys, "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"
         )
-        err = capsys.readouterr().err
-        assert rc in (EXIT_OK, EXIT_USAGE)
-        assert "Traceback" not in err
-        if rc == EXIT_USAGE:
-            assert err.count("\n") == 1 and err.startswith("error: ")
 
     @_EXAMPLES
     @given(
@@ -226,6 +240,73 @@ class TestFeatureStoreRobustness:
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreFormatError, match="UTF-8"):
             read_feature_store(path)
+
+
+class TestWeightStoreRobustness:
+    # 28 is the sign-and-exponent byte of the first graph-layer weight:
+    # XOR 0x40 makes it about 1e306, and distances from it overflow
+    @_EXAMPLES
+    @given(corruption=_CORRUPTION, variant=st.sampled_from(list(Variant)))
+    @example(corruption=(28, 0x40), variant=Variant.GCN)
+    def test_corrupt_weights_read_or_raise_and_recommend_exits_0_or_2(
+        self, tmp_path, capsys, corruption, variant
+    ):
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(variant, seed=0))
+        weights.write_bytes(_corrupted(weights.read_bytes(), corruption))
+        try:
+            model = read_model(weights)
+        except (StoreFormatError, ValueError):
+            pass
+        else:
+            layers = [model.graph_layer, model.embed_head, *model.mlp]
+            assert all(np.isfinite(a).all() for l in layers if l for a in l.arrays())
+        _recommend_exits_0_or_2(
+            capsys, "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_names_its_layer(self, tmp_path, capsys, bad):
+        model = build_model(Variant.GCN, seed=0)
+        model.graph_layer.weight[2, 7] = bad
+        model.mlp[1].bias[0] = bad
+        store, weights = tmp_path / "c.grmf", tmp_path / "gcn.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, model)
+        with pytest.raises(StoreFormatError, match="layer 0 of 5 has a non-finite weight"):
+            read_model(weights)
+        model.graph_layer.weight[2, 7] = 0.0
+        write_model(weights, model)
+        with pytest.raises(StoreFormatError, match="layer 3 of 5 has a non-finite weight"):
+            read_model(weights)
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "layer 3 of 5" in err
+
+
+def _clip_wav(seconds=5.5, rate=22050) -> bytes:
+    t = np.arange(int(seconds * rate)) / rate
+    noise = np.random.default_rng(0).standard_normal(t.size)
+    return encode_wav(AudioClip(0.5 * np.sin(2 * np.pi * 330 * t) + 0.05 * noise, rate))
+
+
+class TestWavRobustness:
+    # bytes 24-27 hold the sample rate: without the 384 kHz bound, these two
+    # flips make resample ask for 642 MiB (byte 26, 0x80) or 5 GiB (27, 0x04)
+    @settings(_EXAMPLES, max_examples=30)
+    @given(corruption=st.tuples(st.one_of(st.integers(0, 47), st.integers(0, 10**6)), st.integers(0, 255)))
+    @example(corruption=(27, 0x04))
+    @example(corruption=(26, 0x80))
+    def test_recommend_on_a_corrupt_wav_exits_0_or_2(self, tmp_path, capsys, corruption):
+        store, weights, wav = tmp_path / "c.grmf", tmp_path / "w.grmw", tmp_path / "q.wav"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        wav.write_bytes(_corrupted(_clip_wav(), corruption))
+        _recommend_exits_0_or_2(
+            capsys, "--store", str(store), "--weights", str(weights), "--audio", str(wav)
+        )
 
 
 class TestWeightStore:
