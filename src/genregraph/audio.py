@@ -14,10 +14,11 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample_poly
 
-# highest sample rate decode_wav accepts; resample's filter grows with the
-# rate, so a corrupt header rate would otherwise allocate gigabytes
+# sample rates decode_wav accepts; resample's filter grows with a high rate
+# and its output with a low one (samples x target / rate), so a corrupt
+# header rate outside them would otherwise allocate gigabytes
+MIN_SAMPLE_RATE = 8_000
 MAX_SAMPLE_RATE = 384_000
 
 
@@ -77,8 +78,8 @@ def decode_wav(data: bytes) -> AudioClip:
     """Decode PCM WAV bytes to a mono AudioClip.
 
     Supports 8/16/24-bit integer and 32-bit float PCM, 1 or 2 channels,
-    up to MAX_SAMPLE_RATE Hz. Stereo is averaged to mono; integer samples
-    are scaled to [-1, 1].
+    MIN_SAMPLE_RATE to MAX_SAMPLE_RATE Hz. Stereo is averaged to mono;
+    integer samples are scaled to [-1, 1].
     """
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE file")
@@ -113,6 +114,8 @@ def decode_wav(data: bytes) -> AudioClip:
         raise UnsupportedWavError(f"unsupported channel count {channels}")
     if sample_rate <= 0:
         raise MalformedWavError(f"invalid sample rate {sample_rate}")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedWavError(f"sample rate {sample_rate} Hz is below {MIN_SAMPLE_RATE} Hz")
     if sample_rate > MAX_SAMPLE_RATE:
         raise UnsupportedWavError(f"sample rate {sample_rate} Hz is above {MAX_SAMPLE_RATE} Hz")
     if len(payload) == 0:
@@ -163,6 +166,8 @@ def resample(clip: AudioClip, target_sample_rate: int) -> AudioClip:
         raise ValueError(f"target_sample_rate must be positive, got {target_sample_rate}")
     if clip.sample_rate == target_sample_rate:
         return clip
+    from scipy.signal import resample_poly  # over a second to import; most clips skip it
+
     g = math.gcd(clip.sample_rate, target_sample_rate)
     up, down = target_sample_rate // g, clip.sample_rate // g
     samples = resample_poly(clip.samples, up, down)

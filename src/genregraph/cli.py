@@ -38,6 +38,7 @@ from .stores import (
 )
 from .synth import SyntheticSpec, generate_dataset
 from .train import (
+    NonFiniteEmbeddingError,
     TrainConfig,
     TrainingDivergedError,
     compute_embeddings,
@@ -257,13 +258,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ids, labels, features = _read_store_arrays(args.store)
     dim = features.shape[1]
 
-    pretrained = {}
+    pretrained, paths = {}, {}
     for weights_path in args.weights:
         model = read_model(weights_path)
         _check_model_dim(model, dim, weights_path)
         if model.variant.value in pretrained:
             raise UsageError(f"two weight files for variant {model.variant.value!r}")
         pretrained[model.variant.value] = model
+        paths[model.variant.value] = weights_path
 
     attachment = AttachmentMode(_setting(args, config, "attachment", "oracle"))
     cfg = ExperimentConfig(
@@ -275,7 +277,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         recommend_k=int(_setting(args, config, "recommend_k", 10)),
     )
     variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
-    reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
+    try:
+        reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
+    except NonFiniteEmbeddingError as exc:
+        raise UsageError(f"{paths[exc.variant.value]}: {exc}") from None
 
     text = render_text_report(reports)
     out_dir = Path(args.out) if args.out else Path(args.store).parent
@@ -307,26 +312,28 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     graph = build_graph([GenreLabel.from_index(g) for g in labels.tolist()], node_ids=ids)
     if args.song_id is not None and args.song_id not in ids:
         raise UsageError(f"unknown song id {args.song_id!r}")
-    catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg))
-
-    if args.song_id is not None:
-        query_vec = catalog[args.song_id]
-        query_id = args.song_id
-    else:
-        vec = wav_mfcc(Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
-        query_vec = infer_embedding(
-            model,
-            graph,
-            features,
-            vec,
-            attachment,
-            true_label=true_label,
-            knn_k=int(_setting(args, config, "knn_k", 10)),
-            sample_k=cfg.sage_sample_k,
-            self_loops=cfg.self_loops,
-            seed=derive_seed(cfg.seed, _STREAM_QUERY_AUDIO),
-        )
-        query_id = ""
+    try:
+        catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg))
+        if args.song_id is not None:
+            query_vec = catalog[args.song_id]
+            query_id = args.song_id
+        else:
+            vec = wav_mfcc(Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
+            query_vec = infer_embedding(
+                model,
+                graph,
+                features,
+                vec,
+                attachment,
+                true_label=true_label,
+                knn_k=int(_setting(args, config, "knn_k", 10)),
+                sample_k=cfg.sage_sample_k,
+                self_loops=cfg.self_loops,
+                seed=derive_seed(cfg.seed, _STREAM_QUERY_AUDIO),
+            )
+            query_id = ""
+    except NonFiniteEmbeddingError as exc:
+        raise UsageError(f"{args.weights}: {exc}") from None
 
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.signal import get_window
 
 from .audio import WINDOW_SEED_STREAM, AudioClip, decode_wav, derive_seed, random_window, resample
 
@@ -109,9 +107,26 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+def _periodic_hann(n: int) -> np.ndarray:
+    """Periodic (DFT-even) Hann window of n samples.
+
+    Same steps as scipy's general_cosine with coefficients (0.5, 0.5) on
+    n + 1 points, last one dropped, so the bits equal
+    scipy.signal.get_window("hann", n, fftbins=True) without importing
+    scipy.signal (over a second of start-up).
+    """
+    if n <= 1:
+        return np.ones(n)
+    fac = np.linspace(-np.pi, np.pi, n + 1)
+    window = np.zeros(n + 1)
+    window += 0.5 * np.cos(0 * fac)
+    window += 0.5 * np.cos(fac)
+    return window[:-1]
+
+
 @functools.lru_cache(maxsize=8)
 def _build_constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
-    window = get_window("hann", cfg.n_fft, fftbins=True)
+    window = _periodic_hann(cfg.n_fft)
     filterbank = mel_filterbank(cfg)
     window.flags.writeable = False
     filterbank.flags.writeable = False
@@ -145,6 +160,8 @@ def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     orthonormal DCT-II over the mel axis -> first n_mfcc coefficients
     per frame -> arithmetic mean over frames.
     """
+    from scipy.fft import dct  # loaded on first use, not at package import
+
     spec = power_spectrogram(clip, cfg)
     mel_energy = spec @ _constants(cfg)[1].T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))

@@ -9,9 +9,10 @@ Experimental share a 110 Hz base, Folk and International share 196 Hz.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -171,6 +172,27 @@ def song_seed(spec: SyntheticSpec, genre_index: int, song_index: int) -> int:
     return derive_seed(spec.seed, _STREAM_CLIP, genre_index, song_index)
 
 
+def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes], object]) -> list:
+    """finish(corpus index, genre, song id, WAV bytes) for every song, in
+    corpus (genre-major) order.
+
+    Each song's clip comes from its own seeded rng, so the songs run on a
+    thread pool (numpy releases the GIL in the array work) sized like
+    extract's default, min(8, songs), and the bytes do not depend on it.
+    """
+    per_genre = range(spec.songs_per_genre)
+    songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in per_genre]
+
+    def one(item: tuple[int, tuple[int, str, int]]):
+        index, (gi, genre, si) = item
+        rng = np.random.default_rng(song_seed(spec, gi, si))
+        clip = generate_clip(spec.recipes[genre], spec.clip_seconds, spec.sample_rate, rng)
+        return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
+
+    with ThreadPoolExecutor(max_workers=min(8, len(songs))) as pool:
+        return list(pool.map(one, enumerate(songs)))
+
+
 def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
     """Write one WAV per song plus manifest.csv; byte-identical per seed.
 
@@ -179,29 +201,19 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifes
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for genre in spec.genres:
+        (out_dir / genre).mkdir(exist_ok=True)
 
     labels = np.repeat(np.arange(len(spec.genres)), spec.songs_per_genre)
     train_idx, _ = split_train_test(labels, test_fraction=spec.test_fraction, seed=spec.seed)
     is_train = np.zeros(labels.size, dtype=bool)
     is_train[train_idx] = True
 
-    entries = []
-    flat = 0
-    for gi, genre in enumerate(spec.genres):
-        genre_dir = out_dir / genre
-        genre_dir.mkdir(exist_ok=True)
-        recipe = spec.recipes[genre]
-        for si in range(spec.songs_per_genre):
-            rng = np.random.default_rng(song_seed(spec, gi, si))
-            clip = generate_clip(recipe, spec.clip_seconds, spec.sample_rate, rng)
-            rel = f"{genre}/{genre}_{si:03d}.wav"
-            (out_dir / rel).write_bytes(encode_wav(clip))
-            entries.append(
-                ManifestEntry(path=rel, genre=genre, split="train" if is_train[flat] else "test")
-            )
-            flat += 1
+    def write(index: int, genre: str, rel: str, wav: bytes) -> ManifestEntry:
+        (out_dir / rel).write_bytes(wav)
+        return ManifestEntry(path=rel, genre=genre, split="train" if is_train[index] else "test")
 
-    manifest = DatasetManifest(entries=tuple(entries))
+    manifest = DatasetManifest(entries=tuple(_for_each_song(spec, write)))
     manifest.save(out_dir / "manifest.csv")
     return manifest
 
@@ -219,16 +231,9 @@ def synthesize_features(
     """
     cfg = cfg or MfccConfig()
     seed = spec.seed if extract_seed is None else extract_seed
-    records = []
-    index = 0
-    for gi, genre in enumerate(spec.genres):
-        recipe = spec.recipes[genre]
+
+    def features(index: int, genre: str, song_id: str, wav: bytes) -> FeatureRecord:
         genre_index = GenreLabel.from_name(genre).index
-        for si in range(spec.songs_per_genre):
-            rng = np.random.default_rng(song_seed(spec, gi, si))
-            clip = generate_clip(recipe, spec.clip_seconds, spec.sample_rate, rng)
-            song_id = f"{genre}/{genre}_{si:03d}.wav"
-            values = wav_mfcc(encode_wav(clip), cfg, seed, index)
-            records.append(FeatureRecord(song_id=song_id, genre_index=genre_index, values=values))
-            index += 1
-    return records
+        return FeatureRecord(song_id, genre_index, wav_mfcc(wav, cfg, seed, index))
+
+    return _for_each_song(spec, features)

@@ -54,6 +54,15 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch}")
 
 
+class NonFiniteEmbeddingError(ValueError):
+    """The graph layer overflowed: finite weights too large for the features,
+    as a .grmw file may hold."""
+
+    def __init__(self, variant: Variant):
+        self.variant = variant
+        super().__init__(f"{variant.value} weights give a non-finite embedding")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     embed_lr: float = 0.01
@@ -227,7 +236,16 @@ def compute_embeddings(
     if model.variant is Variant.PLAIN:
         return features
     block = graph_block(model.variant, graph, features, cfg, derive_seed(cfg.seed, _STREAM_FINAL))
-    return embedding_forward(block, model.graph_layer)
+    return _embed(block, model)
+
+
+def _embed(block: np.ndarray, model: EmbeddingModel) -> np.ndarray:
+    """embedding_forward, with an overflow raised as NonFiniteEmbeddingError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        embeddings = embedding_forward(block, model.graph_layer)
+    if not np.all(np.isfinite(embeddings)):
+        raise NonFiniteEmbeddingError(model.variant)
+    return embeddings
 
 
 def train_classifier(
@@ -306,4 +324,4 @@ def infer_embedding(
         else:
             neighbor_mean = np.zeros_like(new_feature)
         row = np.concatenate([new_feature, neighbor_mean])
-    return embedding_forward(row[None, :], model.graph_layer)[0]
+    return _embed(row[None, :], model)[0]

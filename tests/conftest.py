@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,26 @@ from genregraph.synth import SyntheticSpec, synthesize_features
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
 # and no per-example deadline, which a loaded runner would trip.
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def fresh_python(tmp_path):
+    """Run a Python snippet in a new interpreter, as each CLI verb runs;
+    genregraph imports from this checkout's src/."""
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

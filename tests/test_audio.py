@@ -115,6 +115,14 @@ class TestDecodeWav:
             with pytest.raises(UnsupportedWavError, match=f"sample rate {rate} Hz"):
                 decode_wav(wav_bytes(np.zeros(4), sample_rate=rate))
 
+    def test_sample_rate_below_8_khz_is_unsupported(self):
+        # resample's output is samples x 22050 / rate long: a header claiming
+        # 8 Hz asks a 6 s clip for 2.72 GiB
+        assert decode_wav(wav_bytes(np.zeros(4), sample_rate=8_000)).sample_rate == 8_000
+        for rate in (7_999, 8, 1):
+            with pytest.raises(UnsupportedWavError, match=f"sample rate {rate} Hz is below"):
+                decode_wav(wav_bytes(np.zeros(4), sample_rate=rate))
+
     def test_unsupported_channel_count(self):
         data = _raw_wav(bits=16, channels=3, payload=b"\x00\x00" * 3)
         with pytest.raises(UnsupportedWavError):

@@ -43,6 +43,18 @@ def tiny_workspace(tmp_path_factory):
     return root
 
 
+class TestStartUp:
+    def test_package_and_cli_import_without_scipy(self, fresh_python):
+        # scipy.signal alone took over a second of every verb's start-up;
+        # it and scipy.fft now load where they are first used
+        done = fresh_python(
+            "import sys, genregraph, genregraph.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+
 class TestSynth:
     def test_writes_wavs_and_manifest(self, tiny_workspace):
         manifest = (tiny_workspace / "manifest.csv").read_text().splitlines()
@@ -114,6 +126,16 @@ class TestExtract:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert "too_short.wav" in err
+        assert not (tmp_path / "features.grmf").exists()
+
+    def test_low_rate_file_is_listed_as_failed(self, tmp_path, capsys):
+        (tmp_path / "Folk").mkdir()
+        clip = AudioClip(samples=np.zeros(6 * 4000), sample_rate=4000)
+        (tmp_path / "Folk" / "low.wav").write_bytes(encode_wav(clip))
+        (tmp_path / "manifest.csv").write_text("path,genre,split\nFolk/low.wav,Folk,train\n")
+        assert main(["extract", "--manifest", str(tmp_path / "manifest.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "low.wav: sample rate 4000 Hz is below 8000 Hz" in err
         assert not (tmp_path / "features.grmf").exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path):

@@ -234,3 +234,38 @@ class TestMfcc:
         fresh = mel_filterbank(CFG)
         assert fresh.flags.writeable and fresh is not mel_filterbank(CFG)
         assert np.array_equal(fresh, filterbank)
+
+
+class TestScipyFreeConstants:
+    @pytest.mark.parametrize("n_fft", [1, 256, 2047, 2048])
+    def test_hann_window_is_scipys_bit_for_bit(self, n_fft):
+        from scipy.signal import get_window
+
+        cfg = MfccConfig(n_fft=n_fft, hop_length=min(128, n_fft))
+        window = sys.modules["genregraph.mfcc"]._constants(cfg)[0]
+        assert window.tobytes() == get_window("hann", n_fft, fftbins=True).tobytes()
+
+    def test_threads_that_first_resample_together_agree(self, fresh_python):
+        # scipy.fft and scipy.signal are imported by the first mfcc and the
+        # first resample; 8 threads race to that in a new interpreter
+        script = """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from genregraph.audio import AudioClip, encode_wav
+from genregraph.mfcc import MfccConfig, wav_mfcc
+
+t = np.arange(6 * 44100) / 44100
+noise = np.random.default_rng(0).standard_normal(t.size)
+wav = encode_wav(AudioClip(0.5 * np.sin(2 * np.pi * 330 * t) + 0.05 * noise, 44100))
+assert "scipy.signal" not in sys.modules
+sys.setswitchinterval(1e-6)
+with ThreadPoolExecutor(max_workers=8) as pool:
+    vectors = list(pool.map(lambda _: wav_mfcc(wav, MfccConfig(), 3), range(8)))
+assert all(np.array_equal(v, vectors[0]) for v in vectors)
+assert np.array_equal(vectors[0], wav_mfcc(wav, MfccConfig(), 3))
+print("ok")
+"""
+        done = fresh_python(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"

@@ -286,6 +286,26 @@ class TestWeightStoreRobustness:
         assert err.count("\n") == 1 and "layer 3 of 5" in err
 
 
+    @pytest.mark.parametrize("verb", ["recommend", "evaluate"])
+    def test_huge_finite_weight_is_one_line_naming_the_file(self, tmp_path, capsys, verb):
+        # finite, so read_model takes it, but the forward on values of 100
+        # and more overflows: no numpy warning, one error line
+        model = build_model(Variant.GCN, seed=0)
+        model.graph_layer.weight[0, 0] = 1e307
+        store, weights = tmp_path / "c.grmf", tmp_path / "gcn.grmw"
+        records = [
+            FeatureRecord(f"g{i % 8}/s{i}", i % 8, np.full(30, 100.0 + i))
+            for i in range(16 if verb == "recommend" else 48)
+        ]
+        write_feature_store(store, records)
+        write_model(weights, model)
+        query = ["--song-id", "g0/s0"] if verb == "recommend" else []
+        rc = main([verb, "--store", str(store), "--weights", str(weights), *query])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: {weights}: gcn weights give a non-finite embedding\n"
+
+
 def _clip_wav(seconds=5.5, rate=22050) -> bytes:
     t = np.arange(int(seconds * rate)) / rate
     noise = np.random.default_rng(0).standard_normal(t.size)
@@ -307,6 +327,20 @@ class TestWavRobustness:
         _recommend_exits_0_or_2(
             capsys, "--store", str(store), "--weights", str(weights), "--audio", str(wav)
         )
+
+    def test_header_claiming_8_hz_is_one_line(self, tmp_path, capsys):
+        # a valid 6 s WAV whose rate field says 8 Hz: resampling it to
+        # 22050 Hz would need a 2.72 GiB array
+        store, weights, wav = tmp_path / "c.grmf", tmp_path / "w.grmw", tmp_path / "q.wav"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        raw = bytearray(_clip_wav(seconds=6.0))
+        struct.pack_into("<I", raw, 24, 8)
+        wav.write_bytes(bytes(raw))
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--audio", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == "error: sample rate 8 Hz is below 8000 Hz\n"
 
 
 class TestWeightStore:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from genregraph.audio import WINDOW_SEED_STREAM, decode_wav, random_window, resample
+from genregraph.audio import WINDOW_SEED_STREAM, decode_wav, encode_wav, random_window, resample
 from genregraph.dataset import DatasetManifest
 from genregraph.graph import GENRE_NAMES, GenreLabel
-from genregraph.mfcc import MfccConfig, mfcc
+from genregraph.mfcc import MfccConfig, mfcc, wav_mfcc
 from genregraph.synth import (
     DEFAULT_RECIPES,
     SyntheticSpec,
@@ -117,6 +117,35 @@ class TestGenerateDataset:
         assert a_files == b_files
         for rel in a_files:
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes(), rel
+
+
+def sequential_corpus(spec):
+    """Oracle: (song id, genre, WAV bytes) one song at a time, genre-major."""
+    songs = []
+    for gi, genre in enumerate(spec.genres):
+        for si in range(spec.songs_per_genre):
+            rng = np.random.default_rng(song_seed(spec, gi, si))
+            clip = generate_clip(spec.recipes[genre], spec.clip_seconds, spec.sample_rate, rng)
+            songs.append((f"{genre}/{genre}_{si:03d}.wav", genre, encode_wav(clip)))
+    return songs
+
+
+class TestThreadPoolMatchesSequentialOracle:
+    def test_generate_dataset_writes_each_songs_own_clip_in_genre_major_order(self, tiny_dataset):
+        spec, out, manifest = tiny_dataset
+        oracle = sequential_corpus(spec)
+        assert [(e.path, e.genre) for e in manifest.entries] == [(i, g) for i, g, _ in oracle]
+        for song_id, _, wav in oracle:
+            assert (out / song_id).read_bytes() == wav, song_id
+
+    def test_synthesize_features_matches_the_oracle(self, tiny_dataset):
+        spec = tiny_dataset[0]
+        cfg = MfccConfig()
+        records = synthesize_features(spec, cfg, extract_seed=4)
+        oracle = sequential_corpus(spec)
+        assert [(r.song_id, r.genre_name) for r in records] == [(i, g) for i, g, _ in oracle]
+        for index, (record, (_, _, wav)) in enumerate(zip(records, oracle)):
+            assert np.array_equal(record.values, wav_mfcc(wav, cfg, 4, index))
 
 
 class TestSynthesizeFeatures:
