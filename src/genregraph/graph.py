@@ -195,6 +195,135 @@ def draw_neighbors(neighbors: np.ndarray, k: int, rng: np.random.Generator) -> n
     return neighbors
 
 
+# rows per vectorized pass: bounds the temporaries of draw_neighbor_positions
+_BLOCK_ROWS = 4096
+
+
+class _HalfWords:
+    """The 32-bit outputs of default_rng(seed), in the order numpy's bounded
+    draws read them: the low, then the high half of each 64-bit word."""
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._start = 0  # stream index of _buf[0]
+
+    def get(self, pos: int, n: int) -> np.ndarray:
+        """Values pos .. pos+n-1. Positions must never go back: those before
+        pos are dropped."""
+        short = pos + n - self._start - len(self._buf)
+        if short > 0:
+            raw = self._bitgen.random_raw((short + 1) // 2)
+            halves = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()
+            self._buf = np.concatenate([self._buf, halves])
+        self._buf = self._buf[pos - self._start :]
+        self._start = pos
+        return self._buf[:n]
+
+
+def _bounds(degrees: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the 2k-1 bounds numpy's choice draws below: j + 1 for
+    Floyd's j = deg-k..deg-1, then i + 1 for the shuffle's i = k-1..1."""
+    bounds = np.empty((len(degrees), 2 * k - 1), dtype=np.uint64)
+    bounds[:, :k] = degrees[:, None] + np.arange(1 - k, 1)
+    bounds[:, k:] = np.arange(k, 1, -1)
+    return bounds
+
+
+def _rejected(scaled: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Where Lemire's method, as numpy's buffered_bounded_lemire_uint32
+    runs it, throws the value u away: u * bound mod 2**32 < 2**32 mod bound."""
+    return (scaled & 0xFFFFFFFF) < (1 << 32) % bounds
+
+
+def _bounded_draws(stream: _HalfWords, pos: int, bounds: np.ndarray) -> tuple[np.ndarray, int]:
+    """One draw below each bound in turn from the stream at pos, a rejected
+    draw redone on the next value. Returns the draws and the values read."""
+    draws = np.empty(len(bounds), dtype=np.int64)
+    done = used = 0
+    while done < len(bounds):
+        scaled = stream.get(pos + used, len(bounds) - done) * bounds[done:]
+        rejected = _rejected(scaled, bounds[done:])
+        n = int(rejected.argmax()) if rejected.any() else len(scaled)
+        draws[done : done + n] = scaled[:n] >> 32
+        done += n
+        used += n + (done < len(bounds))
+    return draws, used
+
+
+def _floyd_rows(draws: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
+    """Floyd's algorithm and the shuffle after it, for many rows at once,
+    from each row's 2k-1 bounded draws."""
+    picks = np.empty((len(degrees), k), dtype=np.int64)
+    for c in range(k):
+        val = draws[:, c]
+        seen = (picks[:, :c] == val[:, None]).any(axis=1)
+        picks[:, c] = np.where(seen, degrees - k + c, val)
+    rows = np.arange(len(degrees))
+    for c, i in enumerate(range(k - 1, 0, -1)):
+        j = draws[:, k + c]
+        swapped = picks[rows, j]
+        picks[rows, j] = picks[:, i]
+        picks[:, i] = swapped
+    return picks
+
+
+def _choice_walk(stream: _HalfWords, pos: int, degree: int, k: int) -> tuple[np.ndarray, int]:
+    """Generator.choice(degree, k, replace=False) for one row, from the
+    stream at pos. Returns the positions and the values read."""
+    if degree > 10000 and k > degree // 50:
+        # numpy's tail shuffle: the last k steps of a Fisher-Yates shuffle
+        # of 0..degree-1, each j drawn below i + 1
+        draws, used = _bounded_draws(stream, pos, np.arange(degree, degree - k, -1, dtype=np.uint64))
+        moved: dict[int, int] = {}
+        for i, j in zip(range(degree - 1, degree - k - 1, -1), draws.tolist()):
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return np.array([moved[i] for i in range(degree - k, degree)]), used
+    degrees = np.array([degree])
+    draws, used = _bounded_draws(stream, pos, _bounds(degrees, k)[0])
+    return _floyd_rows(draws[None, :], degrees, k)[0], used
+
+
+def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k distinct positions in 0..degree-1 per row, every degree above k.
+
+    Equal, bit for bit, to calling rng.choice(degree, k, replace=False) for
+    each row in order on one rng = default_rng(seed). numpy draws each
+    bounded value by Lemire's method from one 32-bit half of the PCG64
+    stream, and a row takes 2k-1 of them: k for Floyd's algorithm, k-1 for
+    the shuffle after it. Rows run in blocks, vectorized. A row with a draw
+    numpy rejects and redoes, or for which numpy takes its tail shuffle, is
+    walked alone by _choice_walk, and the rows after it read the stream
+    from where that walk stopped.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if len(degrees) and degrees.min() <= k:
+        raise ValueError(f"every degree must exceed k = {k}")
+    stream = _HalfWords(seed)
+    tail = (degrees > 10000) & (k > degrees // 50)
+    out = np.empty((len(degrees), k), dtype=np.int64)
+    row = pos = 0
+    while row < len(degrees):
+        if not tail[row]:
+            # a block ends before the next tail row
+            deg = degrees[row : row + _BLOCK_ROWS]
+            deg = deg[: np.append(tail[row : row + len(deg)], True).argmax()]
+            bounds = _bounds(deg, k)
+            scaled = stream.get(pos, bounds.size).reshape(bounds.shape) * bounds
+            rejected = _rejected(scaled, bounds).any(axis=1)
+            n_fast = int(rejected.argmax()) if rejected.any() else len(deg)
+            draws = (scaled[:n_fast] >> 32).astype(np.int64)
+            out[row : row + n_fast] = _floyd_rows(draws, deg[:n_fast], k)
+            row += n_fast
+            pos += n_fast * bounds.shape[1]
+            if n_fast == len(deg):
+                continue
+        out[row], used = _choice_walk(stream, pos, int(degrees[row]), k)
+        row += 1
+        pos += used
+    return out
+
+
 def attach_unseen(
     graph: GenreGraph,
     feature: np.ndarray,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GenreGraph
+from .graph import GenreGraph, draw_neighbor_positions
 
 INPUT_DIM = 30
 EMBED_DIM = 60
@@ -164,13 +164,12 @@ def sampled_neighbor_means(
         raise ValueError(
             f"graph has {graph.n_nodes} nodes but features have {features.shape[0]} rows"
         )
-    rng = np.random.default_rng(seed)
     degrees = graph.degrees
     # Drawing positions in 0..deg-1 takes the generator through the same
     # stream as drawing from the neighbor array itself (draw_neighbors).
-    positions = np.empty((graph.n_nodes, sample_k), dtype=np.int64)
-    for v in np.flatnonzero(degrees > sample_k):
-        positions[v] = rng.choice(degrees[v], size=sample_k, replace=False)
+    sampled = degrees > sample_k
+    positions = draw_neighbor_positions(degrees[sampled], sample_k, seed)
+    position_row = np.cumsum(sampled) - 1
 
     means = np.zeros_like(features)
     for g in np.unique(graph.label_indices):
@@ -179,7 +178,7 @@ def sampled_neighbor_means(
         if n == 1:
             continue
         if n - 1 > sample_k:
-            pos = positions[members]
+            pos = positions[position_row[members]]
         else:
             pos = np.broadcast_to(np.arange(n - 1), (n, n - 1))
         # position p among a member's sorted neighbors is clique slot p,

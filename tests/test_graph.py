@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from genregraph.graph import (
@@ -12,6 +14,7 @@ from genregraph.graph import (
     UnknownNodeError,
     attach_unseen,
     build_graph,
+    draw_neighbor_positions,
     draw_neighbors,
     extended_adjacency_row,
     normalize,
@@ -230,6 +233,39 @@ class TestSampleNeighbors:
         assert chisquare(counts).pvalue > 0.01
         sigma = np.sqrt(n_draws * (k / 999) * (1 - k / 999))
         assert np.max(np.abs(counts - expected) / sigma) < 4.5
+
+
+class TestDrawNeighborPositions:
+    """draw_neighbor_positions, the batched sampler behind SAGE catalog rows."""
+
+    @staticmethod
+    def choice_loop(degrees, k, seed):
+        rng = np.random.default_rng(seed)
+        rows = [rng.choice(int(d), size=k, replace=False) for d in degrees]
+        return np.array(rows, dtype=np.int64).reshape(len(degrees), k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degrees=st.lists(
+            st.sampled_from([3, 11, 12, 10_001, 2**31 + 1, 3 * 2**30, 2**32 - 1]), max_size=80
+        ),
+        k=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_huge_degrees_reject_often_and_still_match_choice(self, degrees, k, seed):
+        # a top bound of 2**31 + 1 rejects about half of its draws, often
+        # twice in a row, and each rejection shifts every later row
+        out = draw_neighbor_positions(np.array(degrees, dtype=np.int64), k, seed)
+        assert out.tobytes() == self.choice_loop(degrees, k, seed).tobytes()
+
+    def test_blocks_join_on_the_stream(self):
+        degrees = np.random.default_rng(3).integers(11, 40, size=10_000)
+        out = draw_neighbor_positions(degrees, 10, seed=5)
+        assert out.tobytes() == self.choice_loop(degrees, 10, 5).tobytes()
+
+    def test_degree_not_above_k_rejected(self):
+        with pytest.raises(ValueError):
+            draw_neighbor_positions(np.array([5, 3]), 3, seed=0)
 
 
 class TestAttachUnseen:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genregraph.graph
 from genregraph.graph import GenreLabel, build_graph, draw_neighbors, normalize
 from genregraph.nn import (
     EMBED_DIM,
@@ -210,6 +211,33 @@ class TestSampledNeighborMeans:
                 reference[v] = feats[draw_neighbors(neighbors, k, draws)].mean(axis=0)
 
         means = sampled_neighbor_means(graph, feats, sample_k=k, seed=seed)
+        assert means.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "clique, k, seed, walks",
+        [
+            (10_001, 10, 1, 1),  # one Lemire draw that numpy rejects and redoes
+            (10_002, 201, 0, 10_002),  # degree > 10,000, k > degree // 50: the tail shuffle
+            (3, 1, 0, 0),  # k = 1, degree = k + 1
+            (12, 10, 0, 0),  # degree = k + 1
+        ],
+    )
+    def test_rows_walked_alone_equal_the_per_node_loop(self, monkeypatch, clique, k, seed, walks):
+        walked = []
+        walk = genregraph.graph._choice_walk
+        monkeypatch.setattr(
+            genregraph.graph, "_choice_walk", lambda *args: walked.append(args[2]) or walk(*args)
+        )
+        graph = build_graph(labels_for({0: clique, 1: 3}))
+        feats = np.random.default_rng(seed).normal(size=(graph.n_nodes, 3))
+
+        reference = np.zeros_like(feats)
+        draws = np.random.default_rng(seed)
+        for v in range(graph.n_nodes):
+            reference[v] = feats[draw_neighbors(graph.neighbors(v), k, draws)].mean(axis=0)
+
+        means = sampled_neighbor_means(graph, feats, sample_k=k, seed=seed)
+        assert len(walked) == walks
         assert means.tobytes() == reference.tobytes()
 
 
