@@ -123,10 +123,6 @@ class GenreGraph:
         pos = np.searchsorted(members, node_index)
         return np.concatenate([members[:pos], members[pos + 1 :]])
 
-    def degree(self, node_index: int) -> int:
-        members = self._members[int(self.label_indices[node_index])]
-        return len(members) - 1
-
     @property
     def degrees(self) -> np.ndarray:
         sizes = {g: len(m) for g, m in self._members.items()}
@@ -365,25 +361,15 @@ def attach_unseen(
     raise ValueError(f"unknown attachment mode {mode!r}")
 
 
-def extended_adjacency_row(
-    graph: GenreGraph, neighbor_indices: np.ndarray, self_loops: bool
-) -> tuple[np.ndarray, float]:
-    """Normalized-adjacency row of a new node attached to `neighbor_indices`.
+def extended_adjacency_row(n_neighbors: int, self_loops: bool) -> tuple[np.ndarray, float]:
+    """GCN row of a new node attached to n_neighbors nodes: their mean.
 
-    Degrees are taken in the extended graph: the new node has
-    len(neighbors) edges and each chosen neighbor gains one. Returns
-    (weight per neighbor, weight on the new node's own feature).
-    Empty neighbor sets get all-zero weights.
+    A catalog row is the mean of its clique's other rows, or of all its
+    clique's rows with self-loops. The new node's row likewise gives each
+    neighbor 1/k, or each neighbor and the node itself 1/(k+1) with
+    self-loops. Returns (weight per neighbor, weight on the node's own
+    feature); no neighbors and no self-loop give an all-zero row.
     """
-    n_neighbors = len(neighbor_indices)
-    if n_neighbors == 0:
-        # degree 1 with a self-loop, degree 0 (all-zero row) without
-        return np.empty(0), 1.0 if self_loops else 0.0
-    d_new = n_neighbors + (1 if self_loops else 0)
-    neighbor_degrees = np.array(
-        [graph.degree(int(i)) + 1 + (1 if self_loops else 0) for i in neighbor_indices],
-        dtype=np.float64,
-    )
-    weights = 1.0 / np.sqrt(d_new * neighbor_degrees)
-    self_weight = 1.0 / d_new if self_loops else 0.0
-    return weights, self_weight
+    d = n_neighbors + int(self_loops)
+    weight = 1.0 / d if d else 0.0
+    return np.full(n_neighbors, weight), weight if self_loops else 0.0

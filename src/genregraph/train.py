@@ -315,7 +315,7 @@ def infer_embedding(
     neighbor_idx = np.array([graph.index_of(nid) for nid in neighbor_ids], dtype=np.int64)
 
     if model.variant is Variant.GCN:
-        weights, self_weight = extended_adjacency_row(graph, neighbor_idx, self_loops)
+        weights, self_weight = extended_adjacency_row(len(neighbor_idx), self_loops)
         row = weights @ train_features[neighbor_idx] + self_weight * new_feature
     else:
         sampled = draw_neighbors(neighbor_idx, sample_k, np.random.default_rng(seed))

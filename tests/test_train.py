@@ -284,7 +284,8 @@ class TestTrainPipeline:
 
 
 def dense_extended_embedding(graph, train_features, new_feature, chosen_idx, layer, self_loops):
-    """Brute-force (n+1)-node normalized adjacency, last row, one layer."""
+    """Brute-force (n+1)-node graph, last row of D^-1 A (the mean over the
+    new node's neighbors), one layer."""
     n = graph.n_nodes
     a = np.zeros((n + 1, n + 1))
     for u in range(n):
@@ -296,10 +297,8 @@ def dense_extended_embedding(graph, train_features, new_feature, chosen_idx, lay
     if self_loops:
         a += np.eye(n + 1)
     d = a.sum(axis=1)
-    inv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    norm = a * inv[:, None] * inv[None, :]
     stacked = np.vstack([train_features, new_feature])
-    agg = norm[n] @ stacked
+    agg = (a[n] / d[n] if d[n] else a[n]) @ stacked
     return np.maximum(agg @ layer.weight + layer.bias, 0.0)
 
 
@@ -379,6 +378,25 @@ class TestInferEmbedding:
             graph, train_features, query, chosen, model.graph_layer, self_loops
         )
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    @pytest.mark.parametrize("mode", [AttachmentMode.ORACLE, AttachmentMode.FEATURE_KNN])
+    def test_catalog_song_attached_to_its_clique_keeps_its_embedding(self, mode, self_loops):
+        # well-separated clusters, so the 5 nearest songs are its clique
+        rng = np.random.default_rng(8)
+        labels = labels_for({0: 5, 3: 6, 6: 4})
+        genres = np.array([lab.index for lab in labels])
+        features = 100.0 * rng.normal(size=(8, INPUT_DIM))[genres] + rng.normal(size=(15, INPUT_DIM))
+        model = build_model(Variant.GCN, seed=3)
+        cfg = TrainConfig(variant=Variant.GCN, self_loops=self_loops)
+        catalog = compute_embeddings(model, build_graph(labels), features, cfg)
+        song = 7
+        rest = [i for i in range(15) if i != song]
+        out = infer_embedding(
+            model, build_graph([labels[i] for i in rest]), features[rest], features[song], mode,
+            true_label=labels[song], knn_k=5, self_loops=self_loops,
+        )
+        np.testing.assert_allclose(out, catalog[song], rtol=0, atol=1e-12)
 
     def test_oracle_requires_a_label(self):
         graph = build_graph(labels_for({0: 3}))
