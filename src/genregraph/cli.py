@@ -38,6 +38,7 @@ from .stores import (
 )
 from .synth import SyntheticSpec, generate_dataset
 from .train import (
+    BlockOverflowError,
     NonFiniteEmbeddingError,
     TrainConfig,
     TrainingDivergedError,
@@ -236,7 +237,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     graph = None
     if variant is not Variant.PLAIN:
         graph = build_graph(train_labels, node_ids=train_ids)
-    model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
+    try:
+        model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
+    except BlockOverflowError as exc:
+        raise UsageError(f"{args.store}: {exc}") from None
 
     out_dir = Path(args.out) if args.out else Path(args.store).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,6 +285,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
     except NonFiniteEmbeddingError as exc:
         raise UsageError(f"{paths[exc.variant.value]}: {exc}") from None
+    except BlockOverflowError as exc:
+        raise UsageError(f"{args.store}: {exc}") from None
 
     text = render_text_report(reports)
     out_dir = Path(args.out) if args.out else Path(args.store).parent
@@ -334,6 +340,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             query_id = ""
     except NonFiniteEmbeddingError as exc:
         raise UsageError(f"{args.weights}: {exc}") from None
+    except BlockOverflowError as exc:
+        raise UsageError(f"{args.store}: {exc}") from None
 
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id

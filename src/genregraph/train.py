@@ -63,6 +63,15 @@ class NonFiniteEmbeddingError(ValueError):
         super().__init__(f"{variant.value} weights give a non-finite embedding")
 
 
+class BlockOverflowError(ValueError):
+    """A neighbor sum of finite feature rows overflowed the graph layer's
+    input: feature values too large, as a .grmf file may hold."""
+
+    def __init__(self, variant: Variant):
+        self.variant = variant
+        super().__init__(f"feature values overflow the {variant.value} graph-layer input")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     embed_lr: float = 0.01
@@ -177,12 +186,24 @@ def graph_block(
     GCN: A_hat X. SAGE: each node's feature beside the mean of a neighbor
     sample of at most cfg.sage_sample_k drawn from `seed`.
     """
-    if variant is Variant.GCN:
-        return normalize(graph, add_self_loops=cfg.self_loops).apply(features)
-    if variant is Variant.SAGE:
-        means = sampled_neighbor_means(graph, features, cfg.sage_sample_k, seed)
-        return np.hstack([features, means])
-    raise ValueError(f"variant {variant} has no graph layer")
+    if variant is Variant.PLAIN:
+        raise ValueError(f"variant {variant} has no graph layer")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant is Variant.GCN:
+            block = normalize(graph, add_self_loops=cfg.self_loops).apply(features)
+        else:
+            means = sampled_neighbor_means(graph, features, cfg.sage_sample_k, seed)
+            block = np.hstack([features, means])
+    return _no_overflow(block, variant, features)
+
+
+def _no_overflow(block: np.ndarray, variant: Variant, *inputs: np.ndarray) -> np.ndarray:
+    """The block, or BlockOverflowError if finite inputs gave a non-finite
+    block. Non-finite inputs pass through; training reports them as
+    divergence."""
+    if not np.isfinite(block).all() and all(np.isfinite(x).all() for x in inputs):
+        raise BlockOverflowError(variant)
+    return block
 
 
 def train_embeddings(
@@ -314,14 +335,16 @@ def infer_embedding(
     )
     neighbor_idx = np.array([graph.index_of(nid) for nid in neighbor_ids], dtype=np.int64)
 
-    if model.variant is Variant.GCN:
-        weights, self_weight = extended_adjacency_row(len(neighbor_idx), self_loops)
-        row = weights @ train_features[neighbor_idx] + self_weight * new_feature
-    else:
-        sampled = draw_neighbors(neighbor_idx, sample_k, np.random.default_rng(seed))
-        if len(sampled):
-            neighbor_mean = train_features[sampled].mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.variant is Variant.GCN:
+            weights, self_weight = extended_adjacency_row(len(neighbor_idx), self_loops)
+            row = weights @ train_features[neighbor_idx] + self_weight * new_feature
         else:
-            neighbor_mean = np.zeros_like(new_feature)
-        row = np.concatenate([new_feature, neighbor_mean])
-    return _embed(row[None, :], model)[0]
+            sampled = draw_neighbors(neighbor_idx, sample_k, np.random.default_rng(seed))
+            if len(sampled):
+                neighbor_mean = train_features[sampled].mean(axis=0)
+            else:
+                neighbor_mean = np.zeros_like(new_feature)
+            row = np.concatenate([new_feature, neighbor_mean])
+    row = _no_overflow(row[None, :], model.variant, train_features, new_feature)
+    return _embed(row, model)[0]

@@ -305,6 +305,32 @@ class TestWeightStoreRobustness:
         assert rc == EXIT_USAGE
         assert err == f"error: {weights}: gcn weights give a non-finite embedding\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("variant", [Variant.GCN, Variant.SAGE], ids=lambda v: v.value)
+    def test_overflowing_neighbor_sum_is_one_line(self, tmp_path, capsys, verb, variant):
+        # genre-0 rows at 1.7e308 are finite, so the store reads, but a sum
+        # of two overflows; a numpy warning would raise here and exit 1
+        rng = np.random.default_rng(0)
+        records = [
+            FeatureRecord(f"g{i % 8}/s{i}", i % 8, np.full(30, 1.7e308) if i % 8 == 0 else rng.normal(size=30))
+            for i in range(24)
+        ]
+        store, weights = tmp_path / "huge.grmf", tmp_path / f"{variant.value}.grmw"
+        write_feature_store(store, records)
+        write_model(weights, build_model(variant, seed=0))
+        query = ["--song-id", "g1/s1"] if verb == "recommend" else ["--out", str(tmp_path)]
+        rc = main([verb, "--store", str(store), "--weights", str(weights), *query])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1
+        if (verb, variant) == ("evaluate", Variant.SAGE):
+            # evaluate trains on two genre-0 songs, so a SAGE neighbor mean
+            # is one row: the forward overflows, not the block
+            assert err.startswith(f"error: {weights}: ")
+        else:
+            assert err == f"error: {store}: feature values overflow the {variant.value} graph-layer input\n"
+
 
 def _clip_wav(seconds=5.5, rate=22050) -> bytes:
     t = np.arange(int(seconds * rate)) / rate
