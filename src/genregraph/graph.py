@@ -264,10 +264,16 @@ def _floyd_rows(draws: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
     return picks
 
 
+def _tail_shuffled(degree, k: int):
+    """Where numpy's choice shuffles the tail of 0..degree-1 in place of
+    running Floyd's algorithm (degree an int or an array)."""
+    return (degree > 10000) & (k > degree // 50)
+
+
 def _choice_walk(stream: _HalfWords, pos: int, degree: int, k: int) -> tuple[np.ndarray, int]:
     """Generator.choice(degree, k, replace=False) for one row, from the
     stream at pos. Returns the positions and the values read."""
-    if degree > 10000 and k > degree // 50:
+    if _tail_shuffled(degree, k):
         # numpy's tail shuffle: the last k steps of a Fisher-Yates shuffle
         # of 0..degree-1, each j drawn below i + 1
         draws, used = _bounded_draws(stream, pos, np.arange(degree, degree - k, -1, dtype=np.uint64))
@@ -296,7 +302,7 @@ def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarra
     if len(degrees) and degrees.min() <= k:
         raise ValueError(f"every degree must exceed k = {k}")
     stream = _HalfWords(seed)
-    tail = (degrees > 10000) & (k > degrees // 50)
+    tail = _tail_shuffled(degrees, k)
     out = np.empty((len(degrees), k), dtype=np.int64)
     row = pos = 0
     while row < len(degrees):
