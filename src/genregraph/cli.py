@@ -38,8 +38,7 @@ from .stores import (
 )
 from .synth import SyntheticSpec, generate_dataset
 from .train import (
-    BlockOverflowError,
-    NonFiniteEmbeddingError,
+    ModelOverflowError,
     TrainConfig,
     TrainingDivergedError,
     compute_embeddings,
@@ -239,7 +238,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         graph = build_graph(train_labels, node_ids=train_ids)
     try:
         model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
-    except BlockOverflowError as exc:
+    except ModelOverflowError as exc:
         raise UsageError(f"{args.store}: {exc}") from None
 
     out_dir = Path(args.out) if args.out else Path(args.store).parent
@@ -283,10 +282,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
     try:
         reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
-    except NonFiniteEmbeddingError as exc:
-        raise UsageError(f"{paths[exc.variant.value]}: {exc}") from None
-    except BlockOverflowError as exc:
-        raise UsageError(f"{args.store}: {exc}") from None
+    except ModelOverflowError as exc:
+        raise UsageError(f"{args.store} or {paths[exc.variant.value]}: {exc}") from None
 
     text = render_text_report(reports)
     out_dir = Path(args.out) if args.out else Path(args.store).parent
@@ -338,10 +335,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 seed=derive_seed(cfg.seed, _STREAM_QUERY_AUDIO),
             )
             query_id = ""
-    except NonFiniteEmbeddingError as exc:
-        raise UsageError(f"{args.weights}: {exc}") from None
-    except BlockOverflowError as exc:
-        raise UsageError(f"{args.store}: {exc}") from None
+    except ModelOverflowError as exc:
+        raise UsageError(f"{args.store} or {args.weights}: {exc}") from None
 
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
@@ -353,10 +348,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, out_required: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, help="run seed (default 0)")
-    parser.add_argument("--out", metavar="DIR", required=out_required, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic WAV dataset + manifest")
-    _add_common(p, out_required=True)
+    _add_common(p)
+    p.add_argument("--out", metavar="DIR", required=True, help="output directory")
     p.add_argument("--songs-per-genre", type=int)
     p.add_argument("--clip-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
@@ -377,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract one MFCC vector per manifest song")
     _add_common(p)
+    p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--manifest", required=True, metavar="CSV")
     p.add_argument("--window-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
@@ -385,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one variant; write weights + loss CSVs")
     _add_common(p)
+    p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
     p.add_argument("--epochs", type=int)
@@ -397,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="Γ report comparing trained variants")
     _add_common(p)
+    p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, nargs="+", metavar="GRMW")
     p.add_argument("--attachment", choices=[m.value for m in AttachmentMode])
@@ -404,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float)
     p.add_argument("--knn-k", type=int)
     p.add_argument("--recommend-k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--embed-lr", type=float)
-    p.add_argument("--mlp-lr", type=float)
     p.add_argument("--sage-sample-k", type=int)
     p.add_argument("--self-loops", action=argparse.BooleanOptionalAction)
     p.set_defaults(func=cmd_evaluate)

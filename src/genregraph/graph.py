@@ -326,6 +326,27 @@ def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarra
     return out
 
 
+def nearest(
+    query: np.ndarray, vectors: np.ndarray, ids: Sequence[str], k: int, exclude: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows of `vectors` nearest the query in Euclidean distance.
+
+    Returns their row indices, nearest first, and their distances. Exact
+    ties break by ascending row index, and row `exclude` is left out. A
+    distance that overflows (or is NaN) raises ValueError naming the id of
+    its row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+    finite = np.isfinite(distances)
+    if not finite.all():
+        song_id = ids[int(np.argmin(finite))]
+        raise ValueError(f"distance from the query to {song_id!r} is not finite")
+    order = np.argsort(distances, kind="stable")[: k + 1]
+    order = order[order != exclude][:k]
+    return order, distances[order]
+
+
 def attach_unseen(
     graph: GenreGraph,
     feature: np.ndarray,
@@ -333,8 +354,8 @@ def attach_unseen(
     true_label: GenreLabel | None = None,
     k: int = 10,
     train_features: np.ndarray | None = None,
-) -> list[str]:
-    """Choose the neighbor set for a song that is not in the graph.
+) -> np.ndarray:
+    """Sorted node indices of the neighbor set of a song not in the graph.
 
     ORACLE places it by its true genre label and returns every node of that
     genre. FEATURE_KNN places it by feature similarity and returns the k
@@ -344,8 +365,7 @@ def attach_unseen(
     if mode is AttachmentMode.ORACLE:
         if true_label is None:
             raise ValueError("ORACLE attachment requires the true genre label")
-        members = graph.genre_members(true_label.index)
-        return [graph.node_ids[int(i)] for i in members]
+        return graph.genre_members(true_label.index)
 
     if mode is AttachmentMode.FEATURE_KNN:
         if k < 1:
@@ -358,11 +378,7 @@ def attach_unseen(
                 f"train_features has {feats.shape[0]} rows for {graph.n_nodes} nodes"
             )
         query = np.asarray(feature, dtype=np.float64).ravel()
-        dists = np.sqrt(((feats - query) ** 2).sum(axis=1))
-        k_eff = min(k, graph.n_nodes)
-        # stable order: distance first, node index breaks ties
-        order = np.lexsort((np.arange(graph.n_nodes), dists))[:k_eff]
-        return [graph.node_ids[int(i)] for i in sorted(order)]
+        return np.sort(nearest(query, feats, graph.node_ids, k)[0])
 
     raise ValueError(f"unknown attachment mode {mode!r}")
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
+from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph, nearest
 from .nn import EmbeddingModel, Variant
 from .train import (
     TrainConfig,
@@ -142,18 +142,11 @@ def recommend(
         ids = list(catalog)
         catalog = Catalog(ids, np.array([catalog[i] for i in ids], dtype=np.float64))
     query = np.asarray(query, dtype=np.float64).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        distances = np.sqrt(((catalog.vectors - query) ** 2).sum(axis=1))
-    finite = np.isfinite(distances)
-    if not finite.all():
-        song_id = catalog.ids[int(np.argmin(finite))]
-        raise ValueError(f"distance from the query to {song_id!r} is not finite")
-    order = np.argsort(distances, kind="stable")[: k + 1]
     own = catalog._rows.get(query_id, -1)
-    order = order[order != own][:k]
+    order, distances = nearest(query, catalog.vectors, catalog.ids, k, exclude=own)
     return RecommendationList(
         query_id=query_id,
-        items=tuple((catalog.ids[i], float(distances[i])) for i in order.tolist()),
+        items=tuple(zip([catalog.ids[i] for i in order.tolist()], distances.tolist())),
     )
 
 

@@ -54,22 +54,13 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch}")
 
 
-class NonFiniteEmbeddingError(ValueError):
-    """The graph layer overflowed: finite weights too large for the features,
-    as a .grmw file may hold."""
+class ModelOverflowError(ValueError):
+    """Finite values overflowed the model: feature values or weights too
+    large, as a .grmf or .grmw file may hold."""
 
     def __init__(self, variant: Variant):
         self.variant = variant
-        super().__init__(f"{variant.value} weights give a non-finite embedding")
-
-
-class BlockOverflowError(ValueError):
-    """A neighbor sum of finite feature rows overflowed the graph layer's
-    input: feature values too large, as a .grmf file may hold."""
-
-    def __init__(self, variant: Variant):
-        self.variant = variant
-        super().__init__(f"feature values overflow the {variant.value} graph-layer input")
+        super().__init__(f"values too large for the {variant.value} model")
 
 
 @dataclass(frozen=True)
@@ -152,27 +143,35 @@ def split_train_test(
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def _check_finite(epoch: int, *losses: float) -> None:
-    if not np.all(np.isfinite(losses)):
-        raise TrainingDivergedError(epoch)
-
-
 def _fit(
-    layers: list[LayerParams], batches: Iterable[np.ndarray], targets: np.ndarray, lr: float
+    layers: list[LayerParams],
+    batches: Iterable[np.ndarray],
+    targets: np.ndarray,
+    lr: float,
+    variant: Variant,
+    inputs: np.ndarray,
 ) -> LossCurve:
     """Full-batch Adam on a dense stack, one epoch per input block, updating
     the layers in place. Records each epoch's loss before the step and
-    after it, on the same block."""
+    after it, on the same block.
+
+    Output layers start at zero, so the first loss is ln 8 unless the
+    stage's `inputs` overflowed a hidden layer: if it is not finite while
+    they are, ModelOverflowError. Any other non-finite loss is
+    TrainingDivergedError. Callers run it under np.errstate, so neither
+    prints a numpy warning.
+    """
     params = [arr for layer in layers for arr in layer.arrays()]
     state = AdamState.for_params(params, lr=lr)
     train_losses, eval_losses = [], []
-    for epoch, inputs in enumerate(batches):
-        # a diverging step overflows; _check_finite reports it as such
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = mlp_loss_and_grads(inputs, targets, layers)
-            adam_step(params, grads, state)
-            eval_loss, _ = softmax_cross_entropy(mlp_forward(inputs, layers), targets)
-        _check_finite(epoch, loss, eval_loss)
+    for epoch, block in enumerate(batches):
+        loss, grads = mlp_loss_and_grads(block, targets, layers)
+        if epoch == 0 and not np.isfinite(loss) and np.isfinite(inputs).all():
+            raise ModelOverflowError(variant)
+        adam_step(params, grads, state)
+        eval_loss, _ = softmax_cross_entropy(mlp_forward(block, layers), targets)
+        if not np.isfinite([loss, eval_loss]).all():
+            raise TrainingDivergedError(epoch)
         train_losses.append(loss)
         eval_losses.append(eval_loss)
     return LossCurve(train_losses=train_losses, eval_losses=eval_losses)
@@ -188,22 +187,10 @@ def graph_block(
     """
     if variant is Variant.PLAIN:
         raise ValueError(f"variant {variant} has no graph layer")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if variant is Variant.GCN:
-            block = normalize(graph, add_self_loops=cfg.self_loops).apply(features)
-        else:
-            means = sampled_neighbor_means(graph, features, cfg.sage_sample_k, seed)
-            block = np.hstack([features, means])
-    return _no_overflow(block, variant, features)
-
-
-def _no_overflow(block: np.ndarray, variant: Variant, *inputs: np.ndarray) -> np.ndarray:
-    """The block, or BlockOverflowError if finite inputs gave a non-finite
-    block. Non-finite inputs pass through; training reports them as
-    divergence."""
-    if not np.isfinite(block).all() and all(np.isfinite(x).all() for x in inputs):
-        raise BlockOverflowError(variant)
-    return block
+    if variant is Variant.GCN:
+        return normalize(graph, add_self_loops=cfg.self_loops).apply(features)
+    means = sampled_neighbor_means(graph, features, cfg.sage_sample_k, seed)
+    return np.hstack([features, means])
 
 
 def train_embeddings(
@@ -231,13 +218,15 @@ def train_embeddings(
         seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
         return graph_block(cfg.variant, graph, features, cfg, seed)
 
-    # A_hat X is the same every epoch, so GCN builds it once (as in SGC);
-    # SAGE draws a fresh neighbor sample per epoch.
-    if cfg.variant is Variant.GCN:
-        blocks = itertools.repeat(block(0), cfg.epochs)
-    else:
-        blocks = map(block, range(cfg.epochs))
-    curve = _fit([model.graph_layer, model.embed_head], blocks, targets, cfg.embed_lr)
+    layers = [model.graph_layer, model.embed_head]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A_hat X is the same every epoch, so GCN builds it once (as in
+        # SGC); SAGE draws a fresh neighbor sample per epoch.
+        if cfg.variant is Variant.GCN:
+            blocks = itertools.repeat(block(0), cfg.epochs)
+        else:
+            blocks = map(block, range(cfg.epochs))
+        curve = _fit(layers, blocks, targets, cfg.embed_lr, cfg.variant, features)
     return model, curve, compute_embeddings(model, graph, features, cfg)
 
 
@@ -256,16 +245,17 @@ def compute_embeddings(
     features = np.asarray(features, dtype=np.float64)
     if model.variant is Variant.PLAIN:
         return features
-    block = graph_block(model.variant, graph, features, cfg, derive_seed(cfg.seed, _STREAM_FINAL))
-    return _embed(block, model)
+    seed = derive_seed(cfg.seed, _STREAM_FINAL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _embed(graph_block(model.variant, graph, features, cfg, seed), model)
 
 
 def _embed(block: np.ndarray, model: EmbeddingModel) -> np.ndarray:
-    """embedding_forward, with an overflow raised as NonFiniteEmbeddingError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        embeddings = embedding_forward(block, model.graph_layer)
-    if not np.all(np.isfinite(embeddings)):
-        raise NonFiniteEmbeddingError(model.variant)
+    """embedding_forward, or ModelOverflowError if the block or the
+    embedding is not finite. Callers run it under np.errstate."""
+    embeddings = embedding_forward(block, model.graph_layer)
+    if not (np.isfinite(block).all() and np.isfinite(embeddings).all()):
+        raise ModelOverflowError(model.variant)
     return embeddings
 
 
@@ -282,7 +272,10 @@ def train_classifier(
     if mlp[0].in_dim != inputs.shape[1]:
         raise ValueError(f"classifier expects {mlp[0].in_dim}-dim inputs, got {inputs.shape[1]}")
 
-    return mlp, _fit(mlp, itertools.repeat(inputs, cfg.epochs), targets, cfg.mlp_lr)
+    batches = itertools.repeat(inputs, cfg.epochs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = _fit(mlp, batches, targets, cfg.mlp_lr, cfg.variant, inputs)
+    return mlp, curve
 
 
 def train_pipeline(
@@ -325,26 +318,16 @@ def infer_embedding(
         return new_feature
 
     train_features = np.asarray(train_features, dtype=np.float64)
-    neighbor_ids = attach_unseen(
-        graph,
-        new_feature,
-        attachment,
-        true_label=true_label,
-        k=knn_k,
-        train_features=train_features,
-    )
-    neighbor_idx = np.array([graph.index_of(nid) for nid in neighbor_ids], dtype=np.int64)
-
     with np.errstate(over="ignore", invalid="ignore"):
+        neighbors = attach_unseen(graph, new_feature, attachment, true_label, knn_k, train_features)
         if model.variant is Variant.GCN:
-            weights, self_weight = extended_adjacency_row(len(neighbor_idx), self_loops)
-            row = weights @ train_features[neighbor_idx] + self_weight * new_feature
+            weights, self_weight = extended_adjacency_row(len(neighbors), self_loops)
+            row = weights @ train_features[neighbors] + self_weight * new_feature
         else:
-            sampled = draw_neighbors(neighbor_idx, sample_k, np.random.default_rng(seed))
+            sampled = draw_neighbors(neighbors, sample_k, np.random.default_rng(seed))
             if len(sampled):
                 neighbor_mean = train_features[sampled].mean(axis=0)
             else:
                 neighbor_mean = np.zeros_like(new_feature)
             row = np.concatenate([new_feature, neighbor_mean])
-    row = _no_overflow(row[None, :], model.variant, train_features, new_feature)
-    return _embed(row, model)[0]
+        return _embed(row[None, :], model)[0]

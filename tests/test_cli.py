@@ -487,6 +487,30 @@ class TestRecommendMatchesExhaustiveRanking:
             assert [r[3] for r in rows] == [f"{dist[j]:.6f}" for j in order]
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("evaluate", "--epochs"), ("evaluate", "--embed-lr"), ("evaluate", "--mlp-lr"),
+         ("recommend", "--out")],
+    )
+    def test_flag_that_changed_nothing_is_rejected(self, tmp_path, capsys, verb, flag):
+        # evaluate trains nothing and recommend writes nothing
+        args = [verb, "--store", str(tmp_path / "s.grmf"), "--weights", str(tmp_path / "w.grmw")]
+        assert main([*args, flag, "1"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_training_keys_of_a_shared_config_leave_evaluate_unchanged(self, tiny_workspace, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "embed_lr": 7.0, "mlp_lr": 9.0}))
+        weights = [str(tiny_workspace / f"{v}.grmw") for v in ("plain", "sage", "gcn")]
+        for out, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--config", str(cfg_path)])):
+            rc = main(["evaluate", "--store", str(tiny_workspace / "features.grmf"),
+                       "--weights", *weights, "--out", str(out), *extra])
+            assert rc == EXIT_OK
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestConfigFile:
     def test_config_values_apply_and_flags_override(self, tiny_workspace, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -275,8 +275,8 @@ class TestAttachUnseen:
         picked = attach_unseen(
             graph, np.zeros(30), AttachmentMode.ORACLE, true_label=GenreLabel.from_name("Folk")
         )
-        assert len(picked) == 50
-        assert all(graph.labels[graph.index_of(p)].name == "Folk" for p in picked)
+        assert picked.tolist() == list(range(50))
+        assert all(graph.labels[p].name == "Folk" for p in picked)
 
     def test_oracle_requires_label(self):
         graph = build_graph(labels_for({0: 3}))
@@ -290,7 +290,7 @@ class TestAttachUnseen:
         picked = attach_unseen(
             graph, feats[3].copy(), AttachmentMode.FEATURE_KNN, k=1, train_features=feats
         )
-        assert picked == [graph.node_ids[3]]
+        assert picked.tolist() == [3]
 
     def test_knn_matches_brute_force_sort(self):
         rng = np.random.default_rng(8)
@@ -303,7 +303,28 @@ class TestAttachUnseen:
         )
         dists = np.linalg.norm(feats - query, axis=1)
         expected = sorted(np.argsort(dists, kind="stable")[:5])
-        assert picked == [graph.node_ids[i] for i in expected]
+        assert picked.tolist() == expected
+
+    def test_knn_exact_ties_break_by_node_index(self):
+        # rows 20..39 repeat rows 0..19, so every distance comes twice; with
+        # k odd, the last pick is a tie between i and i + 20 and takes i
+        rng = np.random.default_rng(8)
+        graph = build_graph(labels_for({0: 10, 1: 10, 2: 10, 3: 10}))
+        half = rng.standard_normal((20, 30))
+        feats = np.vstack([half, half])
+        query = rng.standard_normal(30)
+        picked = attach_unseen(graph, query, AttachmentMode.FEATURE_KNN, k=5, train_features=feats)
+        dists = [sum((a - b) ** 2 for a, b in zip(row, query)) for row in half]
+        nearest_three = sorted(range(20), key=dists.__getitem__)[:3]
+        assert picked.tolist() == sorted([*nearest_three, *(i + 20 for i in nearest_three[:2])])
+
+    def test_knn_overflowing_distance_names_the_node(self):
+        # 1e155 squared overflows: one ValueError, no numpy warning
+        graph = build_graph(labels_for({0: 3, 1: 3}), node_ids=[f"s{i}" for i in range(6)])
+        feats = np.zeros((6, 30))
+        feats[4] = 1e155
+        with pytest.raises(ValueError, match="'s4' is not finite"):
+            attach_unseen(graph, np.ones(30), AttachmentMode.FEATURE_KNN, k=2, train_features=feats)
 
     def test_knn_requires_features(self):
         graph = build_graph(labels_for({0: 3}))

@@ -303,33 +303,57 @@ class TestWeightStoreRobustness:
         rc = main([verb, "--store", str(store), "--weights", str(weights), *query])
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
-        assert err == f"error: {weights}: gcn weights give a non-finite embedding\n"
+        assert err == f"error: {store} or {weights}: values too large for the gcn model\n"
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("verb", ["recommend", "evaluate"])
-    @pytest.mark.parametrize("variant", [Variant.GCN, Variant.SAGE], ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "variant, verb",
+        [(v, verb) for verb in ("recommend", "evaluate") for v in (Variant.GCN, Variant.SAGE)]
+        + [(v, "train") for v in Variant],
+        ids=lambda x: x.value if isinstance(x, Variant) else x,
+    )
     def test_overflowing_neighbor_sum_is_one_line(self, tmp_path, capsys, verb, variant):
         # genre-0 rows at 1.7e308 are finite, so the store reads, but a sum
-        # of two overflows; a numpy warning would raise here and exit 1
-        rng = np.random.default_rng(0)
-        records = [
-            FeatureRecord(f"g{i % 8}/s{i}", i % 8, np.full(30, 1.7e308) if i % 8 == 0 else rng.normal(size=30))
-            for i in range(24)
-        ]
+        # of two overflows, and so does one such row times a weight; a numpy
+        # warning would raise here and exit 1
         store, weights = tmp_path / "huge.grmf", tmp_path / f"{variant.value}.grmw"
-        write_feature_store(store, records)
-        write_model(weights, build_model(variant, seed=0))
-        query = ["--song-id", "g1/s1"] if verb == "recommend" else ["--out", str(tmp_path)]
-        rc = main([verb, "--store", str(store), "--weights", str(weights), *query])
+        _genre0_store(store, 1.7e308)
+        if verb == "train":
+            # fresh weights: only the store can hold the values
+            args, blamed = ["--variant", variant.value, "--out", str(tmp_path)], str(store)
+        else:
+            write_model(weights, build_model(variant, seed=0))
+            query = ["--song-id", "g1/s1"] if verb == "recommend" else ["--out", str(tmp_path)]
+            args, blamed = ["--weights", str(weights), *query], f"{store} or {weights}"
+        rc = main([verb, "--store", str(store), *args])
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
-        assert err.count("\n") == 1
-        if (verb, variant) == ("evaluate", Variant.SAGE):
-            # evaluate trains on two genre-0 songs, so a SAGE neighbor mean
-            # is one row: the forward overflows, not the block
-            assert err.startswith(f"error: {weights}: ")
-        else:
-            assert err == f"error: {store}: feature values overflow the {variant.value} graph-layer input\n"
+        assert err == f"error: {blamed}: values too large for the {variant.value} model\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", [Variant.GCN, Variant.SAGE], ids=lambda v: v.value)
+    def test_overflowing_attachment_distance_is_one_line(self, tmp_path, capsys, variant):
+        # 1e155 squared overflows in the feature_knn distance of an audio
+        # query; the error names the first song it cannot be measured to
+        store, weights, wav = tmp_path / "e155.grmf", tmp_path / "w.grmw", tmp_path / "q.wav"
+        _genre0_store(store, 1e155)
+        write_model(weights, build_model(variant, seed=0))
+        wav.write_bytes(_clip_wav())
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights),
+                   "--audio", str(wav), "--attachment", "feature_knn"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == "error: distance from the query to 'g0/s0' is not finite\n"
+
+
+def _genre0_store(path, value: float) -> None:
+    """24 songs, 3 per genre: every genre-0 value is `value`, the rest
+    standard normal."""
+    rng = np.random.default_rng(0)
+    write_feature_store(path, [
+        FeatureRecord(f"g{i % 8}/s{i}", i % 8, np.full(30, value) if i % 8 == 0 else rng.normal(size=30))
+        for i in range(24)
+    ])
 
 
 def _clip_wav(seconds=5.5, rate=22050) -> bytes:
