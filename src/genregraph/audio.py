@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import wave
 from dataclasses import dataclass
@@ -177,6 +178,20 @@ def resample(clip: AudioClip, target_sample_rate: int) -> AudioClip:
 def derive_seed(*parts: int) -> int:
     """Stable child seed from a run seed plus stream/epoch indices."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def clip_workers(n_clips: int) -> int:
+    """Thread-pool size for per-clip work (synth, extract): min(8, usable
+    cores, n_clips).
+
+    The clip work is numpy that releases the GIL, so a thread past the
+    cores this process may run on adds memory and no speed.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(8, cores, n_clips)
 
 
 # seed stream tag for per-song window offsets (mfcc.wav_mfcc)

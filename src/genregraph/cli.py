@@ -15,7 +15,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .audio import ClipTooShortError, WavDecodeError, derive_seed
+from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
 from .mfcc import MfccConfig, wav_mfcc
@@ -189,7 +189,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     base = manifest_path.parent
     seed = int(_setting(args, config, "seed", 0))
     cfg = _mfcc_config(args, config)
-    workers = int(_setting(args, config, "workers", 0)) or min(8, len(manifest))
+    workers = int(_setting(args, config, "workers", 0)) or clip_workers(len(manifest))
 
     def extract_one(item: tuple[int, object]):
         index, entry = item

@@ -10,12 +10,14 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .audio import WINDOW_SEED_STREAM, AudioClip, decode_wav, derive_seed, random_window, resample
 
 LOG_FLOOR = 1e-10
+_FRAME_BLOCK = 64  # frames per weighted copy in mfcc, about 0.5 MiB
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def power_spectrogram(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     pad = n_fft // 2
     padded = np.pad(clip.samples, pad, mode="reflect")
     n_frames = 1 + (padded.size - n_fft) // hop
-    window = _constants(cfg)[0]
+    window = _constants(cfg).window
 
     shape = (n_frames, n_fft)
     strides = (hop * padded.strides[0], padded.strides[0])
@@ -124,20 +126,54 @@ def _periodic_hann(n: int) -> np.ndarray:
     return window[:-1]
 
 
+class _Constants(NamedTuple):
+    """Read-only per-config arrays of the MFCC path."""
+
+    window: np.ndarray  # periodic Hann, n_fft samples
+    # per filter parity: (the weights of those filters over every bin, the
+    # first bin of each one with any weight, and which filters those are)
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    dct: np.ndarray  # orthonormal DCT-II basis, (n_mfcc, n_mels)
+
+
+def _dct_basis(n_out: int, n_in: int) -> np.ndarray:
+    """First n_out rows of the orthonormal DCT-II matrix of size n_in."""
+    k = np.arange(n_out)[:, None]
+    n = np.arange(n_in)[None, :]
+    basis = np.sqrt(2.0 / n_in) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
+    basis[0] = np.sqrt(1.0 / n_in)
+    return basis
+
+
 @functools.lru_cache(maxsize=8)
-def _build_constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
-    window = _periodic_hann(cfg.n_fft)
+def _build_constants(cfg: MfccConfig) -> _Constants:
     filterbank = mel_filterbank(cfg)
-    window.flags.writeable = False
-    filterbank.flags.writeable = False
-    return window, filterbank
+    # filters m and m + 2 meet only at the peak of m + 1, where both are 0,
+    # so the filters of one parity share no bin and fit in one weight row
+    layers = []
+    for parity in (0, 1):
+        support = filterbank[parity::2] > 0.0
+        nonempty = np.flatnonzero(support.any(axis=1))
+        layers.append((
+            filterbank[parity::2].sum(axis=0),
+            support[nonempty].argmax(axis=1),
+            2 * nonempty + parity,
+        ))
+    constants = _Constants(
+        window=_periodic_hann(cfg.n_fft),
+        layers=tuple(layers),
+        dct=_dct_basis(cfg.n_mfcc, cfg.n_mels),
+    )
+    for array in [constants.window, constants.dct, *(a for layer in layers for a in layer)]:
+        array.flags.writeable = False
+    return constants
 
 
 _constants_lock = threading.Lock()
 
 
-def _constants(cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic Hann window and mel filterbank of a config, read-only.
+def _constants(cfg: MfccConfig) -> _Constants:
+    """Hann window, mel filters as two weight rows, and DCT basis of a config.
 
     Built once per config and process. The lock makes threads that miss
     the cache together (extract's pool) wait for one build, not each
@@ -159,14 +195,33 @@ def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     Pipeline: power spectrogram -> mel filterbank -> log with floor ->
     orthonormal DCT-II over the mel axis -> first n_mfcc coefficients
     per frame -> arithmetic mean over frames.
-    """
-    from scipy.fft import dct  # loaded on first use, not at package import
 
+    Each filter is a sum over its own bins and the DCT is a sum of
+    elementwise products, so no BLAS call runs and the bits do not depend
+    on its thread count. The DCT is linear, so it is applied once, to the
+    frame mean of the log-mel rows.
+    """
+    const = _constants(cfg)
     spec = power_spectrogram(clip, cfg)
-    mel_energy = spec @ _constants(cfg)[1].T
-    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    cepstra = dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc]
-    return MfccVector(values=cepstra.mean(axis=0), song_id=song_id)
+    mel_energy = np.zeros((len(spec), cfg.n_mels))
+    # a block of frames at a time: a weighted copy of every frame (1.7 MiB
+    # for 5 s) is fresh memory, and page faults, on most clips in a
+    # long-lived process; a row's sums do not depend on the block
+    for start in range(0, len(spec), _FRAME_BLOCK):
+        frames = spec[start : start + _FRAME_BLOCK]
+        weighted = np.empty_like(frames)
+        for weights, starts, filters in const.layers:
+            # each segment runs from a filter's first bin to the next
+            # filter's, so past its support it adds exact zeros
+            np.multiply(frames, weights, out=weighted)
+            mel_energy[start : start + _FRAME_BLOCK, filters] = np.add.reduceat(weighted, starts, axis=1)
+    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR)).mean(axis=0)
+    # measured from one band's level, a flat log-mel is exactly zero past
+    # coefficient 0, which carries that level alone
+    level = log_mel[0]
+    cepstra = (const.dct * (log_mel - level)).sum(axis=1)
+    cepstra[0] += np.sqrt(cfg.n_mels) * level
+    return MfccVector(values=cepstra, song_id=song_id)
 
 
 def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:

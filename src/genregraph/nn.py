@@ -184,7 +184,12 @@ def sampled_neighbor_means(
         # position p among a member's sorted neighbors is clique slot p,
         # or p + 1 from the member's own slot on
         slots = pos + (pos >= np.arange(n)[:, None])
-        means[members] = features[members[slots]].mean(axis=1)
+        # column by column: the sums of features[members[slots]].mean(axis=1)
+        # in the same order, without its n x k x d temporary
+        total = features[members[slots[:, 0]]]
+        for j in range(1, slots.shape[1]):
+            total += features[members[slots[:, j]]]
+        means[members] = total / slots.shape[1]
     return means
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .audio import AudioClip, derive_seed, encode_wav
+from .audio import AudioClip, clip_workers, derive_seed, encode_wav
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
 from .mfcc import MfccConfig, wav_mfcc
@@ -177,8 +177,8 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
     corpus (genre-major) order.
 
     Each song's clip comes from its own seeded rng, so the songs run on a
-    thread pool (numpy releases the GIL in the array work) sized like
-    extract's default, min(8, songs), and the bytes do not depend on it.
+    thread pool of clip_workers(songs) threads, like extract's default,
+    and the bytes do not depend on it.
     """
     per_genre = range(spec.songs_per_genre)
     songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in per_genre]
@@ -189,7 +189,7 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
         clip = generate_clip(spec.recipes[genre], spec.clip_seconds, spec.sample_rate, rng)
         return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(songs))) as pool:
+    with ThreadPoolExecutor(max_workers=clip_workers(len(songs))) as pool:
         return list(pool.map(one, enumerate(songs)))
 
 

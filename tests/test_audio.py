@@ -15,6 +15,7 @@ from genregraph.audio import (
     MalformedWavError,
     UnsupportedWavError,
     WavDecodeError,
+    clip_workers,
     decode_wav,
     encode_wav,
     random_window,
@@ -204,3 +205,14 @@ class TestResample:
         spectrum = np.abs(np.fft.rfft(out.samples))
         peak_hz = np.argmax(spectrum) * 22050 / len(out)
         assert abs(peak_hz - 1000) < 5
+
+
+class TestClipWorkers:
+    @pytest.mark.parametrize(
+        "cores, clips, expected", [(2, 400, 2), (16, 400, 8), (16, 3, 3), (1, 1, 1)]
+    )
+    def test_min_of_eight_usable_cores_and_clips(self, monkeypatch, cores, clips, expected):
+        # the cores this process may run on, not every core of the machine
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert clip_workers(clips) == expected

@@ -2,7 +2,8 @@
 
 The spectrogram oracle reframes the signal with a Python loop and a
 naive O(n^2) DFT (explicit exponential matrix), sharing no code with
-the implementation under test.
+the implementation under test. The MFCC oracle is the dense form: the
+full filterbank matrix product and scipy's DCT of every frame.
 """
 
 import sys
@@ -41,6 +42,38 @@ def naive_power_spectrogram(samples, n_fft, hop):
         frames.append(np.abs(dft @ frame) ** 2)
         start += hop
     return np.array(frames)
+
+
+def dense_mfcc(clip, cfg):
+    """Reference MFCC: spec @ filterbank.T, log, scipy's DCT per frame, frame mean."""
+    from scipy.fft import dct
+
+    spec = power_spectrogram(clip, cfg)
+    log_mel = np.log(np.maximum(spec @ mel_filterbank(cfg).T, LOG_FLOOR))
+    return dct(log_mel, type=2, axis=1, norm="ortho")[:, : cfg.n_mfcc].mean(axis=0)
+
+
+def _tone(seconds, freq, amplitude, silent_seconds=0.0, sr=22050):
+    t = np.arange(int(seconds * sr)) / sr
+    tone = amplitude * np.sin(2 * np.pi * freq * t)
+    return AudioClip(samples=np.concatenate([np.zeros(int(silent_seconds * sr)), tone]), sample_rate=sr)
+
+
+# one 22.05 kHz WAV through wav_mfcc in a new interpreter; the BLAS thread
+# count is fixed before numpy loads, as the environment variable would be
+WAV_MFCC_SCRIPT = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+import sys
+import numpy as np
+from genregraph.audio import encode_wav
+from genregraph.mfcc import MfccConfig, wav_mfcc
+from genregraph.synth import DEFAULT_RECIPES, generate_clip
+
+clip = generate_clip(DEFAULT_RECIPES["Rock"], 6.0, 22050, np.random.default_rng(0))
+print(wav_mfcc(encode_wav(clip), MfccConfig(), 0).tobytes().hex())
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
 
 
 class TestMfccConfig:
@@ -229,11 +262,68 @@ class TestMfcc:
 
     def test_cached_filterbank_is_read_only_and_public_one_is_fresh(self):
         module = sys.modules["genregraph.mfcc"]
-        window, filterbank = module._constants(CFG)
-        assert not window.flags.writeable and not filterbank.flags.writeable
+        constants = module._constants(CFG)
+        arrays = [constants.window, constants.dct, *(a for layer in constants.layers for a in layer)]
+        assert not any(array.flags.writeable for array in arrays)
         fresh = mel_filterbank(CFG)
         assert fresh.flags.writeable and fresh is not mel_filterbank(CFG)
-        assert np.array_equal(fresh, filterbank)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, MfccConfig(n_mels=40), MfccConfig(n_fft=256, hop_length=128), MfccConfig(fmin=300.0, fmax=8000.0)],
+    )
+    def test_filters_of_one_parity_share_no_bin(self, cfg):
+        # mfcc sums each parity's filters from one weight row, so that row
+        # must hold every weight of each of its filters, and no bin twice
+        fb = mel_filterbank(cfg)
+        layers = sys.modules["genregraph.mfcc"]._constants(cfg).layers
+        for parity, (weights, starts, filters) in enumerate(layers):
+            assert np.all((fb[parity::2] > 0).sum(axis=0) <= 1)
+            nonempty = [m for m in range(parity, cfg.n_mels, 2) if fb[m].any()]
+            assert np.array_equal(filters, nonempty)
+            for m, start in zip(filters, starts):
+                support = np.flatnonzero(fb[m])
+                assert start == support[0]
+                assert np.array_equal(weights[support], fb[m, support])
+
+
+class TestDenseOracle:
+    """mfcc sums each filter over its own bins and applies one DCT to the
+    frame-mean log-mel row; the dense form agrees to rounding."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, MfccConfig(n_mels=40), MfccConfig(n_fft=256, hop_length=128)],
+        ids=["default", "n_mels=40", "filters-with-no-bin"],
+    )
+    @pytest.mark.parametrize(
+        "clip",
+        [
+            AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, 22050), 22050),
+            _tone(1.0, 440.0, 1e-4),  # sidelobes sink to the floor far from 440 Hz
+            _tone(0.5, 2000.0, 0.9, silent_seconds=0.5),  # silent frames: every band on the floor
+        ],
+        ids=["noise", "quiet-sine", "half-silent"],
+    )
+    def test_agrees_with_the_dense_form(self, cfg, clip):
+        np.testing.assert_allclose(mfcc(clip, cfg).values, dense_mfcc(clip, cfg), rtol=0, atol=1e-12)
+
+    def test_cases_reach_the_floor_and_empty_filters(self):
+        energy = power_spectrogram(_tone(1.0, 440.0, 1e-4), CFG) @ mel_filterbank(CFG).T
+        assert np.any(energy < LOG_FLOOR) and np.any(energy > LOG_FLOOR)
+        coarse = mel_filterbank(MfccConfig(n_fft=256, hop_length=128))
+        assert np.any(coarse.max(axis=1) == 0.0)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, fresh_python):
+        runs = [fresh_python(WAV_MFCC_SCRIPT.format(threads=t)) for t in (1, 2)]
+        for done in runs:
+            assert done.returncode == 0, done.stderr
+        assert runs[0].stdout.split()[0] == runs[1].stdout.split()[0]
+
+    def test_wav_mfcc_at_the_target_rate_loads_no_scipy(self, fresh_python):
+        done = fresh_python(WAV_MFCC_SCRIPT.format(threads=1))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[1] == "[]"
 
 
 class TestScipyFreeConstants:
@@ -246,8 +336,8 @@ class TestScipyFreeConstants:
         assert window.tobytes() == get_window("hann", n_fft, fftbins=True).tobytes()
 
     def test_threads_that_first_resample_together_agree(self, fresh_python):
-        # scipy.fft and scipy.signal are imported by the first mfcc and the
-        # first resample; 8 threads race to that in a new interpreter
+        # scipy.signal is imported by the first resample; 8 threads race to
+        # that in a new interpreter
         script = """
 import sys
 from concurrent.futures import ThreadPoolExecutor
