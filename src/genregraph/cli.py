@@ -9,6 +9,7 @@ given (inputs, config, seed). Exit codes: 0 success, 1 internal error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -353,7 +354,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verbs' parser, built once per process: parsing leaves it as it
+    was, and a long-lived caller of main would otherwise rebuild it per call."""
     parser = argparse.ArgumentParser(
         prog="genregraph",
         description="Graph-refined MFCC music genre recommendation pipeline.",

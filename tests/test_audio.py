@@ -206,6 +206,24 @@ class TestResample:
         peak_hz = np.argmax(spectrum) * 22050 / len(out)
         assert abs(peak_hz - 1000) < 5
 
+    @pytest.mark.parametrize("n", [1, 2, 5, "6s"])
+    @pytest.mark.parametrize(
+        "rate", [8000, 8009, 11025, 16000, 32000, 44100, 48000, 96000, 192000, 384000]
+    )
+    def test_matches_scipy_resample_poly(self, rate, n):
+        # the same filter design; numpy's and scipy's Bessel i0 differ in the
+        # last bits, so the samples agree to rounding, not bit for bit
+        from scipy.signal import resample_poly
+
+        size = 6 * rate if n == "6s" else n
+        x = np.random.default_rng(rate).uniform(-1.0, 1.0, size)
+        g = np.gcd(rate, 22050)
+        expected = np.clip(resample_poly(x, 22050 // g, rate // g), -1.0, 1.0)
+        out = resample(AudioClip(samples=x, sample_rate=rate), 22050)
+        assert out.sample_rate == 22050
+        assert out.samples.shape == expected.shape
+        assert np.max(np.abs(out.samples - expected)) <= 1e-12
+
 
 class TestClipWorkers:
     @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from genregraph.audio import encode_wav, AudioClip
-from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from genregraph.graph import GENRE_NAMES, GenreLabel
 from genregraph.nn import Variant, build_model
 from genregraph.recommend import recommend
@@ -45,8 +45,8 @@ def tiny_workspace(tmp_path_factory):
 
 class TestStartUp:
     def test_package_and_cli_import_without_scipy(self, fresh_python):
-        # scipy.signal alone took over a second of every verb's start-up;
-        # it and scipy.fft now load where they are first used
+        # scipy.signal alone took a second and 76 MiB; no verb uses
+        # scipy now, so neither start-up nor a later clip loads it
         done = fresh_python(
             "import sys, genregraph, genregraph.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -363,6 +363,16 @@ class TestRecommend:
             assert row[3] == f"{dist:.6f}"
         assert [int(r[0]) for r in rows] == list(range(1, 11))
         assert query_id not in {r[1] for r in rows}
+
+    def test_one_parser_per_process_keeps_no_flag_between_calls(self, tiny_workspace, capsys):
+        assert build_parser() is build_parser()
+        song_id = read_feature_store(tiny_workspace / "features.grmf")[0].song_id
+        rows = []
+        for extra in (["--k", "3"], []):
+            rc, out, _ = self.run_recommend(tiny_workspace, capsys, "--song-id", song_id, *extra)
+            assert rc == EXIT_OK
+            rows.append(len(out.splitlines()) - 1)
+        assert rows == [3, 10]
 
     def test_rank_one_is_nearest_non_self_neighbor(self, tiny_workspace, capsys):
         records = read_feature_store(tiny_workspace / "features.grmf")

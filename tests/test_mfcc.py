@@ -59,8 +59,8 @@ def _tone(seconds, freq, amplitude, silent_seconds=0.0, sr=22050):
     return AudioClip(samples=np.concatenate([np.zeros(int(silent_seconds * sr)), tone]), sample_rate=sr)
 
 
-# one 22.05 kHz WAV through wav_mfcc in a new interpreter; the BLAS thread
-# count is fixed before numpy loads, as the environment variable would be
+# one WAV at the given rate through wav_mfcc in a new interpreter; the BLAS
+# thread count is fixed before numpy loads, as the environment variable would be
 WAV_MFCC_SCRIPT = """
 import os
 os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
@@ -70,7 +70,7 @@ from genregraph.audio import encode_wav
 from genregraph.mfcc import MfccConfig, wav_mfcc
 from genregraph.synth import DEFAULT_RECIPES, generate_clip
 
-clip = generate_clip(DEFAULT_RECIPES["Rock"], 6.0, 22050, np.random.default_rng(0))
+clip = generate_clip(DEFAULT_RECIPES["Rock"], 6.0, {rate}, np.random.default_rng(0))
 print(wav_mfcc(encode_wav(clip), MfccConfig(), 0).tobytes().hex())
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
@@ -315,13 +315,20 @@ class TestDenseOracle:
         assert np.any(coarse.max(axis=1) == 0.0)
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, fresh_python):
-        runs = [fresh_python(WAV_MFCC_SCRIPT.format(threads=t)) for t in (1, 2)]
-        for done in runs:
-            assert done.returncode == 0, done.stderr
-        assert runs[0].stdout.split()[0] == runs[1].stdout.split()[0]
+        # 44.1 kHz goes through resample, 22.05 kHz does not
+        for rate in (22050, 44100):
+            runs = [fresh_python(WAV_MFCC_SCRIPT.format(threads=t, rate=rate)) for t in (1, 2)]
+            for done in runs:
+                assert done.returncode == 0, done.stderr
+            assert runs[0].stdout.split()[0] == runs[1].stdout.split()[0], rate
 
     def test_wav_mfcc_at_the_target_rate_loads_no_scipy(self, fresh_python):
-        done = fresh_python(WAV_MFCC_SCRIPT.format(threads=1))
+        done = fresh_python(WAV_MFCC_SCRIPT.format(threads=1, rate=22050))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[1] == "[]"
+
+    def test_wav_mfcc_that_resamples_loads_no_scipy(self, fresh_python):
+        done = fresh_python(WAV_MFCC_SCRIPT.format(threads=1, rate=44100))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[1] == "[]"
 
@@ -336,8 +343,9 @@ class TestScipyFreeConstants:
         assert window.tobytes() == get_window("hann", n_fft, fftbins=True).tobytes()
 
     def test_threads_that_first_resample_together_agree(self, fresh_python):
-        # scipy.signal is imported by the first resample; 8 threads race to
-        # that in a new interpreter
+        # 8 threads make the first clips of a new interpreter together: they
+        # build the cached MFCC constants under its lock, and each resample
+        # designs its own filter
         script = """
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -348,12 +356,12 @@ from genregraph.mfcc import MfccConfig, wav_mfcc
 t = np.arange(6 * 44100) / 44100
 noise = np.random.default_rng(0).standard_normal(t.size)
 wav = encode_wav(AudioClip(0.5 * np.sin(2 * np.pi * 330 * t) + 0.05 * noise, 44100))
-assert "scipy.signal" not in sys.modules
 sys.setswitchinterval(1e-6)
 with ThreadPoolExecutor(max_workers=8) as pool:
     vectors = list(pool.map(lambda _: wav_mfcc(wav, MfccConfig(), 3), range(8)))
 assert all(np.array_equal(v, vectors[0]) for v in vectors)
 assert np.array_equal(vectors[0], wav_mfcc(wav, MfccConfig(), 3))
+assert not any(m.startswith("scipy") for m in sys.modules)
 print("ok")
 """
         done = fresh_python(script)
