@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
-from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
+from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import MfccConfig, wav_mfcc
 from .nn import Variant
 from .recommend import (
@@ -439,6 +439,13 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except IsolatedNodeError as exc:
+        print(
+            f"error: song {exc.node_id!r} is the only {exc.genre} song in the graph; "
+            "the GCN needs --self-loops to normalize a song with no same-genre company",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except (
         UsageError,
         ManifestError,

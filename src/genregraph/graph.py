@@ -28,8 +28,9 @@ GENRE_NAMES = (
 class IsolatedNodeError(ValueError):
     """Normalization without self-loops hit a degree-zero node."""
 
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str, genre: str):
         self.node_id = node_id
+        self.genre = genre
         super().__init__(
             f"node {node_id!r} is isolated; normalize with add_self_loops=True "
             "or give it same-genre company"
@@ -125,8 +126,7 @@ class GenreGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        sizes = {g: len(m) for g, m in self._members.items()}
-        return np.array([sizes[int(g)] - 1 for g in self.label_indices], dtype=np.int64)
+        return np.bincount(self.label_indices)[self.label_indices] - 1
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdja
     cliques = tuple(graph.genre_members(g) for g in np.unique(graph.label_indices))
     for members in cliques:
         if len(members) == 1 and not add_self_loops:
-            raise IsolatedNodeError(graph.node_ids[int(members[0])])
+            node = int(members[0])
+            raise IsolatedNodeError(graph.node_ids[node], graph.labels[node].name)
     return NormalizedAdjacency(cliques=cliques, n_nodes=graph.n_nodes, self_loops=add_self_loops)
 
 
@@ -195,28 +196,6 @@ def draw_neighbors(neighbors: np.ndarray, k: int, rng: np.random.Generator) -> n
 _BLOCK_ROWS = 4096
 
 
-class _HalfWords:
-    """The 32-bit outputs of default_rng(seed), in the order numpy's bounded
-    draws read them: the low, then the high half of each 64-bit word."""
-
-    def __init__(self, seed: int):
-        self._bitgen = np.random.default_rng(seed).bit_generator
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._start = 0  # stream index of _buf[0]
-
-    def get(self, pos: int, n: int) -> np.ndarray:
-        """Values pos .. pos+n-1. Positions must never go back: those before
-        pos are dropped."""
-        short = pos + n - self._start - len(self._buf)
-        if short > 0:
-            raw = self._bitgen.random_raw((short + 1) // 2)
-            halves = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()
-            self._buf = np.concatenate([self._buf, halves])
-        self._buf = self._buf[pos - self._start :]
-        self._start = pos
-        return self._buf[:n]
-
-
 def _bounds(degrees: np.ndarray, k: int) -> np.ndarray:
     """Per row, the 2k-1 bounds numpy's choice draws below: j + 1 for
     Floyd's j = deg-k..deg-1, then i + 1 for the shuffle's i = k-1..1."""
@@ -230,21 +209,6 @@ def _rejected(scaled: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Where Lemire's method, as numpy's buffered_bounded_lemire_uint32
     runs it, throws the value u away: u * bound mod 2**32 < 2**32 mod bound."""
     return (scaled & 0xFFFFFFFF) < (1 << 32) % bounds
-
-
-def _bounded_draws(stream: _HalfWords, pos: int, bounds: np.ndarray) -> tuple[np.ndarray, int]:
-    """One draw below each bound in turn from the stream at pos, a rejected
-    draw redone on the next value. Returns the draws and the values read."""
-    draws = np.empty(len(bounds), dtype=np.int64)
-    done = used = 0
-    while done < len(bounds):
-        scaled = stream.get(pos + used, len(bounds) - done) * bounds[done:]
-        rejected = _rejected(scaled, bounds[done:])
-        n = int(rejected.argmax()) if rejected.any() else len(scaled)
-        draws[done : done + n] = scaled[:n] >> 32
-        done += n
-        used += n + (done < len(bounds))
-    return draws, used
 
 
 def _floyd_rows(draws: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
@@ -270,59 +234,46 @@ def _tail_shuffled(degree, k: int):
     return (degree > 10000) & (k > degree // 50)
 
 
-def _choice_walk(stream: _HalfWords, pos: int, degree: int, k: int) -> tuple[np.ndarray, int]:
-    """Generator.choice(degree, k, replace=False) for one row, from the
-    stream at pos. Returns the positions and the values read."""
-    if _tail_shuffled(degree, k):
-        # numpy's tail shuffle: the last k steps of a Fisher-Yates shuffle
-        # of 0..degree-1, each j drawn below i + 1
-        draws, used = _bounded_draws(stream, pos, np.arange(degree, degree - k, -1, dtype=np.uint64))
-        moved: dict[int, int] = {}
-        for i, j in zip(range(degree - 1, degree - k - 1, -1), draws.tolist()):
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return np.array([moved[i] for i in range(degree - k, degree)]), used
-    degrees = np.array([degree])
-    draws, used = _bounded_draws(stream, pos, _bounds(degrees, k)[0])
-    return _floyd_rows(draws[None, :], degrees, k)[0], used
-
-
 def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k distinct positions in 0..degree-1 per row, every degree above k.
 
     Equal, bit for bit, to calling rng.choice(degree, k, replace=False) for
     each row in order on one rng = default_rng(seed). numpy draws each
-    bounded value by Lemire's method from one 32-bit half of the PCG64
-    stream, and a row takes 2k-1 of them: k for Floyd's algorithm, k-1 for
-    the shuffle after it. Rows run in blocks, vectorized. A row with a draw
-    numpy rejects and redoes, or for which numpy takes its tail shuffle, is
-    walked alone by _choice_walk, and the rows after it read the stream
-    from where that walk stopped.
+    bounded value by Lemire's method from one 32-bit output of the
+    generator, and a row takes 2k-1 of them: k for Floyd's algorithm, k-1
+    for the shuffle after it. Rows run in blocks, vectorized, on those
+    outputs read with rng.integers. A row with a draw numpy rejects and
+    redoes, or for which numpy takes its tail shuffle, is drawn by
+    rng.choice itself, after the block is read again up to that row.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if len(degrees) and degrees.min() <= k:
         raise ValueError(f"every degree must exceed k = {k}")
-    stream = _HalfWords(seed)
+    rng = np.random.default_rng(seed)
     tail = _tail_shuffled(degrees, k)
     out = np.empty((len(degrees), k), dtype=np.int64)
-    row = pos = 0
+    row = 0
     while row < len(degrees):
         if not tail[row]:
             # a block ends before the next tail row
             deg = degrees[row : row + _BLOCK_ROWS]
             deg = deg[: np.append(tail[row : row + len(deg)], True).argmax()]
             bounds = _bounds(deg, k)
-            scaled = stream.get(pos, bounds.size).reshape(bounds.shape) * bounds
+            state = rng.bit_generator.state
+            values = rng.integers(1 << 32, size=bounds.size, dtype=np.uint32)
+            scaled = values.reshape(bounds.shape) * bounds
             rejected = _rejected(scaled, bounds).any(axis=1)
             n_fast = int(rejected.argmax()) if rejected.any() else len(deg)
             draws = (scaled[:n_fast] >> 32).astype(np.int64)
             out[row : row + n_fast] = _floyd_rows(draws, deg[:n_fast], k)
             row += n_fast
-            pos += n_fast * bounds.shape[1]
             if n_fast == len(deg):
                 continue
-        out[row], used = _choice_walk(stream, pos, int(degrees[row]), k)
+            # rewind to the end of the rows kept, where choice takes over
+            rng.bit_generator.state = state
+            rng.integers(1 << 32, size=n_fast * bounds.shape[1], dtype=np.uint32)
+        out[row] = rng.choice(int(degrees[row]), k, replace=False)
         row += 1
-        pos += used
     return out
 
 

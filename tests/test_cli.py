@@ -200,6 +200,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "epoch" in err and err.count("\n") == 1
 
+    def test_lone_training_song_names_the_self_loops_flag(self, tmp_path, capsys):
+        # two songs per genre split into one to train on and one to query
+        assert main(["synth", "--out", str(tmp_path), "--seed", "0", "--songs-per-genre", "2"]) == 0
+        assert main(["extract", "--manifest", str(tmp_path / "manifest.csv")]) == 0
+        capsys.readouterr()
+        train = ["train", "--store", str(tmp_path / "features.grmf"), "--variant", "gcn"]
+        assert main(train) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--self-loops" in err and "Electronic" in err
+        assert main([*train, "--self-loops"]) == EXIT_OK
+
     def test_non_finite_store_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         records = [

@@ -258,6 +258,18 @@ class TestDrawNeighborPositions:
         out = draw_neighbor_positions(np.array(degrees, dtype=np.int64), k, seed)
         assert out.tobytes() == self.choice_loop(degrees, k, seed).tobytes()
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        degrees=st.lists(st.sampled_from([300, 511, 10_002, 10_050, 2**31 + 1]), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_of_every_kind_in_one_call_match_choice(self, degrees, seed):
+        # at k = 201, 10,002 takes numpy's tail shuffle, 10,050 is a Floyd
+        # row just past that threshold, and 2**31 + 1 rejects about half of
+        # its draws, so block rows, rows after a rejection and tail rows mix
+        out = draw_neighbor_positions(np.array(degrees, dtype=np.int64), 201, seed)
+        assert out.tobytes() == self.choice_loop(degrees, 201, seed).tobytes()
+
     def test_blocks_join_on_the_stream(self):
         degrees = np.random.default_rng(3).integers(11, 40, size=10_000)
         out = draw_neighbor_positions(degrees, 10, seed=5)

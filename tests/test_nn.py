@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import genregraph.graph
 from genregraph.graph import GenreLabel, build_graph, draw_neighbors, normalize
 from genregraph.nn import (
     EMBED_DIM,
@@ -214,7 +213,7 @@ class TestSampledNeighborMeans:
         assert means.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize(
-        "clique, k, seed, walks",
+        "clique, k, seed, alone",
         [
             (10_001, 10, 1, 1),  # one Lemire draw that numpy rejects and redoes
             (10_002, 201, 0, 10_002),  # degree > 10,000, k > degree // 50: the tail shuffle
@@ -222,12 +221,7 @@ class TestSampledNeighborMeans:
             (12, 10, 0, 0),  # degree = k + 1
         ],
     )
-    def test_rows_walked_alone_equal_the_per_node_loop(self, monkeypatch, clique, k, seed, walks):
-        walked = []
-        walk = genregraph.graph._choice_walk
-        monkeypatch.setattr(
-            genregraph.graph, "_choice_walk", lambda *args: walked.append(args[2]) or walk(*args)
-        )
+    def test_rows_walked_alone_equal_the_per_node_loop(self, monkeypatch, clique, k, seed, alone):
         graph = build_graph(labels_for({0: clique, 1: 3}))
         feats = np.random.default_rng(seed).normal(size=(graph.n_nodes, 3))
 
@@ -236,8 +230,19 @@ class TestSampledNeighborMeans:
         for v in range(graph.n_nodes):
             reference[v] = feats[draw_neighbors(graph.neighbors(v), k, draws)].mean(axis=0)
 
+        # rows the sampler does not vectorize go to the generator's own choice
+        chosen = []
+
+        class CountingGenerator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                chosen.append(args[0])
+                return super().choice(*args, **kwargs)
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed))
+        )
         means = sampled_neighbor_means(graph, feats, sample_k=k, seed=seed)
-        assert len(walked) == walks
+        assert len(chosen) == alone
         assert means.tobytes() == reference.tobytes()
 
 
