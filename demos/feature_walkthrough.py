@@ -11,8 +11,9 @@ import numpy as np
 from genregraph.audio import decode_wav, encode_wav, random_window
 from genregraph.mfcc import (
     MfccConfig,
-    filter_peak_frequencies,
+    hz_to_mel,
     mel_filterbank,
+    mel_to_hz,
     mfcc,
     power_spectrogram,
 )
@@ -39,9 +40,11 @@ print(f"spectrogram: {spec.shape[0]} frames x {spec.shape[1]} bins "
       f"(n_fft {cfg.n_fft}, hop {cfg.hop_length})")
 
 # 4. The mel filterbank compresses 1025 bins down to 128 bands. Each
-#    triangle peaks at 1, and the peaks crowd together at low frequency.
+#    triangle peaks at 1, and the peaks, evenly spaced in mel, crowd
+#    together at low frequency.
 bank = mel_filterbank(cfg)
-peaks = filter_peak_frequencies(cfg)
+mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+peaks = mel_to_hz(mel_points[1:-1])
 print(f"filterbank: {bank.shape[0]} bands, peak range "
       f"{peaks[0]:.0f} Hz to {peaks[-1]:.0f} Hz")
 print(f"  band 0 width ~{peaks[1] - peaks[0]:.0f} Hz, "

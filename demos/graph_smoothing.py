@@ -8,13 +8,14 @@ and measures how a single GCN layer shrinks within-clique distances.
 
 import numpy as np
 
-from genregraph.graph import GenreLabel, build_graph, normalize
+from genregraph.graph import GENRE_NAMES, build_graph, normalize
 from genregraph.nn import embedding_forward, init_layer
 
 # 1. Sixteen songs, two genres, no cross-genre edges anywhere.
-labels = [GenreLabel.from_name("Rock")] * 10 + [GenreLabel.from_name("Folk")] * 6
-graph = build_graph(labels, node_ids=[f"song_{i:02d}" for i in range(16)])
-print(f"graph: {graph.n_nodes} nodes, {graph.edge_count} edges "
+genres = [GENRE_NAMES.index("Rock")] * 10 + [GENRE_NAMES.index("Folk")] * 6
+graph = build_graph(genres, node_ids=[f"song_{i:02d}" for i in range(16)])
+sizes = np.bincount(graph.label_indices)
+print(f"graph: {graph.n_nodes} nodes, {(sizes * (sizes - 1) // 2).sum()} edges "
       f"(10-clique has 45, 6-clique has 15)")
 
 # 2. Inside a clique of size n every neighbor weight is 1/(n-1); there is

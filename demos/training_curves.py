@@ -9,7 +9,7 @@ ln 8 because output layers begin at zero: eight genres, uniform softmax.
 
 import numpy as np
 
-from genregraph.graph import GenreLabel, build_graph
+from genregraph.graph import build_graph
 from genregraph.nn import Variant
 from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import TrainConfig, train_pipeline
@@ -18,7 +18,7 @@ from genregraph.train import TrainConfig, train_pipeline
 records = synthesize_features(SyntheticSpec(songs_per_genre=12, seed=1))
 labels = np.array([r.genre_index for r in records], dtype=np.int64)
 features = np.array([r.values for r in records])
-graph = build_graph([GenreLabel.from_index(int(g)) for g in labels])
+graph = build_graph(labels)
 print(f"corpus: {len(records)} songs, {features.shape[1]} features each")
 print(f"uniform-softmax baseline: ln 8 = {np.log(8.0):.6f}\n")
 

@@ -233,10 +233,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_idx, _ = split_train_test(labels, test_fraction=test_fraction, seed=cfg.seed)
 
     train_ids = [ids[i] for i in train_idx]
-    train_labels = [GenreLabel.from_index(int(g)) for g in labels[train_idx]]
     graph = None
     if variant is not Variant.PLAIN:
-        graph = build_graph(train_labels, node_ids=train_ids)
+        graph = build_graph(labels[train_idx], node_ids=train_ids)
     try:
         model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
     except ModelOverflowError as exc:
@@ -306,15 +305,15 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         if attachment is AttachmentMode.ORACLE:
             if args.genre is None:
                 raise UsageError("oracle attachment for an audio file needs --genre")
-            true_label = GenreLabel.from_name(args.genre)
+            true_label = GenreLabel.from_name(args.genre).index
 
     ids, labels, features = _read_store_arrays(args.store)
     model = read_model(args.weights)
     _check_model_dim(model, features.shape[1], args.weights)
     cfg = _train_config(args, config, model.variant)
 
-    graph = build_graph([GenreLabel.from_index(g) for g in labels.tolist()], node_ids=ids)
-    if args.song_id is not None and args.song_id not in ids:
+    graph = build_graph(labels, node_ids=ids)
+    if args.song_id is not None and args.song_id not in graph:
         raise UsageError(f"unknown song id {args.song_id!r}")
     try:
         catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg))
@@ -344,7 +343,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     )
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
-        genre = graph.labels[graph.index_of(song_id)].name
+        genre = GENRE_NAMES[graph.label_indices[graph.index_of(song_id)]]
         print(f"{rank:>4}  {song_id:<40} {genre:<14} {distance:.6f}")
     return EXIT_OK
 

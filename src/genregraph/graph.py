@@ -1,8 +1,8 @@
 """Song-similarity graph: a union of genre cliques.
 
 Two songs are connected exactly when they share a genre, so the graph is a
-disjoint union of one clique per genre. Adjacency is kept as per-genre
-member lists; neighbor lists are materialized on demand in sorted order.
+disjoint union of one clique per genre. A song's genre is its index into
+GENRE_NAMES, and adjacency is kept as per-genre member lists.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class AttachmentMode(enum.Enum):
 
 @dataclass(frozen=True)
 class GenreLabel:
-    """One of the eight canonical genres, index 0..7."""
+    """One of the eight canonical genres, index 0..7; converts to its index."""
 
     index: int
     name: str
@@ -75,38 +75,40 @@ class GenreLabel:
         except ValueError:
             raise ValueError(f"unknown genre {name!r}; expected one of {GENRE_NAMES}") from None
 
+    def __index__(self) -> int:
+        return self.index
 
-# the eight labels, built once: a store of N songs needs no N label objects
+
+# the eight labels, built once
 _LABELS = tuple(GenreLabel(index=i, name=name) for i, name in enumerate(GENRE_NAMES))
 
 
 class GenreGraph:
-    """Union-of-cliques graph over songs labeled by genre."""
+    """Union-of-cliques graph over songs, each given by its genre index."""
 
-    def __init__(self, node_ids: Sequence[str], labels: Sequence[GenreLabel]):
+    def __init__(self, node_ids: Sequence[str], genres: Sequence[int]):
+        genres = np.asarray(genres, dtype=np.int64)
         if len(node_ids) == 0:
             raise ValueError("graph needs at least one song")
-        if len(node_ids) != len(labels):
-            raise ValueError(f"{len(node_ids)} ids for {len(labels)} labels")
-        if len(set(node_ids)) != len(node_ids):
-            raise ValueError("node ids must be unique")
+        if genres.shape != (len(node_ids),):
+            raise ValueError(f"{len(node_ids)} ids for {genres.size} genres")
+        outside = genres[(genres < 0) | (genres >= len(GENRE_NAMES))]
+        if outside.size:
+            raise ValueError(f"genre index {outside[0]} out of range 0..{len(GENRE_NAMES) - 1}")
         self.node_ids = list(node_ids)
-        self.labels = list(labels)
-        self.label_indices = np.array([lab.index for lab in labels], dtype=np.int64)
+        self.label_indices = genres
         self._id_to_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        if len(self._id_to_index) != len(self.node_ids):
+            raise ValueError("node ids must be unique")
         # sorted member indices per genre index present in the graph
-        self._members = {
-            int(g): np.flatnonzero(self.label_indices == g)
-            for g in np.unique(self.label_indices)
-        }
+        self._members = {int(g): np.flatnonzero(genres == g) for g in np.unique(genres)}
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(m) * (len(m) - 1) // 2 for m in self._members.values())
+    def __contains__(self, node_id: str) -> bool:
+        return node_id in self._id_to_index
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -117,12 +119,6 @@ class GenreGraph:
     def genre_members(self, genre_index: int) -> np.ndarray:
         """Sorted node indices of one genre (empty if absent)."""
         return self._members.get(int(genre_index), np.empty(0, dtype=np.int64))
-
-    def neighbors(self, node_index: int) -> np.ndarray:
-        """Sorted indices of same-genre nodes, excluding the node itself."""
-        members = self._members[int(self.label_indices[node_index])]
-        pos = np.searchsorted(members, node_index)
-        return np.concatenate([members[:pos], members[pos + 1 :]])
 
     @property
     def degrees(self) -> np.ndarray:
@@ -164,11 +160,11 @@ class NormalizedAdjacency:
         return out
 
 
-def build_graph(labels: Sequence[GenreLabel], node_ids: Sequence[str] | None = None) -> GenreGraph:
-    """Build the union-of-cliques graph from per-song genre labels."""
+def build_graph(genres: Sequence[int], node_ids: Sequence[str] | None = None) -> GenreGraph:
+    """Build the union-of-cliques graph from per-song genre indices."""
     if node_ids is None:
-        node_ids = [f"song_{i:06d}" for i in range(len(labels))]
-    return GenreGraph(node_ids=node_ids, labels=labels)
+        node_ids = [f"song_{i:06d}" for i in range(len(genres))]
+    return GenreGraph(node_ids=node_ids, genres=genres)
 
 
 def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdjacency:
@@ -177,19 +173,8 @@ def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdja
     for members in cliques:
         if len(members) == 1 and not add_self_loops:
             node = int(members[0])
-            raise IsolatedNodeError(graph.node_ids[node], graph.labels[node].name)
+            raise IsolatedNodeError(graph.node_ids[node], GENRE_NAMES[graph.label_indices[node]])
     return NormalizedAdjacency(cliques=cliques, n_nodes=graph.n_nodes, self_loops=add_self_loops)
-
-
-def draw_neighbors(neighbors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample of min(k, len(neighbors)) distinct entries of `neighbors`.
-
-    With at most k neighbors every one is kept, in order, and the
-    generator is not advanced.
-    """
-    if len(neighbors) > k:
-        return rng.choice(neighbors, size=k, replace=False)
-    return neighbors
 
 
 # rows per vectorized pass: bounds the temporaries of draw_neighbor_positions
@@ -302,13 +287,13 @@ def attach_unseen(
     graph: GenreGraph,
     feature: np.ndarray,
     mode: AttachmentMode,
-    true_label: GenreLabel | None = None,
+    true_label: int | None = None,
     k: int = 10,
     train_features: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sorted node indices of the neighbor set of a song not in the graph.
 
-    ORACLE places it by its true genre label and returns every node of that
+    ORACLE places it by its true genre index and returns every node of that
     genre. FEATURE_KNN places it by feature similarity and returns the k
     training nodes nearest in Euclidean distance (`train_features` must hold
     one row per graph node, aligned with graph order).
@@ -316,7 +301,7 @@ def attach_unseen(
     if mode is AttachmentMode.ORACLE:
         if true_label is None:
             raise ValueError("ORACLE attachment requires the true genre label")
-        return graph.genre_members(true_label.index)
+        return graph.genre_members(true_label)
 
     if mode is AttachmentMode.FEATURE_KNN:
         if k < 1:

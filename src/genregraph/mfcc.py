@@ -183,12 +183,6 @@ def _constants(cfg: MfccConfig) -> _Constants:
         return _build_constants(cfg)
 
 
-def filter_peak_frequencies(cfg: MfccConfig) -> np.ndarray:
-    """Center (peak) frequency in Hz of each mel filter."""
-    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    return mel_to_hz(mel_points[1:-1])
-
-
 def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     """Frame-averaged MFCC vector of length cfg.n_mfcc.
 

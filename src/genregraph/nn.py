@@ -106,10 +106,6 @@ class EmbeddingModel:
             if self.graph_layer is None or self.graph_layer.param_count != SAGE_GRAPH_PARAM_COUNT:
                 raise ValueError(f"SAGE graph layer must have {SAGE_GRAPH_PARAM_COUNT} parameters")
 
-    @property
-    def embedding_dim(self) -> int:
-        return INPUT_DIM if self.variant is Variant.PLAIN else EMBED_DIM
-
 
 def build_model(variant: Variant, seed: int) -> EmbeddingModel:
     """Construct a model with fixed architecture and seeded initialization.
@@ -154,8 +150,8 @@ def sampled_neighbor_means(
 
     Nodes with no neighbors get a zero row. Nodes are visited in index
     order with a single seeded generator, so the result is deterministic:
-    it equals, bit for bit, a loop taking the mean of
-    features[draw_neighbors(graph.neighbors(v), sample_k, rng)] per node.
+    it equals, bit for bit, a per-node loop taking the mean of numpy's
+    rng.choice of sample_k neighbors, or of all of them if not more.
     """
     if sample_k < 1:
         raise ValueError(f"sample_k must be >= 1, got {sample_k}")
@@ -166,7 +162,7 @@ def sampled_neighbor_means(
         )
     degrees = graph.degrees
     # Drawing positions in 0..deg-1 takes the generator through the same
-    # stream as drawing from the neighbor array itself (draw_neighbors).
+    # stream as choosing from the neighbor array itself.
     sampled = degrees > sample_k
     positions = draw_neighbor_positions(degrees[sampled], sample_k, seed)
     position_row = np.cumsum(sampled) - 1

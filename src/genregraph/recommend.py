@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph, nearest
+from .graph import GENRE_NAMES, AttachmentMode, build_graph, nearest
 from .nn import EmbeddingModel, Variant
 from .train import (
     TrainConfig,
@@ -152,7 +152,7 @@ def recommend(
 
 def gamma(
     recommendations: Sequence[RecommendationList],
-    labels: Mapping[str, GenreLabel],
+    labels: Mapping[str, int],
     variant: str = "",
     attachment_mode: str = "",
     catalog_size: int = 0,
@@ -163,32 +163,32 @@ def gamma(
     length of the list, min(k, catalog size - 1) for a list from
     recommend(). The average is the unweighted mean over the genres that
     appear among the queries. Every query and recommended id must have a
-    label, and no list may be empty.
+    genre index in `labels`, and no list may be empty.
     """
     if not recommendations:
         raise ValueError("no recommendation lists to score")
-    per_genre_scores: dict[str, list[float]] = {}
+    per_genre_scores: dict[int, list[float]] = {}
     for rec in recommendations:
         if rec.query_id not in labels:
             raise KeyError(f"query {rec.query_id!r} has no genre label")
-        query_genre = labels[rec.query_id].name
+        query_genre = labels[rec.query_id]
         hits = 0
         for song_id in rec.item_ids:
             if song_id not in labels:
                 raise KeyError(f"recommended song {song_id!r} has no genre label")
-            hits += labels[song_id].name == query_genre
+            hits += labels[song_id] == query_genre
         if not rec.items:
             raise ValueError(f"query {rec.query_id!r} has an empty recommendation list")
         per_genre_scores.setdefault(query_genre, []).append(hits / len(rec.items))
 
-    ordered = [name for name in GENRE_NAMES if name in per_genre_scores]
-    per_genre = {name: 100.0 * float(np.mean(per_genre_scores[name])) for name in ordered}
+    ordered = sorted(per_genre_scores)
+    per_genre = {GENRE_NAMES[g]: 100.0 * float(np.mean(per_genre_scores[g])) for g in ordered}
     return EvalReport(
         variant=variant,
         attachment_mode=attachment_mode,
         gamma_per_genre=per_genre,
         gamma_average=float(np.mean(list(per_genre.values()))),
-        queries_per_genre={name: len(per_genre_scores[name]) for name in ordered},
+        queries_per_genre={GENRE_NAMES[g]: len(per_genre_scores[g]) for g in ordered},
         catalog_size=catalog_size,
     )
 
@@ -201,6 +201,12 @@ class ExperimentConfig:
     attachment: AttachmentMode = AttachmentMode.ORACLE
     knn_k: int = 10
     recommend_k: int = TOP_K
+
+    def __post_init__(self):
+        if self.queries_per_genre < 1:
+            raise ValueError(f"queries_per_genre must be >= 1, got {self.queries_per_genre}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
 
 def run_experiment(
@@ -220,15 +226,12 @@ def run_experiment(
     """
     label_indices = np.asarray(label_indices, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
-    labels_by_id = {
-        sid: GenreLabel.from_index(int(g)) for sid, g in zip(song_ids, label_indices)
-    }
+    labels_by_id = dict(zip(song_ids, label_indices.tolist()))
 
     train_idx, test_idx = split_train_test(
         label_indices, test_fraction=cfg.test_fraction, seed=cfg.train.seed
     )
     train_ids = [song_ids[i] for i in train_idx]
-    train_labels = [GenreLabel.from_index(int(g)) for g in label_indices[train_idx]]
     train_features = features[train_idx]
     train_targets = label_indices[train_idx]
 
@@ -245,7 +248,7 @@ def run_experiment(
             graph = None
             catalog_vectors = train_features
         else:
-            graph = build_graph(train_labels, node_ids=train_ids)
+            graph = build_graph(train_targets, node_ids=train_ids)
             if pretrained and variant.value in pretrained:
                 model = pretrained[variant.value]
                 catalog_vectors = compute_embeddings(model, graph, train_features, vcfg)
@@ -267,7 +270,7 @@ def run_experiment(
                     train_features,
                     features[qi],
                     cfg.attachment,
-                    true_label=labels_by_id[qid],
+                    true_label=int(label_indices[qi]),
                     knn_k=cfg.knn_k,
                     sample_k=vcfg.sage_sample_k,
                     self_loops=vcfg.self_loops,

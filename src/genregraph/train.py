@@ -21,9 +21,8 @@ from .audio import derive_seed
 from .graph import (
     AttachmentMode,
     GenreGraph,
-    GenreLabel,
     attach_unseen,
-    draw_neighbors,
+    draw_neighbor_positions,
     extended_adjacency_row,
     normalize,
 )
@@ -111,15 +110,6 @@ class LossCurve:
             writer.writerow(["epoch", "train_loss", "eval_loss"])
             for epoch, (train, eval_) in enumerate(zip(self.train_losses, self.eval_losses)):
                 writer.writerow([epoch, repr(float(train)), repr(float(eval_))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "LossCurve":
-        train, eval_ = [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                train.append(float(row["train_loss"]))
-                eval_.append(float(row["eval_loss"]))
-        return cls(train_losses=np.array(train), eval_losses=np.array(eval_))
 
 
 def split_train_test(
@@ -300,7 +290,7 @@ def infer_embedding(
     train_features: np.ndarray,
     new_feature: np.ndarray,
     attachment: AttachmentMode,
-    true_label: GenreLabel | None = None,
+    true_label: int | None = None,
     knn_k: int = 10,
     sample_k: int = 10,
     self_loops: bool = False,
@@ -308,10 +298,11 @@ def infer_embedding(
 ) -> np.ndarray:
     """Embed a song that is not in the training graph.
 
-    The song is attached by ORACLE or FEATURE_KNN; its one-row block is
-    built from its neighbors' stored training features and goes through
-    the same graph-layer forward as catalog rows. PLAIN passes the raw
-    feature through unchanged.
+    The song is attached by ORACLE (to the clique of genre index
+    `true_label`) or FEATURE_KNN; its one-row block is built from its
+    neighbors' stored training features, sampled as catalog rows are for
+    SAGE, and goes through the same graph-layer forward as catalog rows.
+    PLAIN passes the raw feature through unchanged.
     """
     new_feature = np.asarray(new_feature, dtype=np.float64).ravel()
     if model.variant is Variant.PLAIN:
@@ -324,9 +315,10 @@ def infer_embedding(
             weights, self_weight = extended_adjacency_row(len(neighbors), self_loops)
             row = weights @ train_features[neighbors] + self_weight * new_feature
         else:
-            sampled = draw_neighbors(neighbors, sample_k, np.random.default_rng(seed))
-            if len(sampled):
-                neighbor_mean = train_features[sampled].mean(axis=0)
+            if len(neighbors) > sample_k:
+                neighbors = neighbors[draw_neighbor_positions([len(neighbors)], sample_k, seed)[0]]
+            if len(neighbors):
+                neighbor_mean = train_features[neighbors].mean(axis=0)
             else:
                 neighbor_mean = np.zeros_like(new_feature)
             row = np.concatenate([new_feature, neighbor_mean])

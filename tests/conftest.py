@@ -18,6 +18,21 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def clique_neighbors(graph, node):
+    """Sorted indices of the node's same-genre nodes, itself excluded."""
+    members = graph.genre_members(graph.label_indices[node])
+    return members[members != node]
+
+
+def draw_neighbors(neighbors, k, rng):
+    """Reference SAGE sample: numpy's own choice of k distinct neighbors,
+    or every neighbor, in order and with rng untouched, if there are at
+    most k. The program's batched sampler must match it bit for bit."""
+    if len(neighbors) > k:
+        return rng.choice(neighbors, size=k, replace=False)
+    return neighbors
+
+
 @pytest.fixture
 def fresh_python(tmp_path):
     """Run a Python snippet in a new interpreter, as each CLI verb runs;

@@ -8,7 +8,7 @@ import pytest
 
 from genregraph.audio import encode_wav, AudioClip
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from genregraph.graph import GENRE_NAMES, GenreLabel
+from genregraph.graph import GENRE_NAMES
 from genregraph.nn import Variant, build_model
 from genregraph.recommend import recommend
 from genregraph.stores import (
@@ -270,6 +270,26 @@ class TestEvaluate:
         assert rc == EXIT_USAGE
         assert "two weight files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--queries-per-genre", "-1"), ("--queries-per-genre", "0"), ("--knn-k", "0")],
+    )
+    def test_counts_below_one_rejected(self, tiny_workspace, tmp_path, capsys, flag, value):
+        # a negative count used to slice held-out songs from the end
+        rc = main(
+            [
+                "evaluate",
+                "--store", str(tiny_workspace / "features.grmf"),
+                "--weights", str(tiny_workspace / "gcn.grmw"),
+                "--out", str(tmp_path),
+                flag, value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: {flag[2:].replace('-', '_')} must be >= 1, got {value}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_knn_mode_never_beats_oracle_at_desk_scale(self, desk_cli_workspace, tmp_path):
         # Paired comparison on identical weights and split: oracle
         # attachment uses the true clique, so KNN can at best match it.
@@ -362,10 +382,9 @@ class TestRecommend:
 
         # cross-module check: the printout must equal the library result
         ids = [rec.song_id for rec in records]
-        labels = [GenreLabel.from_index(rec.genre_index) for rec in records]
         features = np.array([rec.values for rec in records])
         model = read_model(tiny_workspace / "gcn.grmw")
-        graph = build_graph(labels, node_ids=ids)
+        graph = build_graph([rec.genre_index for rec in records], node_ids=ids)
         vectors = compute_embeddings(model, graph, features, TrainConfig(seed=0))
         catalog = {sid: vectors[i] for i, sid in enumerate(ids)}
         expected = recommend(catalog[query_id], catalog, k=10, query_id=query_id)
@@ -488,8 +507,7 @@ class TestRecommendMatchesExhaustiveRanking:
     ):
         store = read_feature_store(gaussian_workspace / "features.grmf")
         ids = np.array(store.ids)
-        labels = [GenreLabel.from_index(g) for g in store.genre_indices]
-        graph = build_graph(labels, node_ids=store.ids)
+        graph = build_graph(store.genre_indices, node_ids=store.ids)
         weights = gaussian_workspace / f"{variant.value}.grmw"
         model = read_model(weights)
         emb = compute_embeddings(model, graph, store.values, TrainConfig(variant=variant))

@@ -15,10 +15,11 @@ from genregraph.graph import (
     attach_unseen,
     build_graph,
     draw_neighbor_positions,
-    draw_neighbors,
     extended_adjacency_row,
     normalize,
 )
+
+from conftest import clique_neighbors, draw_neighbors
 
 
 def labels_for(counts):
@@ -27,6 +28,12 @@ def labels_for(counts):
     for gi, n in counts.items():
         out.extend(GenreLabel.from_index(gi) for _ in range(n))
     return out
+
+
+def edge_count(graph):
+    """Edges of the union of cliques: n(n-1)/2 per genre of n songs."""
+    sizes = np.bincount(graph.label_indices)
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
 def dense_normalized(graph, self_loops):
@@ -81,24 +88,30 @@ class TestGenreLabel:
         with pytest.raises(ValueError):
             GenreLabel(index=0, name="Rock")
 
+    def test_converts_to_its_index(self):
+        for i in range(len(GENRE_NAMES)):
+            label = GenreLabel.from_index(i)
+            assert GENRE_NAMES[label] == label.name
+            assert np.asarray([label], dtype=np.int64).tolist() == [i]
+
 
 class TestBuildGraph:
     def test_large_catalog_counts(self):
         graph = build_graph(labels_for({g: 1000 for g in range(8)}))
         assert graph.n_nodes == 8000
-        assert graph.edge_count == 3_996_000
+        assert edge_count(graph) == 3_996_000
 
     def test_single_genre_is_complete(self):
         graph = build_graph(labels_for({2: 5}))
-        assert graph.edge_count == 10
+        assert edge_count(graph) == 10
         for u in range(5):
-            assert sorted(graph.neighbors(u)) == [v for v in range(5) if v != u]
+            assert sorted(clique_neighbors(graph, u)) == [v for v in range(5) if v != u]
             assert graph.degrees[u] == 4
 
     def test_one_song_per_genre_is_edgeless(self):
         graph = build_graph(labels_for({g: 1 for g in range(8)}))
         assert graph.n_nodes == 8
-        assert graph.edge_count == 0
+        assert edge_count(graph) == 0
         assert not graph.degrees.any()
 
     def test_empty_rejected(self):
@@ -109,12 +122,45 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(labels_for({0: 2}), node_ids=["a", "a"])
 
+    @pytest.mark.parametrize(
+        "genres, node_ids, message",
+        [
+            ([0, 1, 1], ["a", "b"], "2 ids for 3 genres"),
+            ([0, 1], ["a", "a"], "node ids must be unique"),
+            ([0, 8, 1], ["a", "b", "c"], "genre index 8 out of range 0..7"),
+            ([-1, 0], ["a", "b"], "genre index -1 out of range 0..7"),
+        ],
+    )
+    def test_bad_input_is_one_line_value_error(self, genres, node_ids, message):
+        with pytest.raises(ValueError) as info:
+            build_graph(np.array(genres), node_ids=node_ids)
+        assert str(info.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        genres=st.lists(st.integers(0, len(GENRE_NAMES) - 1), min_size=1, max_size=60),
+        self_loops=st.booleans(),
+    )
+    def test_label_list_and_index_array_build_the_same_graph(self, genres, self_loops):
+        if not self_loops:
+            genres = genres + genres  # every clique needs company without self-loops
+        from_labels = build_graph([GenreLabel.from_index(g) for g in genres])
+        from_indices = build_graph(np.array(genres, dtype=np.int64))
+        assert from_labels.label_indices.dtype == from_indices.label_indices.dtype == np.int64
+        assert np.array_equal(from_labels.label_indices, from_indices.label_indices)
+        assert np.array_equal(from_labels.degrees, from_indices.degrees)
+        for g in range(len(GENRE_NAMES)):
+            assert np.array_equal(from_labels.genre_members(g), from_indices.genre_members(g))
+        x = np.random.default_rng(len(genres)).normal(size=(len(genres), 3))
+        a, b = (normalize(g, add_self_loops=self_loops).apply(x) for g in (from_labels, from_indices))
+        assert a.tobytes() == b.tobytes()
+
     def test_edges_iff_same_genre(self):
         graph = build_graph(labels_for({0: 3, 4: 2}))
         for u in range(5):
             for v in range(5):
                 expected = u != v and (u < 3) == (v < 3)
-                assert (v in graph.neighbors(u)) == expected
+                assert (v in clique_neighbors(graph, u)) == expected
 
     def test_degrees_vector(self):
         graph = build_graph(labels_for({0: 3, 4: 2}))
@@ -124,6 +170,7 @@ class TestBuildGraph:
         graph = build_graph(labels_for({0: 2}))
         with pytest.raises(UnknownNodeError):
             graph.index_of("nope")
+        assert "nope" not in graph and "song_000001" in graph
 
 
 class TestNormalize:
@@ -143,7 +190,7 @@ class TestNormalize:
         graph = build_graph(labels_for({1: 3, 6: 5}))
         rng = np.random.default_rng(1)
         shuffled = build_graph(
-            [GenreLabel.from_index(int(g)) for g in rng.permutation([0] * 2 + [3] * 7 + [5] * 4)]
+            rng.permutation([0] * 2 + [3] * 7 + [5] * 4)
         )
         for g in (graph, shuffled):
             for self_loops in (False, True):
@@ -174,8 +221,7 @@ class TestNormalize:
 
     def test_block_diagonal_under_shuffled_order(self):
         # interleave genres; cross-genre entries must still be exactly zero
-        labels = [GenreLabel.from_index(i % 3) for i in range(12)]
-        graph = build_graph(labels)
+        graph = build_graph(np.arange(12) % 3)
         mat = dense_of(graph)
         for u in range(12):
             for v in range(12):
@@ -195,28 +241,29 @@ class TestNormalize:
 
 
 class TestSampleNeighbors:
-    """draw_neighbors, the sampler behind SAGE catalog and query rows."""
+    """draw_neighbors, the reference of the SAGE sampler: a uniform sample."""
 
     def test_degree_below_k_returns_all(self):
         graph = build_graph(labels_for({0: 4}), node_ids=list("abcd"))
-        picks = draw_neighbors(graph.neighbors(0), 10, np.random.default_rng(0))
+        picks = draw_neighbors(clique_neighbors(graph, 0), 10, np.random.default_rng(0))
         assert picks.tolist() == [1, 2, 3]
 
     def test_isolated_node_empty(self):
         graph = build_graph(labels_for({0: 1, 1: 2}), node_ids=["solo", "x", "y"])
-        assert len(draw_neighbors(graph.neighbors(0), 5, np.random.default_rng(0))) == 0
+        assert len(draw_neighbors(clique_neighbors(graph, 0), 5, np.random.default_rng(0))) == 0
 
     def test_no_duplicates_never_self(self):
         graph = build_graph(labels_for({0: 30}))
         for seed in range(50):
-            picks = draw_neighbors(graph.neighbors(7), 10, np.random.default_rng(seed))
+            picks = draw_neighbors(clique_neighbors(graph, 7), 10, np.random.default_rng(seed))
             assert len(picks) == len(set(picks.tolist())) == 10
             assert 7 not in picks
 
     def test_deterministic(self):
         graph = build_graph(labels_for({0: 30}))
-        a = draw_neighbors(graph.neighbors(0), 5, np.random.default_rng(42))
-        assert np.array_equal(a, draw_neighbors(graph.neighbors(0), 5, np.random.default_rng(42)))
+        neighbors = clique_neighbors(graph, 0)
+        a = draw_neighbors(neighbors, 5, np.random.default_rng(42))
+        assert np.array_equal(a, draw_neighbors(neighbors, 5, np.random.default_rng(42)))
 
     def test_uniformity_in_k1000(self):
         # 10000 seeds, k=25 over 999 neighbors; chi-square on selection
@@ -225,7 +272,7 @@ class TestSampleNeighbors:
         graph = build_graph(labels_for({0: 1000}))
         counts = np.zeros(1000)
         n_draws, k = 10_000, 25
-        neighbors = graph.neighbors(0)
+        neighbors = clique_neighbors(graph, 0)
         for seed in range(n_draws):
             counts[draw_neighbors(neighbors, k, np.random.default_rng(seed))] += 1
         counts = np.delete(counts, 0)
@@ -284,11 +331,10 @@ class TestAttachUnseen:
     def test_oracle_returns_full_genre(self):
         labels = labels_for({2: 50, 3: 30})
         graph = build_graph(labels)
-        picked = attach_unseen(
-            graph, np.zeros(30), AttachmentMode.ORACLE, true_label=GenreLabel.from_name("Folk")
-        )
+        folk = GENRE_NAMES.index("Folk")
+        picked = attach_unseen(graph, np.zeros(30), AttachmentMode.ORACLE, true_label=folk)
         assert picked.tolist() == list(range(50))
-        assert all(graph.labels[p].name == "Folk" for p in picked)
+        assert (graph.label_indices[picked] == folk).all()
 
     def test_oracle_requires_label(self):
         graph = build_graph(labels_for({0: 3}))
@@ -369,7 +415,7 @@ class TestExtendedAdjacencyRow:
             a = np.zeros((n + 1, n + 1))
             for u in range(n):
                 for v in range(n):
-                    if v in graph.neighbors(u):
+                    if v in clique_neighbors(graph, u):
                         a[u, v] = 1.0
             for c in chosen:
                 a[n, c] = a[c, n] = 1.0

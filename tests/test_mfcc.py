@@ -18,7 +18,6 @@ from genregraph.mfcc import (
     LOG_FLOOR,
     MfccConfig,
     MfccVector,
-    filter_peak_frequencies,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -27,6 +26,12 @@ from genregraph.mfcc import (
 )
 
 CFG = MfccConfig()
+
+
+def filter_peak_frequencies(cfg):
+    """Center (peak) frequency in Hz of each mel filter."""
+    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    return mel_to_hz(mel_points[1:-1])
 
 
 def naive_power_spectrogram(samples, n_fft, hop):

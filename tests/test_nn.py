@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genregraph.graph import GenreLabel, build_graph, draw_neighbors, normalize
+from genregraph.graph import GenreLabel, build_graph, normalize
 from genregraph.nn import (
     EMBED_DIM,
     GCN_GRAPH_PARAM_COUNT,
@@ -29,6 +29,8 @@ from genregraph.nn import (
     softmax_cross_entropy,
 )
 from genregraph.train import TrainConfig, graph_block
+
+from conftest import clique_neighbors, draw_neighbors
 
 
 def labels_for(counts):
@@ -199,13 +201,13 @@ class TestSampledNeighborMeans:
         counts = [{"1": 1, "2": 2, "k": k, "k+1": k + 1, "512": 512}[s] for s in sizes]
         rng = np.random.default_rng(seed)
         genres = rng.permutation(np.repeat(np.arange(len(counts)), counts))
-        graph = build_graph([GenreLabel.from_index(int(g)) for g in genres])
+        graph = build_graph(genres)
         feats = rng.normal(size=(len(genres), 5)) * 10.0 ** rng.uniform(-3, 3, size=5)
 
         reference = np.zeros_like(feats)
         draws = np.random.default_rng(seed)
         for v in range(graph.n_nodes):
-            neighbors = graph.neighbors(v)
+            neighbors = clique_neighbors(graph, v)
             if len(neighbors):
                 reference[v] = feats[draw_neighbors(neighbors, k, draws)].mean(axis=0)
 
@@ -228,7 +230,7 @@ class TestSampledNeighborMeans:
         reference = np.zeros_like(feats)
         draws = np.random.default_rng(seed)
         for v in range(graph.n_nodes):
-            reference[v] = feats[draw_neighbors(graph.neighbors(v), k, draws)].mean(axis=0)
+            reference[v] = feats[draw_neighbors(clique_neighbors(graph, v), k, draws)].mean(axis=0)
 
         # rows the sampler does not vectorize go to the generator's own choice
         chosen = []
@@ -452,7 +454,7 @@ class TestParameterCounts:
             model = build_model(variant, seed=0)
             assert model.mlp[0].weight.shape == (EMBED_DIM, 128)
             assert sum(l.param_count for l in model.mlp) == 12200
-            assert model.embedding_dim == EMBED_DIM
+            assert model.graph_layer.out_dim == EMBED_DIM
 
     def test_wrong_graph_layer_size_is_rejected(self):
         rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genregraph.graph import GENRE_NAMES, AttachmentMode, GenreLabel, build_graph
+from genregraph.graph import GENRE_NAMES, AttachmentMode, build_graph
 from genregraph.nn import Variant
 from genregraph.recommend import (
     Catalog,
@@ -169,14 +169,10 @@ class TestCatalog:
         assert from_dict == from_catalog
 
 
-def folk(i):
-    return GenreLabel.from_name(GENRE_NAMES[i])
-
-
 class TestGamma:
     def test_genre_pure_lists_score_100(self):
-        labels = {f"s{i}": folk(2) for i in range(12)}
-        labels["q0"] = folk(2)
+        labels = {f"s{i}": 2 for i in range(12)}
+        labels["q0"] = 2
         recs = [
             RecommendationList(
                 query_id="q0", items=tuple((f"s{i}", float(i)) for i in range(10))
@@ -195,12 +191,12 @@ class TestGamma:
         for gi in range(8):
             for i in range(100):
                 sid = f"g{gi}_{i:03d}"
-                labels[sid] = folk(gi)
+                labels[sid] = gi
                 catalog_ids.append(sid)
         recs = []
         for q in range(1024):
             qid = f"q{q:04d}"
-            labels[qid] = folk(q % 8)
+            labels[qid] = q % 8
             picks = rng.choice(len(catalog_ids), size=10, replace=False)
             recs.append(
                 RecommendationList(
@@ -214,7 +210,7 @@ class TestGamma:
         assert abs(report.gamma_average - 12.5) < 2.0
 
     def test_per_genre_means_average_over_each_genres_queries(self):
-        labels = {"a": folk(0), "b": folk(0), "qa": folk(0), "qb": folk(0), "x": folk(1)}
+        labels = {"a": 0, "b": 0, "qa": 0, "qb": 0, "x": 1}
         recs = [
             RecommendationList(query_id="qa", items=(("a", 1.0), ("b", 2.0))),
             RecommendationList(query_id="qb", items=(("a", 1.0), ("x", 2.0))),
@@ -228,8 +224,8 @@ class TestGamma:
     def test_gamma_divides_by_the_list_length(self, k):
         # 30 catalog songs, the first 12 sharing the query's genre and all
         # nearer than the rest: the top k hold min(k, 12) genre-mates.
-        labels = {f"s{i:02d}": folk(0 if i < 12 else 1) for i in range(30)}
-        labels["q"] = folk(0)
+        labels = {f"s{i:02d}": 0 if i < 12 else 1 for i in range(30)}
+        labels["q"] = 0
         catalog = {sid: np.array([float(i)]) for i, sid in enumerate(sorted(labels)) if sid != "q"}
         rec = recommend(np.array([-1.0]), catalog, k=k, query_id="q")
         assert len(rec.items) == k
@@ -237,7 +233,7 @@ class TestGamma:
         assert report.gamma_average == pytest.approx(100.0 * min(k, 12) / k)
 
     def test_catalog_smaller_than_k_scores_the_whole_list(self):
-        labels = {"a": folk(3), "b": folk(3), "c": folk(4), "q": folk(3)}
+        labels = {"a": 3, "b": 3, "c": 4, "q": 3}
         catalog = {sid: np.array([float(i)]) for i, sid in enumerate("abc")}
         rec = recommend(np.zeros(1), catalog, k=10, query_id="q")
         assert len(rec.items) == 3
@@ -247,10 +243,10 @@ class TestGamma:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            gamma([RecommendationList(query_id="q", items=())], {"q": folk(0)})
+            gamma([RecommendationList(query_id="q", items=())], {"q": 0})
 
     def test_missing_labels_raise_key_error(self):
-        labels = {"q": folk(0)}
+        labels = {"q": 0}
         recs = [RecommendationList(query_id="q", items=(("mystery", 1.0),))]
         with pytest.raises(KeyError):
             gamma(recs, labels)
@@ -328,6 +324,12 @@ def single_genre_songs():
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("field", ["queries_per_genre", "knn_k"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_counts_below_one(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            ExperimentConfig(**{field: value})
+
     def test_desk_gcn_is_perfect_and_ordering_holds(self, desk_arrays):
         ids, labels, features = desk_arrays
         cfg = ExperimentConfig(train=TrainConfig(seed=0))
@@ -349,10 +351,7 @@ class TestRunExperiment:
         inline = run_experiment(ids, labels, features, [Variant.GCN], cfg)
 
         train_idx, _ = split_train_test(labels, test_fraction=0.1, seed=1)
-        graph = build_graph(
-            [GenreLabel.from_index(int(g)) for g in labels[train_idx]],
-            node_ids=[ids[i] for i in train_idx],
-        )
+        graph = build_graph(labels[train_idx], node_ids=[ids[i] for i in train_idx])
         model, _, _ = train_embeddings(
             graph, features[train_idx], labels[train_idx], TrainConfig(seed=1)
         )

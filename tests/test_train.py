@@ -1,10 +1,22 @@
 """Two-stage training, loss curves, splits, and unseen-node inference."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genregraph.graph import AttachmentMode, GenreLabel, build_graph
-from genregraph.nn import EMBED_DIM, INPUT_DIM, N_GENRES, Variant, build_model, mlp_forward
+from genregraph.nn import (
+    EMBED_DIM,
+    INPUT_DIM,
+    N_GENRES,
+    Variant,
+    build_model,
+    embedding_forward,
+    mlp_forward,
+)
 from genregraph.train import (
     LossCurve,
     TrainConfig,
@@ -18,7 +30,19 @@ from genregraph.train import (
     train_pipeline,
 )
 
+from conftest import draw_neighbors
+
 LN8 = float(np.log(8.0))
+
+
+def read_curve(path):
+    """A LossCurve read back from the CSV that LossCurve.to_csv writes."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return LossCurve(
+        train_losses=np.array([float(row["train_loss"]) for row in rows]),
+        eval_losses=np.array([float(row["eval_loss"]) for row in rows]),
+    )
 
 
 def labels_for(counts):
@@ -65,7 +89,7 @@ class TestLossCurve:
         curve = LossCurve(train_losses=rng.uniform(0, 3, 50), eval_losses=rng.uniform(0, 3, 50))
         path = tmp_path / "curve.csv"
         curve.to_csv(path)
-        loaded = LossCurve.from_csv(path)
+        loaded = read_curve(path)
         assert np.array_equal(curve.train_losses, loaded.train_losses)
         assert np.array_equal(curve.eval_losses, loaded.eval_losses)
         header = path.read_text().splitlines()[0]
@@ -266,7 +290,7 @@ class TestTrainPipeline:
         # classifier on GCN embeddings ends with a lower training loss
         # than the same classifier on raw features.
         _, labels, features = desk_arrays
-        graph = build_graph([GenreLabel.from_index(i) for i in labels])
+        graph = build_graph(labels)
         _, plain_curves = train_pipeline(graph, features, labels, TrainConfig(variant=Variant.PLAIN, seed=0))
         _, gcn_curves = train_pipeline(graph, features, labels, TrainConfig(variant=Variant.GCN, seed=0))
         plain_final = plain_curves["classifier"].train_losses[-1]
@@ -317,7 +341,7 @@ class TestInferEmbedding:
         model = build_model(Variant.GCN, seed=9)
         out = infer_embedding(
             model, graph, train_features, rng.normal(size=INPUT_DIM),
-            AttachmentMode.ORACLE, true_label=GenreLabel.from_index(2),
+            AttachmentMode.ORACLE, true_label=2,
         )
         # Every attached neighbor holds x and the extension weights are
         # 1/m each, so the aggregate is exactly x.
@@ -332,11 +356,34 @@ class TestInferEmbedding:
         model = build_model(Variant.SAGE, seed=9)
         out = infer_embedding(
             model, graph, np.tile(x, (4, 1)), y,
-            AttachmentMode.ORACLE, true_label=GenreLabel.from_index(1), sample_k=10,
+            AttachmentMode.ORACLE, true_label=1, sample_k=10,
         )
         concat = np.concatenate([y, x])
         expected = np.maximum(concat @ model.graph_layer.weight + model.graph_layer.bias, 0.0)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        clique_k=st.sampled_from([(3, 10), (10, 10), (11, 10), (40, 10), (12_000, 300)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sage_query_row_samples_as_draw_neighbors(self, clique_k, seed):
+        # an oracle-attached query: at most k clique members are all kept,
+        # more are sampled from `seed`; 12,000 / 300 takes numpy's tail shuffle
+        clique, k = clique_k
+        rng = np.random.default_rng(seed)
+        genres = rng.permutation(np.repeat([3, 6], [clique, 5]))
+        graph = build_graph(genres)
+        train_features = rng.normal(size=(len(genres), INPUT_DIM))
+        query = rng.normal(size=INPUT_DIM)
+        model = build_model(Variant.SAGE, seed=5)
+        out = infer_embedding(
+            model, graph, train_features, query, AttachmentMode.ORACLE,
+            true_label=3, sample_k=k, seed=seed,
+        )
+        sampled = draw_neighbors(graph.genre_members(3), k, np.random.default_rng(seed))
+        row = np.concatenate([query, train_features[sampled].mean(axis=0)])
+        assert out.tobytes() == embedding_forward(row[None, :], model.graph_layer)[0].tobytes()
 
     def test_knn_single_neighbor_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
@@ -363,7 +410,7 @@ class TestInferEmbedding:
 
         if mode is AttachmentMode.ORACLE:
             chosen = [i for i in range(12) if graph.label_indices[i] == 1]
-            label = GenreLabel.from_index(1)
+            label = 1
         else:
             dists = np.linalg.norm(train_features - query, axis=1)
             order = np.lexsort((np.arange(12), dists))
@@ -394,7 +441,7 @@ class TestInferEmbedding:
         rest = [i for i in range(15) if i != song]
         out = infer_embedding(
             model, build_graph([labels[i] for i in rest]), features[rest], features[song], mode,
-            true_label=labels[song], knn_k=5, self_loops=self_loops,
+            true_label=int(genres[song]), knn_k=5, self_loops=self_loops,
         )
         np.testing.assert_allclose(out, catalog[song], rtol=0, atol=1e-12)
 
