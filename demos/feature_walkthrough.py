@@ -51,7 +51,7 @@ print(f"  band 0 width ~{peaks[1] - peaks[0]:.0f} Hz, "
       f"band 126 width ~{peaks[-1] - peaks[-2]:.0f} Hz")
 
 # 5. Log, DCT, and a mean over frames give the final descriptor.
-vector = mfcc(window, cfg, song_id="demo/rock.wav")
+vector = mfcc(window, cfg)
 print(f"mfcc: {vector.values.shape[0]} coefficients")
 print("  first five:", np.array2string(vector.values[:5], precision=3))
 

@@ -68,7 +68,6 @@ _CONFIG_KEYS = {
     "genres",
     "test_fraction",
     "window_seconds",
-    "workers",
     "epochs",
     "embed_lr",
     "mlp_lr",
@@ -173,7 +172,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         clip_seconds=float(_setting(args, config, "clip_seconds", 6.0)),
         sample_rate=int(_setting(args, config, "sample_rate", 22050)),
         seed=int(_setting(args, config, "seed", 0)),
-        test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
         genres=genres,
     )
     out_dir = Path(args.out)
@@ -190,7 +188,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     base = manifest_path.parent
     seed = int(_setting(args, config, "seed", 0))
     cfg = _mfcc_config(args, config)
-    workers = int(_setting(args, config, "workers", 0)) or clip_workers(len(manifest))
 
     def extract_one(item: tuple[int, object]):
         index, entry = item
@@ -206,7 +203,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         )
         return index, record, None
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=clip_workers(len(manifest))) as pool:
         results = list(pool.map(extract_one, enumerate(manifest.entries)))
 
     failures = [msg for _, rec, msg in results if rec is None]
@@ -369,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--songs-per-genre", type=int)
     p.add_argument("--clip-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
-    p.add_argument("--test-fraction", type=float)
     p.add_argument("--genres", help="comma-separated subset of the 8 genre names")
     p.set_defaults(func=cmd_synth)
 
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, metavar="CSV")
     p.add_argument("--window-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train one variant; write weights + loss CSVs")

@@ -1,4 +1,4 @@
-"""Dataset manifests: CSV rows tying audio files to genres and split tags."""
+"""Dataset manifests: CSV rows tying audio files to genres."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from pathlib import Path
 
 from .graph import GENRE_NAMES
 
-MANIFEST_COLUMNS = ("path", "genre", "split")
-VALID_SPLITS = ("", "train", "test")
+MANIFEST_COLUMNS = ("path", "genre")
 
 
 class ManifestError(ValueError):
@@ -20,15 +19,12 @@ class ManifestError(ValueError):
 class ManifestEntry:
     path: str
     genre: str
-    split: str = ""
 
     def __post_init__(self):
         if not self.path:
             raise ManifestError("manifest entry has an empty path")
         if self.genre not in GENRE_NAMES:
             raise ManifestError(f"unknown genre {self.genre!r} (expected one of {GENRE_NAMES})")
-        if self.split not in VALID_SPLITS:
-            raise ManifestError(f"split must be one of {VALID_SPLITS}, got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -48,11 +44,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def genres(self) -> list[str]:
-        present = {e.genre for e in self.entries}
-        return [g for g in GENRE_NAMES if g in present]
-
     def resolve(self, entry: ManifestEntry, base: str | Path) -> Path:
         """Entry path resolved against the manifest's directory."""
         p = Path(entry.path)
@@ -64,7 +55,7 @@ class DatasetManifest:
             writer = csv.writer(fh)
             writer.writerow(MANIFEST_COLUMNS)
             for entry in self.entries:
-                writer.writerow([entry.path, entry.genre, entry.split])
+                writer.writerow([entry.path, entry.genre])
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
@@ -76,12 +67,6 @@ class DatasetManifest:
                 raise ManifestError(
                     f"{path}: manifest needs 'path' and 'genre' columns, found {fields}"
                 )
-            entries = [
-                ManifestEntry(
-                    path=row["path"],
-                    genre=row["genre"],
-                    split=(row.get("split") or "").strip(),
-                )
-                for row in reader
-            ]
+            # columns other than path and genre are ignored
+            entries = [ManifestEntry(path=row["path"], genre=row["genre"]) for row in reader]
         return cls(entries=tuple(entries))

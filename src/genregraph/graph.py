@@ -294,14 +294,19 @@ def attach_unseen(
     """Sorted node indices of the neighbor set of a song not in the graph.
 
     ORACLE places it by its true genre index and returns every node of that
-    genre. FEATURE_KNN places it by feature similarity and returns the k
-    training nodes nearest in Euclidean distance (`train_features` must hold
-    one row per graph node, aligned with graph order).
+    genre (ValueError if the graph has none). FEATURE_KNN places it by
+    feature similarity and returns the k training nodes nearest in Euclidean
+    distance (`train_features` must hold one row per graph node, aligned
+    with graph order).
     """
     if mode is AttachmentMode.ORACLE:
         if true_label is None:
             raise ValueError("ORACLE attachment requires the true genre label")
-        return graph.genre_members(true_label)
+        members = graph.genre_members(true_label)
+        if not len(members):
+            genre = GenreLabel.from_index(int(true_label)).name
+            raise ValueError(f"no {genre} song in the graph to attach to")
+        return members
 
     if mode is AttachmentMode.FEATURE_KNN:
         if k < 1:

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import WINDOW_SEED_STREAM, AudioClip, decode_wav, derive_seed, random_window, resample
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, WINDOW_SEED_STREAM, AudioClip, decode_wav
+from .audio import derive_seed, random_window, resample
 
 LOG_FLOOR = 1e-10
 _FRAME_BLOCK = 64  # frames per weighted copy in mfcc, about 0.5 MiB
@@ -32,6 +33,8 @@ class MfccConfig:
     fmax: float = 11025.0
 
     def __post_init__(self):
+        if not MIN_SAMPLE_RATE <= self.target_sample_rate <= MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
         if self.n_mfcc <= 0 or self.n_mfcc > self.n_mels:
             raise ValueError(f"need 0 < n_mfcc <= n_mels, got {self.n_mfcc} vs {self.n_mels}")
         if self.hop_length <= 0 or self.hop_length > self.n_fft:
@@ -41,8 +44,8 @@ class MfccConfig:
                 f"need 0 <= fmin < fmax <= nyquist, got fmin={self.fmin} "
                 f"fmax={self.fmax} sr={self.target_sample_rate}"
             )
-        if self.window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
+        if not 0 < self.window_seconds < np.inf:
+            raise ValueError(f"window_seconds must be positive and finite, got {self.window_seconds}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,6 @@ class MfccVector:
     """Frame-averaged MFCC feature for one song."""
 
     values: np.ndarray
-    song_id: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -183,7 +185,7 @@ def _constants(cfg: MfccConfig) -> _Constants:
         return _build_constants(cfg)
 
 
-def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
+def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
     """Frame-averaged MFCC vector of length cfg.n_mfcc.
 
     Pipeline: power spectrogram -> mel filterbank -> log with floor ->
@@ -215,7 +217,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig, song_id: str = "") -> MfccVector:
     level = log_mel[0]
     cepstra = (const.dct * (log_mel - level)).sum(axis=1)
     cepstra[0] += np.sqrt(cfg.n_mels) * level
-    return MfccVector(values=cepstra, song_id=song_id)
+    return MfccVector(values=cepstra)
 
 
 def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:

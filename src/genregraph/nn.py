@@ -27,6 +27,11 @@ GCN_GRAPH_PARAM_COUNT = 1860
 SAGE_GRAPH_PARAM_COUNT = 3660
 PLAIN_MLP_PARAM_COUNT = 8360
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Variant(enum.Enum):
     PLAIN = "plain"
@@ -233,9 +238,6 @@ class AdamState:
     v: list[np.ndarray]
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
@@ -257,14 +259,14 @@ def adam_step(
             raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
 
     state.t += 1
-    bias1 = 1.0 - state.beta1**state.t
-    bias2 = 1.0 - state.beta2**state.t
+    bias1 = 1.0 - ADAM_BETA1**state.t
+    bias2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return params, state
 
 

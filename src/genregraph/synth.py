@@ -10,18 +10,17 @@ Experimental share a 110 Hz base, Folk and International share 196 Hz.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .audio import AudioClip, clip_workers, derive_seed, encode_wav
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, clip_workers, derive_seed, encode_wav
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
 from .mfcc import MfccConfig, wav_mfcc
 from .stores import FeatureRecord
-from .train import split_train_test
 
 _STREAM_CLIP = 4
 
@@ -114,26 +113,21 @@ class SyntheticSpec:
     clip_seconds: float = 6.0
     sample_rate: int = 22050
     seed: int = 0
-    test_fraction: float = 0.1
     genres: tuple[str, ...] = GENRE_NAMES
-    recipes: Mapping[str, TimbreRecipe] = field(default_factory=lambda: dict(DEFAULT_RECIPES))
 
     def __post_init__(self):
         if self.songs_per_genre < 2:
             raise ValueError("songs_per_genre must be >= 2 so a train/test split exists")
-        if self.clip_seconds < WINDOW_SECONDS:
-            raise ValueError(f"clips must be at least {WINDOW_SECONDS} s long")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not WINDOW_SECONDS <= self.clip_seconds < np.inf:
+            raise ValueError(f"clips must be at least {WINDOW_SECONDS} s long and finite")
+        if not MIN_SAMPLE_RATE <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
         object.__setattr__(self, "genres", tuple(self.genres))
         unknown = [g for g in self.genres if g not in GENRE_NAMES]
         if unknown:
             raise ValueError(f"unknown genres {unknown}; choose from {GENRE_NAMES}")
         if not self.genres:
             raise ValueError("need at least one genre")
-        missing = [g for g in self.genres if g not in self.recipes]
-        if missing:
-            raise ValueError(f"no timbre recipe for {missing}")
 
 
 def generate_clip(
@@ -177,8 +171,8 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
     corpus (genre-major) order.
 
     Each song's clip comes from its own seeded rng, so the songs run on a
-    thread pool of clip_workers(songs) threads, like extract's default,
-    and the bytes do not depend on it.
+    thread pool of clip_workers(songs) threads, like extract's, and the
+    bytes do not depend on it.
     """
     per_genre = range(spec.songs_per_genre)
     songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in per_genre]
@@ -186,7 +180,7 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
     def one(item: tuple[int, tuple[int, str, int]]):
         index, (gi, genre, si) = item
         rng = np.random.default_rng(song_seed(spec, gi, si))
-        clip = generate_clip(spec.recipes[genre], spec.clip_seconds, spec.sample_rate, rng)
+        clip = generate_clip(DEFAULT_RECIPES[genre], spec.clip_seconds, spec.sample_rate, rng)
         return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
 
     with ThreadPoolExecutor(max_workers=clip_workers(len(songs))) as pool:
@@ -194,24 +188,16 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
 
 
 def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
-    """Write one WAV per song plus manifest.csv; byte-identical per seed.
-
-    Paths in the manifest are relative to out_dir. The split column is a
-    per-genre seeded 90/10 assignment.
-    """
+    """Write one WAV per song plus manifest.csv of (path, genre) rows;
+    byte-identical per seed. Paths are relative to out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for genre in spec.genres:
         (out_dir / genre).mkdir(exist_ok=True)
 
-    labels = np.repeat(np.arange(len(spec.genres)), spec.songs_per_genre)
-    train_idx, _ = split_train_test(labels, test_fraction=spec.test_fraction, seed=spec.seed)
-    is_train = np.zeros(labels.size, dtype=bool)
-    is_train[train_idx] = True
-
     def write(index: int, genre: str, rel: str, wav: bytes) -> ManifestEntry:
         (out_dir / rel).write_bytes(wav)
-        return ManifestEntry(path=rel, genre=genre, split="train" if is_train[index] else "test")
+        return ManifestEntry(path=rel, genre=genre)
 
     manifest = DatasetManifest(entries=tuple(_for_each_song(spec, write)))
     manifest.save(out_dir / "manifest.csv")

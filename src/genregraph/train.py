@@ -73,8 +73,8 @@ class TrainConfig:
     self_loops: bool = False
 
     def __post_init__(self):
-        if self.embed_lr <= 0 or self.mlp_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.embed_lr < np.inf and 0 < self.mlp_lr < np.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.sage_sample_k < 1:
@@ -317,9 +317,5 @@ def infer_embedding(
         else:
             if len(neighbors) > sample_k:
                 neighbors = neighbors[draw_neighbor_positions([len(neighbors)], sample_k, seed)[0]]
-            if len(neighbors):
-                neighbor_mean = train_features[neighbors].mean(axis=0)
-            else:
-                neighbor_mean = np.zeros_like(new_feature)
-            row = np.concatenate([new_feature, neighbor_mean])
+            row = np.concatenate([new_feature, train_features[neighbors].mean(axis=0)])
         return _embed(row[None, :], model)[0]

@@ -58,7 +58,7 @@ class TestStartUp:
 class TestSynth:
     def test_writes_wavs_and_manifest(self, tiny_workspace):
         manifest = (tiny_workspace / "manifest.csv").read_text().splitlines()
-        assert manifest[0] == "path,genre,split"
+        assert manifest[0] == "path,genre"
         assert len(manifest) == 1 + 32
         wavs = sorted(tiny_workspace.rglob("*.wav"))
         assert len(wavs) == 32
@@ -108,6 +108,20 @@ class TestExtract:
                 "--out", str(tmp_path),
             ]
         )
+        assert rc == EXIT_OK
+        assert (tmp_path / "features.grmf").read_bytes() == (
+            tiny_workspace / "features.grmf"
+        ).read_bytes()
+
+    def test_extra_manifest_columns_are_ignored(self, tiny_workspace, tmp_path):
+        # load reads only path and genre, so a split column changes no byte
+        rows = (tiny_workspace / "manifest.csv").read_text().splitlines()
+        old = tiny_workspace / "manifest_with_split.csv"
+        old.write_text("path,genre,split\n" + "".join(f"{row},test\n" for row in rows[1:]))
+        try:
+            rc = main(["extract", "--manifest", str(old), "--seed", "0", "--out", str(tmp_path)])
+        finally:
+            old.unlink()
         assert rc == EXIT_OK
         assert (tmp_path / "features.grmf").read_bytes() == (
             tiny_workspace / "features.grmf"
@@ -538,6 +552,25 @@ class TestRemovedFlags:
         assert main([*args, flag, "1"]) == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, flag, value", [("synth", "--test-fraction", "0.2"), ("extract", "--workers", "2")]
+    )
+    def test_flag_that_nothing_read_is_rejected(self, tmp_path, capsys, verb, flag, value):
+        # train and evaluate split the store themselves; extract sizes its own pool
+        args = {"synth": ["--out", str(tmp_path / "x")], "extract": ["--manifest", "m.csv"]}[verb]
+        assert main([verb, *args, flag, value]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_workers_config_key_is_unknown(self, tiny_workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"workers": 2}))
+        rc = main(["extract", "--manifest", str(tiny_workspace / "manifest.csv"),
+                   "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE and err.count("\n") == 1 and "unknown config keys ['workers']" in err
+        assert not (tmp_path / "features.grmf").exists()
+
     def test_training_keys_of_a_shared_config_leave_evaluate_unchanged(self, tiny_workspace, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "embed_lr": 7.0, "mlp_lr": 9.0}))
@@ -652,3 +685,85 @@ class TestConfigValueTypes:
             err = capsys.readouterr().err
             assert rc == EXIT_USAGE and "'genres'" in err and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+
+class TestSettingRanges:
+    """Settings the program cannot run exit 2 with one line before any work:
+    lengths must be finite, learning rates finite and positive, and sample
+    rates within the 8 to 384 kHz that decode_wav reads."""
+
+    def assert_one_line_usage_error(self, capsys, argv, words):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert words in err
+
+    @pytest.mark.parametrize(
+        "flag, value, words",
+        [("--clip-seconds", "inf", "finite"), ("--sample-rate", "500000", "8000..384000 Hz"),
+         ("--sample-rate", "4000", "8000..384000 Hz")],
+    )
+    def test_synth(self, tmp_path, capsys, flag, value, words):
+        argv = ["synth", "--out", str(tmp_path / "x"), "--songs-per-genre", "2", flag, value]
+        self.assert_one_line_usage_error(capsys, argv, words)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, words",
+        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz")],
+    )
+    def test_extract(self, tiny_workspace, tmp_path, capsys, flag, value, words):
+        argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"),
+                "--out", str(tmp_path), flag, value]
+        self.assert_one_line_usage_error(capsys, argv, words)
+        assert not (tmp_path / "features.grmf").exists()
+
+    @pytest.mark.parametrize("flag", ["--embed-lr", "--mlp-lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train(self, tiny_workspace, tmp_path, capsys, flag, value):
+        argv = ["train", "--store", str(tiny_workspace / "features.grmf"), "--variant", "gcn",
+                "--out", str(tmp_path), flag, value]
+        self.assert_one_line_usage_error(capsys, argv, "learning rates must be positive and finite")
+        assert not (tmp_path / "gcn.grmw").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, words",
+        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz")],
+    )
+    def test_recommend_audio(self, tiny_workspace, capsys, flag, value, words):
+        wav = next(iter(sorted(tiny_workspace.rglob("*.wav"))))
+        argv = ["recommend", "--store", str(tiny_workspace / "features.grmf"),
+                "--weights", str(tiny_workspace / "gcn.grmw"), "--audio", str(wav), flag, value]
+        self.assert_one_line_usage_error(capsys, argv, words)
+
+
+@pytest.fixture(scope="module")
+def two_genre_workspace(tmp_path_factory):
+    """Rock and Folk only, 12 songs each, with GCN and SAGE weights."""
+    root = tmp_path_factory.mktemp("two_genres")
+    argv = ["synth", "--out", str(root), "--genres", "Rock,Folk", "--songs-per-genre", "12"]
+    assert main(argv) == 0
+    assert main(["extract", "--manifest", str(root / "manifest.csv")]) == 0
+    for variant in ("gcn", "sage"):
+        argv = ["train", "--store", str(root / "features.grmf"), "--variant", variant, "--epochs", "3"]
+        assert main(argv) == 0
+    return root
+
+
+class TestOracleAttachment:
+    @pytest.mark.parametrize("variant", ["gcn", "sage"])
+    def test_genre_with_no_song_in_the_graph_is_a_usage_error(
+        self, two_genre_workspace, capsys, variant
+    ):
+        # an empty clique has no neighbor mean or GCN row to embed the song by
+        root = two_genre_workspace
+        base = ["recommend", "--store", str(root / "features.grmf"),
+                "--weights", str(root / f"{variant}.grmw"),
+                "--audio", str(root / "Rock" / "Rock_000.wav"), "--attachment", "oracle"]
+        capsys.readouterr()
+        assert main([*base, "--genre", "Pop"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: no Pop song in the graph to attach to\n"
+        assert main([*base, "--genre", "Rock"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 11

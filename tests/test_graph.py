@@ -341,6 +341,13 @@ class TestAttachUnseen:
         with pytest.raises(ValueError):
             attach_unseen(graph, np.zeros(30), AttachmentMode.ORACLE)
 
+    def test_oracle_genre_absent_from_the_graph_is_named(self):
+        # an empty neighbor set has no mean to embed by
+        graph = build_graph(labels_for({0: 3, 1: 2}))
+        pop = GENRE_NAMES.index("Pop")
+        with pytest.raises(ValueError, match="^no Pop song in the graph to attach to$"):
+            attach_unseen(graph, np.zeros(30), AttachmentMode.ORACLE, true_label=pop)
+
     def test_knn_exact_match_is_single_neighbor(self):
         graph = build_graph(labels_for({0: 3, 1: 2}))
         rng = np.random.default_rng(5)

@@ -100,6 +100,18 @@ class TestMfccConfig:
         with pytest.raises(ValueError):
             MfccConfig(fmax=20000.0)
 
+    @pytest.mark.parametrize("seconds", [np.inf, np.nan, 0.0])
+    def test_window_seconds_must_be_positive_and_finite(self, seconds):
+        # a window is round(seconds * rate) samples
+        with pytest.raises(ValueError, match="window_seconds"):
+            MfccConfig(window_seconds=seconds)
+
+    @pytest.mark.parametrize("rate", [384_001, 400_000])
+    def test_target_rate_above_what_decode_wav_reads_is_rejected(self, rate):
+        # the resampler's low-pass grows with the rate: about 4e8 taps at 1e9 Hz
+        with pytest.raises(ValueError, match="8000..384000 Hz"):
+            MfccConfig(target_sample_rate=rate)
+
 
 class TestMelScale:
     def test_mel_700(self):

@@ -82,6 +82,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(sage_sample_k=0)
 
+    @pytest.mark.parametrize("field", ["embed_lr", "mlp_lr"])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_learning_rates_must_be_finite(self, field, lr):
+        # NaN compares false both ways, so `lr <= 0` alone lets it through
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainConfig(**{field: lr})
+
+    def test_huge_finite_learning_rate_is_accepted(self):
+        # finite: it diverges in training, which stays an internal error (exit 1)
+        assert TrainConfig(embed_lr=1e300).embed_lr == 1e300
+
 
 class TestLossCurve:
     def test_csv_round_trip_is_exact(self, tmp_path):
