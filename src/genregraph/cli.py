@@ -446,9 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         StoreFormatError,
         WavDecodeError,
         ClipTooShortError,
-        FileNotFoundError,
-        NotADirectoryError,
-        PermissionError,
+        OSError,
         ValueError,
         KeyError,
     ) as exc:

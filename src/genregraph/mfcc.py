@@ -39,11 +39,13 @@ class MfccConfig:
             raise ValueError(f"need 0 < n_mfcc <= n_mels, got {self.n_mfcc} vs {self.n_mels}")
         if self.hop_length <= 0 or self.hop_length > self.n_fft:
             raise ValueError(f"need 0 < hop_length <= n_fft, got {self.hop_length} vs {self.n_fft}")
-        if not (0 <= self.fmin < self.fmax <= self.target_sample_rate / 2):
+        if self.fmax > self.target_sample_rate / 2:
             raise ValueError(
-                f"need 0 <= fmin < fmax <= nyquist, got fmin={self.fmin} "
-                f"fmax={self.fmax} sr={self.target_sample_rate}"
+                f"sample rate {self.target_sample_rate} Hz is below {2 * self.fmax:g} Hz, "
+                f"twice the {self.fmax:g} Hz top mel band edge"
             )
+        if not 0 <= self.fmin < self.fmax:
+            raise ValueError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
         if not 0 < self.window_seconds < np.inf:
             raise ValueError(f"window_seconds must be positive and finite, got {self.window_seconds}")
 

@@ -1,8 +1,9 @@
 """Binary stores for extracted features (GRMF) and model weights (GRMW).
 
 GRMF: magic "GRMF", u32 LE version, u32 LE song count, u32 LE dimension,
-then per song a u32-length-prefixed UTF-8 id, a u8 genre index, and
-`dimension` little-endian float64 values.
+then three columns: count x dimension little-endian float64 values
+(row-major, so 8-byte aligned after the 16-byte header), count u8 genre
+indices, and count UTF-8 song ids, each followed by a NUL byte.
 
 GRMW: magic "GRMW", u32 LE version, u8 variant tag, u32 LE layer count,
 then per layer u32 in_dim, u32 out_dim, weights (row-major) and bias as
@@ -23,7 +24,8 @@ from .nn import EmbeddingModel, LayerParams, Variant
 
 FEATURE_MAGIC = b"GRMF"
 WEIGHT_MAGIC = b"GRMW"
-STORE_VERSION = 1
+FEATURE_VERSION = 2
+WEIGHT_VERSION = 1
 
 _VARIANT_TAGS = {Variant.PLAIN: 0, Variant.GCN: 1, Variant.SAGE: 2}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
@@ -55,18 +57,15 @@ class _Reader:
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise StoreFormatError(f"{self.what}: truncated at byte {self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
+        chunk = memoryview(self.data)[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
 
     def f64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
@@ -75,17 +74,20 @@ class _Reader:
 def write_feature_store(
     path: str | Path, records: Sequence[FeatureRecord], dimension: int = 30
 ) -> None:
-    parts = [FEATURE_MAGIC, struct.pack("<III", STORE_VERSION, len(records), dimension)]
     for rec in records:
         if rec.values.shape != (dimension,):
             raise ValueError(
                 f"record {rec.song_id!r} has shape {rec.values.shape}, expected ({dimension},)"
             )
-        encoded = rec.song_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", rec.genre_index))
-        parts.append(rec.values.astype("<f8").tobytes())
+        if "\0" in rec.song_id:
+            raise ValueError(f"record {rec.song_id!r} has a NUL in its id")
+    parts = [
+        FEATURE_MAGIC,
+        struct.pack("<III", FEATURE_VERSION, len(records), dimension),
+        *(rec.values.astype("<f8").tobytes() for rec in records),
+        bytes(rec.genre_index for rec in records),
+        "".join(f"{rec.song_id}\0" for rec in records).encode("utf-8"),
+    ]
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -117,40 +119,28 @@ class FeatureTable(Sequence[FeatureRecord]):
 
 
 def read_feature_store(path: str | Path) -> FeatureTable:
-    data = Path(path).read_bytes()
-    reader = _Reader(data, what=str(path))
+    reader = _Reader(Path(path).read_bytes(), what=str(path))
     if reader.take(4) != FEATURE_MAGIC:
         raise StoreFormatError(f"{path}: bad magic, not a feature store")
-    version = reader.u32()
-    if version != STORE_VERSION:
-        raise StoreFormatError(f"{path}: unsupported version {version}")
-    count = reader.u32()
-    dimension = reader.u32()
+    version, count, dimension = struct.unpack("<III", reader.take(12))
+    if version != FEATURE_VERSION:
+        raise StoreFormatError(f"{path}: unsupported version {version}; re-run extract")
+    values = reader.f64_array(count * dimension).reshape(count, dimension)
+    genres = np.frombuffer(reader.take(count), dtype=np.uint8).astype(np.int64)
 
-    # one walk over the length prefixes; the values stay in the buffer
-    view = memoryview(data)
-    row_bytes = 8 * dimension
-    ids, genres, chunks = [], [], []
-    pos = reader.pos
-    for i in range(count):
-        start = pos + 4
-        if start <= len(data):
-            end = start + struct.unpack_from("<I", data, pos)[0]
-            pos = end + 1 + row_bytes
-        if start > len(data) or pos > len(data):
-            raise StoreFormatError(
-                f"{path}: truncated in record {i} of {count} (file ends at byte {len(data)})"
-            )
-        try:
-            ids.append(data[start:end].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise StoreFormatError(f"{path}: song id at byte {start} is not UTF-8") from None
-        genres.append(data[end])
-        chunks.append(view[end + 1 : pos])
-    if pos != len(data):
-        raise StoreFormatError(f"{path}: {len(data) - pos} trailing bytes")
+    # the id column runs to the count-th NUL, which ends the file
+    column = reader.data[reader.pos :]
+    *terminated, tail = column.split(b"\0", count)
+    if len(terminated) < count:
+        raise StoreFormatError(f"{path}: truncated in the id of song {len(terminated)} of {count}")
+    if tail:
+        raise StoreFormatError(f"{path}: {len(tail)} trailing bytes")
+    try:
+        ids = column.decode("utf-8").split("\0")[:count]
+    except UnicodeDecodeError as exc:
+        at = reader.pos + exc.start
+        raise StoreFormatError(f"{path}: song id is not UTF-8 at byte {at}") from None
 
-    genres = np.array(genres, dtype=np.int64)
     out_of_range = np.flatnonzero(genres >= len(GENRE_NAMES))
     if len(out_of_range):
         bad = int(out_of_range[0])
@@ -158,8 +148,6 @@ def read_feature_store(path: str | Path) -> FeatureTable:
             f"{path}: song {ids[bad]!r} has genre index {genres[bad]} out of range "
             f"0..{len(GENRE_NAMES) - 1}"
         )
-    values = np.frombuffer(b"".join(chunks), dtype="<f8").astype(np.float64)
-    values = values.reshape(count, dimension)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -177,7 +165,7 @@ def write_model(path: str | Path, model: EmbeddingModel) -> None:
     layers = _model_layers(model)
     parts = [
         WEIGHT_MAGIC,
-        struct.pack("<IBI", STORE_VERSION, _VARIANT_TAGS[model.variant], len(layers)),
+        struct.pack("<IBI", WEIGHT_VERSION, _VARIANT_TAGS[model.variant], len(layers)),
     ]
     for layer in layers:
         parts.append(struct.pack("<II", layer.in_dim, layer.out_dim))
@@ -190,14 +178,12 @@ def read_model(path: str | Path) -> EmbeddingModel:
     reader = _Reader(Path(path).read_bytes(), what=str(path))
     if reader.take(4) != WEIGHT_MAGIC:
         raise StoreFormatError(f"{path}: bad magic, not a weight store")
-    version = reader.u32()
-    if version != STORE_VERSION:
+    version, tag, layer_count = struct.unpack("<IBI", reader.take(9))
+    if version != WEIGHT_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}")
-    tag = reader.u8()
     if tag not in _TAG_VARIANTS:
         raise StoreFormatError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
-    layer_count = reader.u32()
     expected = 3 if variant is Variant.PLAIN else 5
     if layer_count != expected:
         raise StoreFormatError(f"{path}: {variant.value} model must have {expected} layers, got {layer_count}")

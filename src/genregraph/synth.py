@@ -128,6 +128,9 @@ class SyntheticSpec:
             raise ValueError(f"unknown genres {unknown}; choose from {GENRE_NAMES}")
         if not self.genres:
             raise ValueError("need at least one genre")
+        repeated = [g for i, g in enumerate(self.genres) if g in self.genres[:i]]
+        if repeated:
+            raise ValueError(f"genre {repeated[0]} is given more than once")
 
 
 def generate_clip(

@@ -702,7 +702,7 @@ class TestSettingRanges:
     @pytest.mark.parametrize(
         "flag, value, words",
         [("--clip-seconds", "inf", "finite"), ("--sample-rate", "500000", "8000..384000 Hz"),
-         ("--sample-rate", "4000", "8000..384000 Hz")],
+         ("--sample-rate", "4000", "8000..384000 Hz"), ("--genres", "Rock,Rock", "Rock")],
     )
     def test_synth(self, tmp_path, capsys, flag, value, words):
         argv = ["synth", "--out", str(tmp_path / "x"), "--songs-per-genre", "2", flag, value]
@@ -711,7 +711,8 @@ class TestSettingRanges:
 
     @pytest.mark.parametrize(
         "flag, value, words",
-        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz")],
+        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz"),
+         ("--sample-rate", "16000", "22050")],
     )
     def test_extract(self, tiny_workspace, tmp_path, capsys, flag, value, words):
         argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"),
@@ -729,13 +730,41 @@ class TestSettingRanges:
 
     @pytest.mark.parametrize(
         "flag, value, words",
-        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz")],
+        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz"),
+         ("--sample-rate", "16000", "22050")],
     )
     def test_recommend_audio(self, tiny_workspace, capsys, flag, value, words):
         wav = next(iter(sorted(tiny_workspace.rglob("*.wav"))))
         argv = ["recommend", "--store", str(tiny_workspace / "features.grmf"),
                 "--weights", str(tiny_workspace / "gcn.grmw"), "--audio", str(wav), flag, value]
         self.assert_one_line_usage_error(capsys, argv, words)
+
+
+class TestPathOfTheWrongKind:
+    @pytest.mark.parametrize(
+        "case",
+        ["recommend --store", "recommend --audio", "extract --manifest", "train --config",
+         "train --out"],
+    )
+    def test_is_one_line_usage_error(self, tiny_workspace, tmp_path, capsys, case):
+        # a directory where a file belongs, or a file where a directory belongs
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+        a_dir.mkdir()
+        a_file.write_text("")
+        store = str(tiny_workspace / "features.grmf")
+        recommend = ["recommend", "--weights", str(tiny_workspace / "gcn.grmw")]
+        train = ["train", "--store", store, "--variant", "gcn"]
+        argv = {
+            "recommend --store": [*recommend, "--store", str(a_dir), "--song-id", "Rock/Rock_000.wav"],
+            "recommend --audio": [*recommend, "--store", store, "--audio", str(a_dir)],
+            "extract --manifest": ["extract", "--manifest", str(a_dir)],
+            "train --config": [*train, "--config", str(a_dir)],
+            "train --out": [*train, "--out", str(a_file)],
+        }[case]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

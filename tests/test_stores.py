@@ -12,8 +12,9 @@ from genregraph.cli import EXIT_OK, EXIT_USAGE, main
 from genregraph.nn import Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
-    STORE_VERSION,
+    FEATURE_VERSION,
     WEIGHT_MAGIC,
+    WEIGHT_VERSION,
     FeatureRecord,
     StoreFormatError,
     read_feature_store,
@@ -66,7 +67,7 @@ class TestFeatureStore:
         raw = path.read_bytes()
         assert raw[:4] == FEATURE_MAGIC
         version, count, dimension = struct.unpack_from("<III", raw, 4)
-        assert (version, count, dimension) == (STORE_VERSION, 4, 30)
+        assert (version, count, dimension) == (FEATURE_VERSION, 4, 30)
 
     def test_unicode_ids_survive(self, tmp_path):
         rec = FeatureRecord(song_id="Folk/Jürgen ö 歌.wav", genre_index=2, values=np.ones(30))
@@ -135,9 +136,8 @@ class TestFeatureStore:
         path = tmp_path / "g.grmf"
         write_feature_store(path, sample_records(n=1))
         raw = bytearray(path.read_bytes())
-        # genre byte sits right after the header and the length-prefixed id
-        id_len = struct.unpack_from("<I", raw, 16)[0]
-        raw[16 + 4 + id_len] = 200
+        # the genre column starts right after the header and the 1 x 30 values
+        raw[16 + 8 * 1 * 30] = 200
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreFormatError, match="genre index 200"):
             read_feature_store(path)
@@ -218,7 +218,7 @@ class TestFeatureStoreRobustness:
     @given(
         rows=st.lists(
             st.tuples(
-                st.text(max_size=6),
+                st.text(st.characters(exclude_characters="\0"), max_size=6),
                 st.integers(0, 7),
                 st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
             ),
@@ -236,10 +236,35 @@ class TestFeatureStoreRobustness:
         path = tmp_path / "u.grmf"
         write_feature_store(path, sample_records(n=1))
         raw = bytearray(path.read_bytes())
-        raw[20] = 0xFF  # first byte of the first id
+        raw[16 + 8 * 1 * 30 + 1] = 0xFF  # first byte of the first id
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreFormatError, match="UTF-8"):
             read_feature_store(path)
+
+    def test_nul_in_an_id_is_refused_on_write(self, tmp_path):
+        # the id column ends each id with a NUL, so an id may not hold one
+        rec = FeatureRecord(song_id="Rock/a\0b.wav", genre_index=0, values=np.zeros(30))
+        with pytest.raises(ValueError, match="NUL"):
+            write_feature_store(tmp_path / "nul.grmf", [rec])
+        assert not (tmp_path / "nul.grmf").exists()
+
+    def test_every_strict_prefix_is_truncated(self, tmp_path):
+        path = tmp_path / "p.grmf"
+        write_feature_store(path, sample_records(n=3))
+        raw = path.read_bytes()
+        for end in range(4, len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(StoreFormatError, match="truncated"):
+                read_feature_store(path)
+
+    def test_version_1_store_asks_to_re_run_extract(self, tmp_path, capsys):
+        store, weights = tmp_path / "v1.grmf", tmp_path / "w.grmw"
+        store.write_bytes(FEATURE_MAGIC + struct.pack("<III", 1, 0, 30))
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "x"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.count("\n") == 1 and "re-run extract" in err
 
 
 class TestWeightStoreRobustness:
@@ -416,7 +441,7 @@ class TestWeightStore:
         raw = path.read_bytes()
         assert raw[:4] == WEIGHT_MAGIC
         version, tag, layer_count = struct.unpack_from("<IBI", raw, 4)
-        assert version == STORE_VERSION
+        assert version == WEIGHT_VERSION
         assert tag == 1
         assert layer_count == 5
 
@@ -435,13 +460,13 @@ class TestWeightStore:
 
     def test_unknown_variant_tag(self, tmp_path):
         path = tmp_path / "tag.grmw"
-        path.write_bytes(WEIGHT_MAGIC + struct.pack("<IBI", STORE_VERSION, 7, 3))
+        path.write_bytes(WEIGHT_MAGIC + struct.pack("<IBI", WEIGHT_VERSION, 7, 3))
         with pytest.raises(StoreFormatError, match="variant tag"):
             read_model(path)
 
     def test_wrong_layer_count(self, tmp_path):
         path = tmp_path / "layers.grmw"
-        path.write_bytes(WEIGHT_MAGIC + struct.pack("<IBI", STORE_VERSION, 0, 5))
+        path.write_bytes(WEIGHT_MAGIC + struct.pack("<IBI", WEIGHT_VERSION, 0, 5))
         with pytest.raises(StoreFormatError, match="layers"):
             read_model(path)
 
