@@ -15,10 +15,11 @@ import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
-from .graph import GENRE_NAMES, AttachmentMode, GenreLabel, IsolatedNodeError, build_graph
+from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import MfccConfig, wav_mfcc
 from .nn import Variant
 from .recommend import (
@@ -31,6 +32,7 @@ from .recommend import (
 )
 from .stores import (
     FeatureRecord,
+    FeatureTable,
     StoreFormatError,
     read_feature_store,
     read_model,
@@ -292,7 +294,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Served(NamedTuple):
+    """The columns and graph of one store's bytes, and per variant a catalog
+    with the weight bytes and TrainConfig it was embedded from."""
+
+    data: bytes | None = None
+    table: FeatureTable | None = None
+    graph: GenreGraph | None = None
+    catalogs: dict[Variant, tuple[tuple[bytes, TrainConfig], Catalog]] = {}
+
+
+# the last store served: replaced whole, only by a call that succeeded, and
+# never changed in place, so concurrent calls each see one whole entry
+_served = _Served()
+
+
 def cmd_recommend(args: argparse.Namespace) -> int:
+    global _served
     config = _load_config(args.config)
     if (args.song_id is None) == (args.audio is None):
         raise UsageError("give exactly one of --song-id or --audio")
@@ -304,16 +322,26 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 raise UsageError("oracle attachment for an audio file needs --genre")
             true_label = GenreLabel.from_name(args.genre).index
 
-    ids, labels, features = _read_store_arrays(args.store)
-    model = read_model(args.weights)
+    # a hit keeps the bytes the table was parsed from: its values view them
+    data = Path(args.store).read_bytes()
+    data, table, graph, catalogs = _served if _served.data == data else _Served(data)
+    if table is None:
+        table = read_feature_store(args.store, data)
+        table.genre_indices.flags.writeable = False  # values: a read-only view of data
+    ids, labels, features = table.ids, table.genre_indices, table.values
+    weights = Path(args.weights).read_bytes()
+    model = read_model(args.weights, weights)
     _check_model_dim(model, features.shape[1], args.weights)
     cfg = _train_config(args, config, model.variant)
 
-    graph = build_graph(labels, node_ids=ids)
+    if graph is None:
+        graph = build_graph(labels, node_ids=ids)
     if args.song_id is not None and args.song_id not in graph:
         raise UsageError(f"unknown song id {args.song_id!r}")
     try:
-        catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg))
+        built_from, catalog = catalogs.get(model.variant, (None, None))
+        if built_from != (weights, cfg):
+            catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg), graph.node_index)
         if args.song_id is not None:
             query_vec = catalog[args.song_id]
             query_id = args.song_id
@@ -338,6 +366,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
     )
+    _served = _Served(data, table, graph, {**catalogs, model.variant: ((weights, cfg), catalog)})
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
         genre = GENRE_NAMES[graph.label_indices[graph.index_of(song_id)]]

@@ -97,8 +97,9 @@ class GenreGraph:
             raise ValueError(f"genre index {outside[0]} out of range 0..{len(GENRE_NAMES) - 1}")
         self.node_ids = list(node_ids)
         self.label_indices = genres
-        self._id_to_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
-        if len(self._id_to_index) != len(self.node_ids):
+        # id -> node index; a Catalog of these ids may share it
+        self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
+        if len(self.node_index) != len(self.node_ids):
             raise ValueError("node ids must be unique")
         # sorted member indices per genre index present in the graph
         self._members = {int(g): np.flatnonzero(genres == g) for g in np.unique(genres)}
@@ -108,11 +109,11 @@ class GenreGraph:
         return len(self.node_ids)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._id_to_index
+        return node_id in self.node_index
 
     def index_of(self, node_id: str) -> int:
         try:
-            return self._id_to_index[node_id]
+            return self.node_index[node_id]
         except KeyError:
             raise UnknownNodeError(node_id) from None
 

@@ -92,26 +92,34 @@ class EvalReport:
 
 
 class Catalog(Mapping[str, np.ndarray]):
-    """Catalog vectors keyed by song id, as one matrix in id order.
+    """Catalog vectors keyed by song id, as one read-only matrix in id order.
 
     The ids are sorted once (Python string order); row i of `vectors` is
     the vector of `ids[i]`. Built once per catalog and searched by every
-    query.
+    query. An id's row is the rank of its index in `positions`: a
+    GenreGraph's `node_index` over the same ids, or a dict built here.
     """
 
-    def __init__(self, ids: Sequence[str], vectors: np.ndarray):
+    def __init__(
+        self, ids: Sequence[str], vectors: np.ndarray, positions: Mapping[str, int] | None = None
+    ):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} ids for vectors of shape {vectors.shape}")
+        if positions is None:
+            positions = {song_id: i for i, song_id in enumerate(ids)}
+            if len(positions) != len(ids):
+                raise ValueError("catalog ids must be unique")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.ids = [ids[i] for i in order]
         self.vectors = vectors[order]
-        self._rows = {song_id: row for row, song_id in enumerate(self.ids)}
-        if len(self._rows) != len(self.ids):
-            raise ValueError("catalog ids must be unique")
+        self.vectors.flags.writeable = False
+        self._positions = positions
+        self._rank = np.empty(len(ids), dtype=np.int64)
+        self._rank[order] = np.arange(len(ids))
 
     def __getitem__(self, song_id: str) -> np.ndarray:
-        return self.vectors[self._rows[song_id]]
+        return self.vectors[self._rank[self._positions[song_id]]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids)
@@ -142,7 +150,7 @@ def recommend(
         ids = list(catalog)
         catalog = Catalog(ids, np.array([catalog[i] for i in ids], dtype=np.float64))
     query = np.asarray(query, dtype=np.float64).ravel()
-    own = catalog._rows.get(query_id, -1)
+    own = catalog._rank[catalog._positions[query_id]] if query_id in catalog else -1
     order, distances = nearest(query, catalog.vectors, catalog.ids, k, exclude=own)
     return RecommendationList(
         query_id=query_id,

@@ -95,9 +95,9 @@ class FeatureTable(Sequence[FeatureRecord]):
     """Read-only records of a feature store, kept as three columns.
 
     `ids` holds the song ids, `genre_indices` their genre indices (int64)
-    and `values` one float64 row per song. A FeatureRecord is built only
-    when one is indexed or iterated; callers that want arrays read the
-    columns.
+    and `values` one float64 row per song, a read-only view of the bytes
+    read. A FeatureRecord is built only when one is indexed or iterated;
+    callers that want arrays read the columns.
     """
 
     def __init__(self, ids: list[str], genre_indices: np.ndarray, values: np.ndarray):
@@ -118,14 +118,15 @@ class FeatureTable(Sequence[FeatureRecord]):
         return (self[i] for i in range(len(self.ids)))
 
 
-def read_feature_store(path: str | Path) -> FeatureTable:
-    reader = _Reader(Path(path).read_bytes(), what=str(path))
+def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTable:
+    """The store at `path`, parsed from `data` if the caller read it."""
+    reader = _Reader(Path(path).read_bytes() if data is None else data, what=str(path))
     if reader.take(4) != FEATURE_MAGIC:
         raise StoreFormatError(f"{path}: bad magic, not a feature store")
     version, count, dimension = struct.unpack("<III", reader.take(12))
     if version != FEATURE_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}; re-run extract")
-    values = reader.f64_array(count * dimension).reshape(count, dimension)
+    values = np.frombuffer(reader.take(8 * count * dimension), "<f8").reshape(count, dimension)
     genres = np.frombuffer(reader.take(count), dtype=np.uint8).astype(np.int64)
 
     # the id column runs to the count-th NUL, which ends the file
@@ -174,8 +175,9 @@ def write_model(path: str | Path, model: EmbeddingModel) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_model(path: str | Path) -> EmbeddingModel:
-    reader = _Reader(Path(path).read_bytes(), what=str(path))
+def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
+    """The weights at `path`, parsed from `data` if the caller read it."""
+    reader = _Reader(Path(path).read_bytes() if data is None else data, what=str(path))
     if reader.take(4) != WEIGHT_MAGIC:
         raise StoreFormatError(f"{path}: bad magic, not a weight store")
     version, tag, layer_count = struct.unpack("<IBI", reader.take(9))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from genregraph.audio import encode_wav, AudioClip
+from genregraph import cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from genregraph.graph import GENRE_NAMES
 from genregraph.nn import Variant, build_model
@@ -538,6 +539,145 @@ class TestRecommendMatchesExhaustiveRanking:
             assert [r[1] for r in rows] == [store.ids[j] for j in order]
             assert [r[2] for r in rows] == [GENRE_NAMES[store.genre_indices[j]] for j in order]
             assert [r[3] for r in rows] == [f"{dist[j]:.6f}" for j in order]
+
+
+class TestServedState:
+    """Calls of main in one process reuse the store's columns and graph and
+    each variant's catalog while the store bytes, the weight bytes and the
+    settings are the same; each printout must equal a fresh process's."""
+
+    SONG = ["--song-id", "Rock/Rock_05"]
+
+    @pytest.fixture
+    def served(self, gaussian_workspace, tmp_path):
+        for name in ("features.grmf", "plain.grmw", "gcn.grmw", "sage.grmw"):
+            (tmp_path / name).write_bytes((gaussian_workspace / name).read_bytes())
+        return tmp_path
+
+    @staticmethod
+    def argv(root, variant, *extra):
+        return ["recommend", "--store", str(root / "features.grmf"),
+                "--weights", str(root / f"{variant}.grmw"), *extra]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    @staticmethod
+    def rewrite_float(path, offset, delta):
+        """Add delta to the float64 at offset, keeping the file's size."""
+        data = bytearray(path.read_bytes())
+        (value,) = struct.unpack_from("<d", data, offset)
+        struct.pack_into("<d", data, offset, value + delta)
+        path.write_bytes(bytes(data))
+
+    def assert_like_fresh(self, capsys, fresh_python, argv):
+        served = self.in_process(capsys, argv)
+        done = fresh_python(f"import sys\nfrom genregraph.cli import main\nsys.exit(main({argv!r}))")
+        assert served == (done.returncode, done.stdout, done.stderr)
+        return served
+
+    def test_store_rewritten_with_one_float_changed(self, served, capsys, fresh_python):
+        argv = self.argv(served, "gcn", *self.SONG)
+        before = self.assert_like_fresh(capsys, fresh_python, argv)
+        store = served / "features.grmf"
+        size, song = store.stat().st_size, read_feature_store(store).ids.index(self.SONG[1])
+        self.rewrite_float(store, 16 + 8 * 30 * song, 3.0)  # the query's first value
+        assert store.stat().st_size == size
+        after = self.assert_like_fresh(capsys, fresh_python, argv)
+        assert before[0] == after[0] == EXIT_OK and before[1] != after[1]
+
+    def test_weights_rewritten_with_one_float_changed(self, served, capsys, fresh_python):
+        argv = self.argv(served, "gcn", *self.SONG)
+        before = self.assert_like_fresh(capsys, fresh_python, argv)
+        # past the 13-byte header and layer 0's two dims: its first weight
+        self.rewrite_float(served / "gcn.grmw", 13 + 8, 5.0)
+        after = self.assert_like_fresh(capsys, fresh_python, argv)
+        assert before[0] == after[0] == EXIT_OK and before[1] != after[1]
+
+    def test_corrupt_store_after_a_good_one(self, served, capsys, fresh_python):
+        argv = self.argv(served, "sage", *self.SONG)
+        assert self.in_process(capsys, argv)[0] == EXIT_OK
+        kept = cli._served
+        store = served / "features.grmf"
+        store.write_bytes(b"GRMX" + store.read_bytes()[4:])
+        rc, out, err = self.assert_like_fresh(capsys, fresh_python, argv)
+        assert rc == EXIT_USAGE and out == ""
+        assert err == f"error: {store}: bad magic, not a feature store\n"
+        assert cli._served is kept
+
+    @pytest.mark.parametrize("variant", ["sage", "gcn"])
+    def test_settings_changed_between_calls(
+        self, served, tiny_workspace, capsys, fresh_python, variant
+    ):
+        queries = (self.SONG, ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")])
+        settings = ([], ["--seed", "1"], ["--sage-sample-k", "3"], ["--self-loops"])
+        outputs = {}
+        for extra in settings:
+            for query in queries:
+                argv = self.argv(served, variant, *query, *extra)
+                rc, outputs[tuple(query + extra)], _ = self.assert_like_fresh(
+                    capsys, fresh_python, argv
+                )
+                assert rc == EXIT_OK
+        # back to the first settings: the first calls' printouts
+        for query in queries:
+            assert self.in_process(capsys, self.argv(served, variant, *query))[1] == outputs[tuple(query)]
+        # each setting the variant reads changes the song query's printout
+        read = settings[1:3] if variant == "sage" else settings[3:]
+        assert all(outputs[tuple(self.SONG + extra)] != outputs[tuple(self.SONG)] for extra in read)
+
+    @pytest.mark.parametrize("value, words", [(1e308, "values too large"), (1e200, "is not finite")])
+    def test_overflowing_store_after_a_good_one_caches_nothing(
+        self, served, capsys, fresh_python, value, words
+    ):
+        # 1e308 overflows the catalog embedding; 1e200 embeds, and then the
+        # distance to the query overflows
+        argv = self.argv(served, "gcn", *self.SONG)
+        assert self.in_process(capsys, argv)[0] == EXIT_OK
+        kept = cli._served
+        store = read_feature_store(served / "features.grmf")
+        huge = np.array(store.values)
+        huge[store.genre_indices == GENRE_NAMES.index("Rock")] = value
+        records = [
+            FeatureRecord(song_id=s, genre_index=int(g), values=v)
+            for s, g, v in zip(store.ids, store.genre_indices, huge)
+        ]
+        write_feature_store(served / "features.grmf", records)
+        rc, out, err = self.assert_like_fresh(capsys, fresh_python, argv)
+        assert rc == EXIT_USAGE and out == "" and err.count("\n") == 1 and words in err
+        assert cli._served is kept
+
+    def test_two_stores_and_three_weight_files_leave_one_store(
+        self, served, tmp_path_factory, capsys
+    ):
+        other = tmp_path_factory.mktemp("other")
+        for name in ("features.grmf", "plain.grmw", "gcn.grmw", "sage.grmw"):
+            (other / name).write_bytes((served / name).read_bytes())
+        self.rewrite_float(other / "features.grmf", 16, 1.0)
+        for root in (served, other):
+            for variant in ("plain", "gcn", "sage"):
+                assert self.in_process(capsys, self.argv(root, variant, *self.SONG))[0] == EXIT_OK
+        assert cli._served.data == (other / "features.grmf").read_bytes()
+        assert sorted(v.value for v in cli._served.catalogs) == ["gcn", "plain", "sage"]
+        for variant, ((weights, _), catalog) in cli._served.catalogs.items():
+            assert weights == (other / f"{variant.value}.grmw").read_bytes()
+            # every catalog finds its ids through the one map of the store's graph
+            assert catalog._positions is cli._served.graph.node_index
+        assert self.in_process(capsys, self.argv(served, "gcn", *self.SONG))[0] == EXIT_OK
+        assert cli._served.data == (served / "features.grmf").read_bytes()
+        assert list(cli._served.catalogs) == [Variant.GCN]
+
+    def test_served_arrays_are_read_only(self, served, capsys):
+        for variant in ("plain", "gcn", "sage"):
+            assert self.in_process(capsys, self.argv(served, variant, *self.SONG))[0] == EXIT_OK
+        arrays = [cli._served.table.values, cli._served.table.genre_indices]
+        arrays += [catalog.vectors for _, catalog in cli._served.catalogs.values()]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestRemovedFlags:

@@ -129,6 +129,23 @@ class TestCatalog:
         assert len(catalog) == 4 and "é" in catalog and "q" not in catalog
         assert list(catalog) == catalog.ids
 
+    def test_vectors_are_read_only(self):
+        vectors = np.arange(6.0).reshape(2, 3)
+        catalog = Catalog(["b", "a"], vectors)
+        for write in (lambda: catalog.vectors.__setitem__(0, 1.0), lambda: catalog["a"].fill(1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert np.array_equal(catalog.vectors, vectors[[1, 0]])
+
+    def test_ids_found_through_a_shared_position_map(self):
+        ids = ["b", "é", "a", "Z"]
+        vectors = np.arange(12.0).reshape(4, 3)
+        graph = build_graph([0, 1, 0, 1], node_ids=ids)
+        catalog = Catalog(ids, vectors, graph.node_index)
+        assert catalog._positions is graph.node_index
+        assert all(np.array_equal(catalog[s], vectors[i]) for i, s in enumerate(ids))
+        assert "q" not in catalog and catalog.ids == ["Z", "a", "b", "é"]
+
     def test_rejects_duplicate_ids_and_misshapen_vectors(self):
         with pytest.raises(ValueError):
             Catalog(["a", "a"], np.zeros((2, 3)))

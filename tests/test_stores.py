@@ -87,6 +87,22 @@ class TestFeatureStore:
         with pytest.raises(ValueError):
             write_feature_store(tmp_path / "bad.grmf", [bad])
 
+    def test_parses_the_bytes_given_and_names_the_path(self, tmp_path):
+        path, other = tmp_path / "a.grmf", tmp_path / "b.grmf"
+        write_feature_store(path, sample_records(n=3))
+        write_feature_store(other, sample_records(n=2, seed=1))
+        table = read_feature_store(path, other.read_bytes())
+        assert table.ids == read_feature_store(other).ids
+        assert np.array_equal(table.values, read_feature_store(other).values)
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0, 0] = 0.0
+        with pytest.raises(StoreFormatError, match=f"^{path}: bad magic"):
+            read_feature_store(path, b"GRMX" + path.read_bytes()[4:])
+        weights = tmp_path / "gcn.grmw"
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        with pytest.raises(StoreFormatError, match=f"^{weights}: bad magic"):
+            read_model(weights, b"GRMX" + weights.read_bytes()[4:])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.grmf"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
