@@ -129,7 +129,7 @@ def decode_wav(data: bytes) -> AudioClip:
     elif bits == 8:
         samples = (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     elif bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(payload, dtype="<i2") / 32768.0
     elif bits == 24:
         raw = np.frombuffer(payload, dtype=np.uint8)
         if raw.size % 3:
@@ -151,30 +151,31 @@ def decode_wav(data: bytes) -> AudioClip:
 
 def encode_wav(clip: AudioClip) -> bytes:
     """Encode a clip as 16-bit mono PCM WAV bytes (deterministic)."""
-    quantized = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
+    quantized = clip.samples * 32767.0
+    np.clip(np.round(quantized, out=quantized), -32768, 32767, out=quantized)
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(clip.sample_rate)
-        wav.writeframes(quantized.tobytes())
+        wav.writeframes(quantized.astype("<i2").tobytes())
     return buf.getvalue()
 
 
-def resample(clip: AudioClip, target_sample_rate: int) -> AudioClip:
-    """Resample to target_sample_rate with a polyphase filter.
+def resample(clip: AudioClip, target_sample_rate: int, start: int = 0, stop: int | None = None) -> AudioClip:
+    """Samples start:stop (default all) of the clip at target_sample_rate, by a polyphase filter.
 
-    The filter and the output alignment are those of
-    scipy.signal.resample_poly at its defaults; the samples agree with it
-    to rounding.
+    The filter and the output alignment are scipy.signal.resample_poly's at
+    its defaults; the samples agree with it to rounding.
     """
     if target_sample_rate <= 0:
         raise ValueError(f"target_sample_rate must be positive, got {target_sample_rate}")
     if clip.sample_rate == target_sample_rate:
-        return clip
+        return clip if (start, stop) == (0, None) else AudioClip(clip.samples[start:stop], target_sample_rate)
     g = math.gcd(clip.sample_rate, target_sample_rate)
     up, down = target_sample_rate // g, clip.sample_rate // g
-    samples = _upfirdn(clip.samples, _lowpass(up, down), up, down)
+    stop = -(-len(clip) * up // down) if stop is None else stop
+    samples = _upfirdn(clip.samples, _lowpass(up, down), up, down, start, stop)
     np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(samples=samples, sample_rate=target_sample_rate)
 
@@ -205,33 +206,33 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     return taps
 
 
-def _upfirdn(x: np.ndarray, taps: np.ndarray, up: int, down: int) -> np.ndarray:
-    """ceil(len(x) * up / down) samples of x upsampled by up, filtered by
-    the centred taps and downsampled by down.
+def _upfirdn(x: np.ndarray, taps: np.ndarray, up: int, down: int, start: int, stop: int) -> np.ndarray:
+    """Samples start:stop of x upsampled by up, filtered by the centred taps
+    and downsampled by down.
 
     Output q = a * up + s is sum_m taps[half + s * down - m * up] * x[a * down + m],
     so each phase s is one strided view of the zero-padded input (row a
-    starts at a * down) against every up-th tap. einsum, not a BLAS
-    product, so the bits do not depend on the BLAS thread count.
+    starts at a * down) against every up-th tap. einsum, not a BLAS product:
+    the bits depend neither on the BLAS thread count nor on the rows computed.
     """
     half = (taps.size - 1) // 2
-    n_out = -(-x.size * up // down)
-    front = half // up  # phase 0 reaches back to m = -(half // up)
-    # one past the last m that any row reads
-    end = ((n_out - 1) // up) * down + ((up - 1) * down + half) // up + 1
-    padded = np.zeros(front + max(x.size, end))
-    padded[front : front + x.size] = x
-    out = np.empty(n_out)
+    # output q reads x[i] for the i with half + q * down - i * up in [0, 2 * half]
+    lo = -((half - start * down) // up)
+    hi = ((stop - 1) * down + half) // up + 1
+    padded = np.zeros(hi - lo)
+    padded[max(lo, 0) - lo : min(hi, x.size) - lo] = x[max(lo, 0) : hi]
+    out = np.empty(stop - start)
     step = padded.itemsize
-    for s in range(min(up, n_out)):
+    for first in range(start, min(start + up, stop)):
+        a, s = divmod(first, up)
         # m runs up from m_lo while the tap index half + s * down - m * up is in [0, 2 * half]
         m_lo = -((half - s * down) // up)
         phase_taps = np.ascontiguousarray(taps[half + s * down - m_lo * up :: -up])
         view = np.ndarray(
-            ((n_out - s + up - 1) // up, phase_taps.size), padded.dtype, padded,
-            offset=(front + m_lo) * step, strides=(down * step, step),
+            ((stop - first + up - 1) // up, phase_taps.size), padded.dtype, padded,
+            offset=(a * down + m_lo - lo) * step, strides=(down * step, step),
         )
-        np.einsum("qj,j->q", view, phase_taps, out=out[s::up])
+        np.einsum("qj,j->q", view, phase_taps, out=out[first - start :: up])
     return out
 
 
@@ -258,20 +259,20 @@ def clip_workers(n_clips: int) -> int:
 WINDOW_SEED_STREAM = 5
 
 
-def random_window(clip: AudioClip, seconds: float, seed: int) -> AudioClip:
-    """Cut a contiguous window of round(seconds * sample_rate) samples.
+def random_window(clip: AudioClip, seconds: float, seed: int, sample_rate: int | None = None) -> AudioClip:
+    """Cut a contiguous window of round(seconds * sample_rate) samples of the
+    clip at sample_rate (default its own), resampling only the window.
 
     The start offset is drawn uniformly from the valid range; the same
     seed always yields the same offset.
     """
-    window_len = int(round(seconds * clip.sample_rate))
+    rate = clip.sample_rate if sample_rate is None else sample_rate
+    window_len = int(round(seconds * rate))
     if window_len <= 0:
-        raise ValueError(f"window of {seconds}s is empty at {clip.sample_rate} Hz")
-    if len(clip) < window_len:
-        raise ClipTooShortError(required_seconds=seconds, actual_seconds=clip.duration)
+        raise ValueError(f"window of {seconds}s is empty at {rate} Hz")
+    n = -(-len(clip) * rate // clip.sample_rate)  # ceil(len * rate / clip rate)
+    if n < window_len:
+        raise ClipTooShortError(required_seconds=seconds, actual_seconds=n / rate)
     rng = np.random.default_rng(seed)
-    start = int(rng.integers(0, len(clip) - window_len + 1))
-    return AudioClip(
-        samples=clip.samples[start : start + window_len],
-        sample_rate=clip.sample_rate,
-    )
+    start = int(rng.integers(0, n - window_len + 1))
+    return resample(clip, rate, start, start + window_len)

@@ -279,7 +279,10 @@ def nearest(
     if not finite.all():
         song_id = ids[int(np.argmin(finite))]
         raise ValueError(f"distance from the query to {song_id!r} is not finite")
-    order = np.argsort(distances, kind="stable")[: k + 1]
+    # a stable argsort's first k + 1: the rows at or below the (k + 1)-th distance, sorted
+    cut = np.partition(distances, k)[k] if k + 1 < distances.size else np.inf
+    candidates = np.flatnonzero(distances <= cut)
+    order = candidates[np.argsort(distances[candidates], kind="stable")][: k + 1]
     order = order[order != exclude][:k]
     return order, distances[order]
 

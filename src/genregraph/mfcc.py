@@ -15,10 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, WINDOW_SEED_STREAM, AudioClip, decode_wav
-from .audio import derive_seed, random_window, resample
+from .audio import derive_seed, random_window
 
 LOG_FLOOR = 1e-10
-_FRAME_BLOCK = 64  # frames per weighted copy in mfcc, about 0.5 MiB
+_FRAME_BLOCK = 16  # frames per STFT block, about 0.8 MiB of buffers at n_fft 2048
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,36 @@ def power_spectrogram(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     Frames are n_fft samples at hop_length stride over a signal reflect-padded
     by n_fft // 2 on both ends, each multiplied by a periodic Hann window.
     """
+    return np.concatenate([power.copy() for power in _power_blocks(clip, cfg)])
+
+
+def _power_blocks(clip: AudioClip, cfg: MfccConfig):
+    """power_spectrogram in blocks of up to _FRAME_BLOCK frames, in order,
+    each in buffers of this call that the next block overwrites."""
     if len(clip) == 0:
         raise ValueError("cannot compute a spectrogram of an empty clip")
     n_fft, hop = cfg.n_fft, cfg.hop_length
-    pad = n_fft // 2
-    padded = np.pad(clip.samples, pad, mode="reflect")
-    n_frames = 1 + (padded.size - n_fft) // hop
+    x, pad = clip.samples, n_fft // 2
+    # (offset, samples) of the reflect-padded signal; a clip of <= pad samples reflects repeatedly
+    pieces = [(0, x[pad:0:-1]), (pad, x), (pad + x.size, x[-2 : -pad - 2 : -1])]
+    pieces = pieces if x.size > pad else [(0, np.pad(x, pad, mode="reflect"))]
     window = _constants(cfg).window
-
-    shape = (n_frames, n_fft)
-    strides = (hop * padded.strides[0], padded.strides[0])
-    frames = np.lib.stride_tricks.as_strided(padded, shape=shape, strides=strides)
-    spectrum = np.fft.rfft(frames * window, axis=1)
-    return np.abs(spectrum) ** 2
+    chunk = np.empty((_FRAME_BLOCK - 1) * hop + n_fft)
+    windowed = np.empty((_FRAME_BLOCK, n_fft))
+    spectrum = np.empty((_FRAME_BLOCK, n_fft // 2 + 1), dtype=np.complex128)
+    power = np.empty((_FRAME_BLOCK, n_fft // 2 + 1))
+    for lo in range(0, x.size + 2 * pad - n_fft + 1, _FRAME_BLOCK * hop):
+        hi = min(lo + len(chunk), x.size + 2 * pad)
+        for offset, piece in pieces:  # padded[lo:hi] into chunk
+            a, b = max(lo, offset), min(hi, offset + piece.size)
+            if a < b:
+                chunk[a - lo : b - lo] = piece[a - offset : b - offset]
+        frames = np.lib.stride_tricks.sliding_window_view(chunk[: hi - lo], n_fft)[::hop]
+        count = len(frames)
+        np.multiply(frames, window, out=windowed[:count])
+        np.fft.rfft(windowed[:count], axis=1, out=spectrum[:count])
+        np.abs(spectrum[:count], out=power[:count])
+        yield np.square(power[:count], out=power[:count])
 
 
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
@@ -200,20 +217,19 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
     frame mean of the log-mel rows.
     """
     const = _constants(cfg)
-    spec = power_spectrogram(clip, cfg)
-    mel_energy = np.zeros((len(spec), cfg.n_mels))
-    # a block of frames at a time: a weighted copy of every frame (1.7 MiB
-    # for 5 s) is fresh memory, and page faults, on most clips in a
-    # long-lived process; a row's sums do not depend on the block
-    for start in range(0, len(spec), _FRAME_BLOCK):
-        frames = spec[start : start + _FRAME_BLOCK]
-        weighted = np.empty_like(frames)
+    weighted = np.empty((_FRAME_BLOCK, cfg.n_fft // 2 + 1))
+    mel_blocks = []
+    for power in _power_blocks(clip, cfg):
+        block, mel = weighted[: len(power)], np.zeros((len(power), cfg.n_mels))
         for weights, starts, filters in const.layers:
             # each segment runs from a filter's first bin to the next
             # filter's, so past its support it adds exact zeros
-            np.multiply(frames, weights, out=weighted)
-            mel_energy[start : start + _FRAME_BLOCK, filters] = np.add.reduceat(weighted, starts, axis=1)
-    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR)).mean(axis=0)
+            np.multiply(power, weights, out=block)
+            mel[:, filters] = np.add.reduceat(block, starts, axis=1)
+        mel_blocks.append(mel)
+    mel_energy = np.concatenate(mel_blocks)
+    np.maximum(mel_energy, LOG_FLOOR, out=mel_energy)
+    log_mel = np.log(mel_energy, out=mel_energy).mean(axis=0)
     # measured from one band's level, a flat log-mel is exactly zero past
     # coefficient 0, which carries that level alone
     level = log_mel[0]
@@ -223,10 +239,10 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
 
 
 def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:
-    """MFCC vector of WAV bytes: decode, resample to the config's rate, cut
-    a window seeded by (seed, WINDOW_SEED_STREAM, index), then mfcc. The one
-    path for extract, audio queries and the in-memory corpus alike.
+    """MFCC vector of WAV bytes: decode, cut a window seeded by (seed,
+    WINDOW_SEED_STREAM, index) at the config's rate, resampling only it, then
+    mfcc. The one path for extract, audio queries and the in-memory corpus.
     """
-    clip = resample(decode_wav(data), cfg.target_sample_rate)
     window_seed = derive_seed(seed, WINDOW_SEED_STREAM, index)
-    return mfcc(random_window(clip, cfg.window_seconds, window_seed), cfg).values
+    window = random_window(decode_wav(data), cfg.window_seconds, window_seed, cfg.target_sample_rate)
+    return mfcc(window, cfg).values

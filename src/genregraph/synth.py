@@ -141,7 +141,16 @@ def generate_clip(
 ) -> AudioClip:
     """Synthesize one song: jittered partials, tremolo, noise, peak 0.9."""
     n = int(round(seconds * sample_rate))
-    t = np.arange(n) / sample_rate
+    # t and the scratch row in one block: glibc then keeps a clip's memory for
+    # its thread's next clip rather than faulting in fresh pages for each
+    t, row = np.empty((2, n))
+    np.divide(np.arange(n), sample_rate, out=t)
+
+    def sine(freq, phase):
+        """sin(2 pi freq t + phase) in the scratch row, in that operation order."""
+        np.multiply(2.0 * np.pi * freq, t, out=row)
+        return np.sin(np.add(row, phase, out=row), out=row)
+
     # wide per-song jitter confuses per-song raw MFCCs across genres while
     # leaving the per-genre mean envelope distinct (the jitters average out)
     detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)
@@ -153,16 +162,15 @@ def generate_clip(
             continue
         jitter = np.exp(rng.normal(0.0, 0.5)) * ratio**tilt
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        signal += weight * jitter * np.sin(2.0 * np.pi * freq * t + phase)
+        signal += np.multiply(sine(freq, phase), weight * jitter, out=row)
     if recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0:
         trem_phase = rng.uniform(0.0, 2.0 * np.pi)
-        signal *= 1.0 + recipe.tremolo_depth * np.sin(
-            2.0 * np.pi * recipe.tremolo_hz * t + trem_phase
-        )
+        np.multiply(sine(recipe.tremolo_hz, trem_phase), recipe.tremolo_depth, out=row)
+        signal *= np.add(row, 1.0, out=row)
     noise = recipe.noise_level * np.exp(rng.normal(0.0, 0.8))
-    signal += noise * rng.standard_normal(n)
-    peak = np.max(np.abs(signal))
-    return AudioClip(samples=signal * (0.9 / peak), sample_rate=sample_rate)
+    signal += np.multiply(rng.standard_normal(out=row), noise, out=row)
+    signal *= 0.9 / np.max(np.abs(signal, out=row))
+    return AudioClip(samples=signal, sample_rate=sample_rate)
 
 
 def song_seed(spec: SyntheticSpec, genre_index: int, song_index: int) -> int:

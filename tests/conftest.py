@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from genregraph.audio import AudioClip, _lowpass
 from genregraph.cli import main
+from genregraph.mfcc import LOG_FLOOR, _constants
 from genregraph.synth import SyntheticSpec, synthesize_features
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
@@ -31,6 +34,90 @@ def draw_neighbors(neighbors, k, rng):
     if len(neighbors) > k:
         return rng.choice(neighbors, size=k, replace=False)
     return neighbors
+
+
+def reference_generate_clip(recipe, seconds, sample_rate, rng):
+    """Reference synthesis: each term as one whole-array expression. The
+    program's in-place version must match it bit for bit, and leave rng in
+    the same state."""
+    n = int(round(seconds * sample_rate))
+    t = np.arange(n) / sample_rate
+    detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)
+    tilt = rng.uniform(-0.9, 0.9)
+    signal = np.zeros(n)
+    for ratio, weight in zip(recipe.ratios, recipe.weights):
+        freq = recipe.base_hz * detune * ratio
+        if freq >= sample_rate / 2:
+            continue
+        jitter = np.exp(rng.normal(0.0, 0.5)) * ratio**tilt
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        signal += weight * jitter * np.sin(2.0 * np.pi * freq * t + phase)
+    if recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0:
+        trem_phase = rng.uniform(0.0, 2.0 * np.pi)
+        signal *= 1.0 + recipe.tremolo_depth * np.sin(
+            2.0 * np.pi * recipe.tremolo_hz * t + trem_phase
+        )
+    noise = recipe.noise_level * np.exp(rng.normal(0.0, 0.8))
+    signal += noise * rng.standard_normal(n)
+    peak = np.max(np.abs(signal))
+    return AudioClip(samples=signal * (0.9 / peak), sample_rate=sample_rate)
+
+
+def reference_power_spectrogram(clip, cfg):
+    """Reference STFT: the whole clip reflect-padded, every frame windowed
+    and transformed at once. The program's blocks must match it bit for bit."""
+    pad = cfg.n_fft // 2
+    padded = np.pad(clip.samples, pad, mode="reflect")
+    n_frames = 1 + (padded.size - cfg.n_fft) // cfg.hop_length
+    frames = np.lib.stride_tricks.as_strided(
+        padded, shape=(n_frames, cfg.n_fft),
+        strides=(cfg.hop_length * padded.strides[0], padded.strides[0]),
+    )
+    return np.abs(np.fft.rfft(frames * _constants(cfg).window, axis=1)) ** 2
+
+
+def reference_mfcc(clip, cfg):
+    """Reference MFCC on the whole reference spectrogram: each filter parity
+    summed over every frame at once, then the program's log, mean and DCT
+    steps. mfcc must match it bit for bit."""
+    const = _constants(cfg)
+    spec = reference_power_spectrogram(clip, cfg)
+    mel_energy = np.zeros((len(spec), cfg.n_mels))
+    for weights, starts, filters in const.layers:
+        mel_energy[:, filters] = np.add.reduceat(spec * weights, starts, axis=1)
+    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR)).mean(axis=0)
+    level = log_mel[0]
+    cepstra = (const.dct * (log_mel - level)).sum(axis=1)
+    cepstra[0] += np.sqrt(cfg.n_mels) * level
+    return cepstra
+
+
+def reference_resample(clip, target_sample_rate):
+    """Reference resampler: every output sample of the whole clip, one
+    strided view per phase over the zero-padded clip. A window the program
+    resamples alone must match its slice bit for bit."""
+    if clip.sample_rate == target_sample_rate:
+        return clip
+    g = math.gcd(clip.sample_rate, target_sample_rate)
+    up, down = target_sample_rate // g, clip.sample_rate // g
+    x, taps = clip.samples, _lowpass(up, down)
+    half = (taps.size - 1) // 2
+    n_out = -(-x.size * up // down)
+    front = half // up
+    end = ((n_out - 1) // up) * down + ((up - 1) * down + half) // up + 1
+    padded = np.zeros(front + max(x.size, end))
+    padded[front : front + x.size] = x
+    out = np.empty(n_out)
+    step = padded.itemsize
+    for s in range(min(up, n_out)):
+        m_lo = -((half - s * down) // up)
+        phase_taps = np.ascontiguousarray(taps[half + s * down - m_lo * up :: -up])
+        view = np.ndarray(
+            ((n_out - s + up - 1) // up, phase_taps.size), padded.dtype, padded,
+            offset=(front + m_lo) * step, strides=(down * step, step),
+        )
+        np.einsum("qj,j->q", view, phase_taps, out=out[s::up])
+    return AudioClip(np.clip(out, -1.0, 1.0), target_sample_rate)
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from genregraph.audio import (
     resample,
 )
 
+from conftest import reference_resample
+
 
 def wav_bytes(samples_int16, sample_rate=22050, channels=1):
     """Independent WAV writer (stdlib wave), oracle for the hand-rolled parser."""
@@ -223,6 +225,42 @@ class TestResample:
         assert out.sample_rate == 22050
         assert out.samples.shape == expected.shape
         assert np.max(np.abs(out.samples - expected)) <= 1e-12
+
+
+class TestResampledWindow:
+    """random_window at another rate resamples only the window's samples;
+    the whole clip resampled and then sliced gives the same bits."""
+
+    @pytest.fixture(scope="class", params=[8009, 22050, 44100, 48000])
+    def clip_and_reference(self, request):
+        rate = request.param
+        clip = AudioClip(np.random.default_rng(rate).uniform(-1.0, 1.0, 3 * rate // 2), rate)
+        return clip, reference_resample(clip, 22050)
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_a_window_matches_the_whole_clip_resample_bit_for_bit(self, clip_and_reference, where):
+        clip, expected = clip_and_reference
+        size = 22050 // 2
+        start = {"start": 0, "middle": (len(expected) - size) // 2, "end": len(expected) - size}[where]
+        window = resample(clip, 22050, start, start + size)
+        assert window.samples.tobytes() == expected.samples[start : start + size].tobytes()
+
+    def test_the_whole_clip_matches_bit_for_bit(self, clip_and_reference):
+        clip, expected = clip_and_reference
+        assert resample(clip, 22050).samples.tobytes() == expected.samples.tobytes()
+
+    def test_random_window_draws_from_the_resampled_length(self, clip_and_reference):
+        clip, expected = clip_and_reference
+        for seed in range(4):
+            window = random_window(clip, 0.5, seed, sample_rate=22050)
+            assert window.samples.tobytes() == random_window(expected, 0.5, seed).samples.tobytes()
+
+    def test_too_short_error_gives_the_resampled_duration(self, clip_and_reference):
+        clip, expected = clip_and_reference
+        with pytest.raises(ClipTooShortError) as info:
+            random_window(clip, 2.0, 0, sample_rate=22050)
+        assert str(info.value) == f"clip is {expected.duration:.3f}s, need at least 2.000s"
+        assert info.value.actual_seconds == expected.duration
 
 
 class TestClipWorkers:

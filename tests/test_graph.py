@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -16,6 +16,7 @@ from genregraph.graph import (
     build_graph,
     draw_neighbor_positions,
     extended_adjacency_row,
+    nearest,
     normalize,
 )
 
@@ -395,6 +396,39 @@ class TestAttachUnseen:
         graph = build_graph(labels_for({0: 3}))
         with pytest.raises(ValueError):
             attach_unseen(graph, np.zeros(30), AttachmentMode.FEATURE_KNN, k=2)
+
+
+class TestNearest:
+    @staticmethod
+    def full_sort(query, vectors, k, exclude):
+        """Reference top-k: a stable argsort of every distance."""
+        distances = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+        order = np.argsort(distances, kind="stable")[: k + 1]
+        order = order[order != exclude][:k]
+        return order, distances[order]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=1, max_size=30),
+        query=st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+        k=st.integers(0, 35),
+        exclude=st.integers(-1, 29),
+    )
+    # every distance ties; the row excluded sits inside, at and past the cut
+    @example(rows=[(1, 0)] * 6, query=(0, 0), k=2, exclude=1)
+    @example(rows=[(1, 0)] * 6, query=(0, 0), k=2, exclude=2)
+    @example(rows=[(1, 0)] * 6, query=(0, 0), k=2, exclude=4)
+    @example(rows=[(0, 0), (1, 0), (1, 0), (2, 0)], query=(0, 0), k=4, exclude=2)
+    def test_matches_a_full_stable_argsort(self, rows, query, k, exclude):
+        # integer-valued vectors in a small box tie often, and k reaches
+        # past the row count
+        vectors = np.array(rows, dtype=np.float64)
+        query = np.array(query, dtype=np.float64)
+        ids = [f"s{i}" for i in range(len(rows))]
+        order, distances = nearest(query, vectors, ids, k, exclude)
+        expected_order, expected_distances = self.full_sort(query, vectors, k, exclude)
+        assert order.tobytes() == expected_order.tobytes()
+        assert distances.tobytes() == expected_distances.tobytes()
 
 
 class TestExtendedAdjacencyRow:

@@ -8,6 +8,7 @@ full filterbank matrix product and scipy's DCT of every frame.
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,7 +26,10 @@ from genregraph.mfcc import (
     power_spectrogram,
 )
 
+from conftest import reference_mfcc, reference_power_spectrogram
+
 CFG = MfccConfig()
+BLOCK = sys.modules["genregraph.mfcc"]._FRAME_BLOCK
 
 
 def filter_peak_frequencies(cfg):
@@ -348,6 +352,46 @@ class TestDenseOracle:
         done = fresh_python(WAV_MFCC_SCRIPT.format(threads=1, rate=44100))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[1] == "[]"
+
+
+class TestBlockedStft:
+    """mfcc and power_spectrogram run the clip through one block of frames
+    at a time; the whole-clip reference gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "cfg", [CFG, MfccConfig(n_fft=256, hop_length=128)], ids=["default", "n_fft=256"]
+    )
+    def test_matches_the_whole_clip_reference_bit_for_bit(self, cfg):
+        hop, pad = cfg.hop_length, cfg.n_fft // 2
+        # 1 + length // hop frames: 1, B - 1, B, B + 1 and 2B + 1 of them;
+        # then a clip of pad samples, which reflects more than once, and the
+        # shortest that reflects once at each end
+        frames = [(1, 1), (1, hop // 2), (BLOCK - 1, 7), (BLOCK, 0), (BLOCK + 1, 5), (2 * BLOCK + 1, hop // 2)]
+        for length in [(f - 1) * hop + extra for f, extra in frames] + [pad, pad + 1]:
+            samples = np.random.default_rng(length).uniform(-1.0, 1.0, length)
+            clip = AudioClip(samples=samples, sample_rate=22050)
+            spec = power_spectrogram(clip, cfg)
+            assert len(spec) == 1 + length // hop
+            assert spec.tobytes() == reference_power_spectrogram(clip, cfg).tobytes(), length
+            assert mfcc(clip, cfg).values.tobytes() == reference_mfcc(clip, cfg).tobytes(), length
+
+    def test_five_second_window_matches_the_reference_bit_for_bit(self):
+        t = np.arange(5 * 22050) / 22050
+        noise = np.random.default_rng(2).standard_normal(t.size)
+        clip = AudioClip(0.5 * np.sin(2 * np.pi * 330 * t) + 0.05 * noise, 22050)
+        assert mfcc(clip, CFG).values.tobytes() == reference_mfcc(clip, CFG).tobytes()
+
+    def test_peak_memory_is_under_a_quarter_of_the_complex_spectrogram(self):
+        clip = AudioClip(np.random.default_rng(0).uniform(-1.0, 1.0, 30 * 22050), 22050)
+        complex_bytes = (1 + len(clip) // CFG.hop_length) * (CFG.n_fft // 2 + 1) * 16
+        mfcc(clip, CFG)  # the cached constants are built outside the trace
+        tracemalloc.start()
+        try:
+            mfcc(clip, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < complex_bytes / 4
 
 
 class TestScipyFreeConstants:

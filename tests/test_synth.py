@@ -1,5 +1,7 @@
 """Synthetic corpus generation and its in-memory feature mirror."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from genregraph.synth import (
     synthesize_features,
 )
 from genregraph.train import derive_seed
+
+from conftest import reference_generate_clip
 
 
 class TestTimbreRecipe:
@@ -89,6 +93,28 @@ class TestGenerateClip:
         c = generate_clip(recipe, 5.0, 22050, np.random.default_rng(4))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("genre", GENRE_NAMES)
+    # at 1 kHz the upper partials pass Nyquist and are skipped, draws and all
+    @pytest.mark.parametrize("seconds, rate", [(5.0, 22050), (0.5, 44100), (2.0, 1000)])
+    def test_matches_the_whole_array_reference_bit_for_bit(self, genre, seconds, rate):
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        clip = generate_clip(DEFAULT_RECIPES[genre], seconds, rate, ours)
+        expected = reference_generate_clip(DEFAULT_RECIPES[genre], seconds, rate, theirs)
+        assert clip.samples.tobytes() == expected.samples.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_peak_memory_is_about_three_clip_rows(self):
+        # the time axis, the signal, one scratch row and a finiteness mask;
+        # a whole-array expression per term holds four rows at its peak
+        n = 10 * 22050
+        tracemalloc.start()
+        try:
+            generate_clip(DEFAULT_RECIPES["Rock"], 10.0, 22050, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * 8
 
 
 @pytest.fixture(scope="module")
