@@ -17,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
@@ -295,17 +297,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 class _Served(NamedTuple):
-    """The columns and graph of one store's bytes, and per variant a catalog
-    with the weight bytes and TrainConfig it was embedded from."""
+    """The columns and graph of one store's bytes, per variant a catalog
+    with the weight bytes and TrainConfig it was embedded from, and the
+    read-only MFCC vector of the last query clip with the WAV bytes,
+    MfccConfig and seed it was made from."""
 
     data: bytes | None = None
     table: FeatureTable | None = None
     graph: GenreGraph | None = None
     catalogs: dict[Variant, tuple[tuple[bytes, TrainConfig], Catalog]] = {}
+    clip: tuple[tuple[bytes, MfccConfig, int], np.ndarray] | None = None
 
 
-# the last store served: replaced whole, only by a call that succeeded, and
-# never changed in place, so concurrent calls each see one whole entry
+# the last store and query clip served: replaced whole, only by a call that
+# succeeded, and never changed in place, so concurrent calls each see one
+# whole entry
 _served = _Served()
 
 
@@ -324,7 +330,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
     # a hit keeps the bytes the table was parsed from: its values view them
     data = Path(args.store).read_bytes()
-    data, table, graph, catalogs = _served if _served.data == data else _Served(data)
+    data, table, graph, catalogs, clip = _served if _served.data == data else _Served(data, clip=_served.clip)
     if table is None:
         table = read_feature_store(args.store, data)
         table.genre_indices.flags.writeable = False  # values: a read-only view of data
@@ -346,12 +352,16 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             query_vec = catalog[args.song_id]
             query_id = args.song_id
         else:
-            vec = wav_mfcc(Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
+            made_from = (Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
+            if clip is None or clip[0] != made_from:
+                vec = wav_mfcc(*made_from)
+                vec.flags.writeable = False
+                clip = (made_from, vec)
             query_vec = infer_embedding(
                 model,
                 graph,
                 features,
-                vec,
+                clip[1],
                 attachment,
                 true_label=true_label,
                 knn_k=int(_setting(args, config, "knn_k", 10)),
@@ -366,11 +376,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
     )
-    _served = _Served(data, table, graph, {**catalogs, model.variant: ((weights, cfg), catalog)})
+    _served = _Served(data, table, graph, {**catalogs, model.variant: ((weights, cfg), catalog)}, clip)
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
         genre = GENRE_NAMES[graph.label_indices[graph.index_of(song_id)]]
-        print(f"{rank:>4}  {song_id:<40} {genre:<14} {distance:.6f}")
+        shown = song_id if song_id.isprintable() else repr(song_id)  # one line per row
+        print(f"{rank:>4}  {shown:<40} {genre:<14} {distance:.6f}")
     return EXIT_OK
 
 

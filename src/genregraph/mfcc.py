@@ -98,13 +98,18 @@ def _power_blocks(clip: AudioClip, cfg: MfccConfig):
     spectrum = np.empty((_FRAME_BLOCK, n_fft // 2 + 1), dtype=np.complex128)
     power = np.empty((_FRAME_BLOCK, n_fft // 2 + 1))
     for lo in range(0, x.size + 2 * pad - n_fft + 1, _FRAME_BLOCK * hop):
-        hi = min(lo + len(chunk), x.size + 2 * pad)
-        for offset, piece in pieces:  # padded[lo:hi] into chunk
-            a, b = max(lo, offset), min(hi, offset + piece.size)
-            if a < b:
-                chunk[a - lo : b - lo] = piece[a - offset : b - offset]
-        frames = np.lib.stride_tricks.sliding_window_view(chunk[: hi - lo], n_fft)[::hop]
-        count = len(frames)
+        count = min(_FRAME_BLOCK, 1 + (x.size + 2 * pad - n_fft - lo) // hop)
+        hi = lo + (count - 1) * hop + n_fft
+        if pad <= lo and hi <= pad + x.size:  # no padding: the frames view the clip
+            source = x[lo - pad :]
+        else:
+            for offset, piece in pieces:  # padded[lo:hi] into chunk
+                a, b = max(lo, offset), min(hi, offset + piece.size)
+                if a < b:
+                    chunk[a - lo : b - lo] = piece[a - offset : b - offset]
+            source = chunk
+        step = source.strides[0]
+        frames = np.lib.stride_tricks.as_strided(source, (count, n_fft), (hop * step, step))
         np.multiply(frames, window, out=windowed[:count])
         np.fft.rfft(windowed[:count], axis=1, out=spectrum[:count])
         np.abs(spectrum[:count], out=power[:count])

@@ -81,12 +81,18 @@ def write_feature_store(
             )
         if "\0" in rec.song_id:
             raise ValueError(f"record {rec.song_id!r} has a NUL in its id")
+    ids = "".join(f"{rec.song_id}\0" for rec in records)
+    try:
+        id_bytes = ids.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate; the NULs before it count the records
+        bad = records[ids.count("\0", 0, exc.start)].song_id
+        raise ValueError(f"record {bad!r} has an id UTF-8 cannot encode") from None
     parts = [
         FEATURE_MAGIC,
         struct.pack("<III", FEATURE_VERSION, len(records), dimension),
         *(rec.values.astype("<f8").tobytes() for rec in records),
         bytes(rec.genre_index for rec in records),
-        "".join(f"{rec.song_id}\0" for rec in records).encode("utf-8"),
+        id_bytes,
     ]
     Path(path).write_bytes(b"".join(parts))
 

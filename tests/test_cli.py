@@ -579,6 +579,83 @@ class TestServedState:
         assert served == (done.returncode, done.stdout, done.stderr)
         return served
 
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """The vectors wav_mfcc makes for recommend, from an empty served state."""
+        made = []
+
+        def counted(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        real = cli.wav_mfcc
+        monkeypatch.setattr(cli, "wav_mfcc", counted)
+        monkeypatch.setattr(cli, "_served", cli._Served())
+        return made
+
+    @pytest.fixture
+    def query_wav(self, served, tiny_workspace):
+        wav = served / "query.wav"
+        wav.write_bytes((tiny_workspace / "Rock" / "Rock_000.wav").read_bytes())
+        return wav
+
+    def test_one_clip_sent_to_every_variant_is_transformed_once(
+        self, served, query_wav, capsys, fresh_python, transforms
+    ):
+        for variant in ("plain", "gcn", "sage"):
+            argv = self.argv(served, variant, "--audio", str(query_wav))
+            assert self.assert_like_fresh(capsys, fresh_python, argv)[0] == EXIT_OK
+            # a song query in between keeps the clip
+            assert self.in_process(capsys, self.argv(served, variant, *self.SONG))[0] == EXIT_OK
+        assert len(transforms) == 1
+
+    @pytest.mark.parametrize(
+        "change", ["one sample", "--window-seconds", "--sample-rate", "--seed"]
+    )
+    def test_a_changed_clip_or_setting_transforms_again(
+        self, served, query_wav, capsys, fresh_python, transforms, change
+    ):
+        first = self.argv(served, "gcn", "--audio", str(query_wav))
+        before = self.assert_like_fresh(capsys, fresh_python, first)
+        argv = first + {
+            "--window-seconds": ["--window-seconds", "3"],
+            "--sample-rate": ["--sample-rate", "44100"],
+            "--seed": ["--seed", "1"],
+        }.get(change, [])
+        original = query_wav.read_bytes()
+        if change == "one sample":
+            # the middle sample of the 6 s clip, inside every 5 s window
+            data, start = bytearray(original), original.index(b"data") + 8
+            offset = start + 2 * ((len(original) - start) // 4)
+            (sample,) = struct.unpack_from("<h", data, offset)
+            struct.pack_into("<h", data, offset, sample + (1000 if sample < 0 else -1000))
+            query_wav.write_bytes(bytes(data))
+            assert query_wav.stat().st_size == len(original)
+        assert self.assert_like_fresh(capsys, fresh_python, argv)[0] == EXIT_OK
+        assert len(transforms) == 2
+        assert transforms[0].tobytes() != transforms[1].tobytes()
+        # one clip is kept: the first clip and settings again transform again
+        query_wav.write_bytes(original)
+        assert self.in_process(capsys, first) == before
+        assert len(transforms) == 3 and transforms[2].tobytes() == transforms[0].tobytes()
+
+    def test_truncated_wav_after_a_good_one_keeps_the_state(
+        self, served, query_wav, capsys, fresh_python, transforms
+    ):
+        argv = self.argv(served, "sage", "--audio", str(query_wav))
+        before = self.in_process(capsys, argv)
+        assert before[0] == EXIT_OK
+        kept = cli._served
+        original = query_wav.read_bytes()
+        query_wav.write_bytes(original[: len(original) // 2])
+        rc, out, err = self.assert_like_fresh(capsys, fresh_python, argv)
+        assert rc == EXIT_USAGE and out == "" and err.count("\n") == 1
+        assert cli._served is kept
+        # the kept clip still serves the whole WAV
+        query_wav.write_bytes(original)
+        assert self.in_process(capsys, argv) == before
+        assert len(transforms) == 1  # the truncated clip raised; the whole one was kept
+
     def test_store_rewritten_with_one_float_changed(self, served, capsys, fresh_python):
         argv = self.argv(served, "gcn", *self.SONG)
         before = self.assert_like_fresh(capsys, fresh_python, argv)
@@ -670,14 +747,39 @@ class TestServedState:
         assert cli._served.data == (served / "features.grmf").read_bytes()
         assert list(cli._served.catalogs) == [Variant.GCN]
 
-    def test_served_arrays_are_read_only(self, served, capsys):
+    def test_served_arrays_are_read_only(self, served, tiny_workspace, capsys):
         for variant in ("plain", "gcn", "sage"):
             assert self.in_process(capsys, self.argv(served, variant, *self.SONG))[0] == EXIT_OK
-        arrays = [cli._served.table.values, cli._served.table.genre_indices]
+        audio = ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")]
+        assert self.in_process(capsys, self.argv(served, "plain", *audio))[0] == EXIT_OK
+        arrays = [cli._served.table.values, cli._served.table.genre_indices, cli._served.clip[1]]
         arrays += [catalog.vectors for _, catalog in cli._served.catalogs.values()]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+class TestPrintedRows:
+    def test_an_id_with_a_line_break_prints_one_row_per_rank(self, tmp_path, capsys, fresh_python):
+        # the store format allows any id without a NUL; the table shows an
+        # unprintable one by its repr and every other id as it is
+        records = [
+            FeatureRecord(song_id=f"g{i % 8}/s{i}", genre_index=i % 8, values=np.full(30, i / 7.0))
+            for i in range(16)
+        ]
+        records[7] = FeatureRecord(song_id="g7\rs7", genre_index=7, values=np.full(30, 1.0))
+        write_feature_store(tmp_path / "s.grmf", records)
+        write_model(tmp_path / "w.grmw", build_model(Variant.PLAIN, seed=0))
+        argv = ["recommend", "--store", str(tmp_path / "s.grmf"),
+                "--weights", str(tmp_path / "w.grmw"), "--song-id", "g0/s0"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        done = fresh_python(f"import sys\nfrom genregraph.cli import main\nsys.exit(main({argv!r}))")
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, out, "")
+        rows = out.split("\n")[1:-1]
+        assert [row.split()[0] for row in rows] == [str(rank) for rank in range(1, 11)]
+        assert rows[6].split()[1] == repr("g7\rs7")
+        assert rows[0] == f"{1:>4}  {'g1/s1':<40} {GENRE_NAMES[1]:<14} {np.sqrt(30) / 7:.6f}"
 
 
 class TestRemovedFlags:

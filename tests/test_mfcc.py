@@ -375,6 +375,34 @@ class TestBlockedStft:
             assert spec.tobytes() == reference_power_spectrogram(clip, cfg).tobytes(), length
             assert mfcc(clip, cfg).values.tobytes() == reference_mfcc(clip, cfg).tobytes(), length
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, MfccConfig(n_fft=256, hop_length=128), MfccConfig(hop_length=64)],
+        ids=["default", "n_fft=256", "hop=64"],
+    )
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("past_edge", [-1, 0, 1])
+    def test_blocks_at_the_reflect_pad_edge_match_the_reference(self, cfg, block, past_edge):
+        # a block of frames inside the clip views its samples, one that
+        # reaches the reflect padding is copied; here the full block `block`
+        # ends at the clip's last sample, or one sample before or after it.
+        # At hop 64 the second block starts right at the front padding's edge
+        hop, pad = cfg.hop_length, cfg.n_fft // 2
+        length = block * BLOCK * hop + (BLOCK - 1) * hop + pad + past_edge
+        assert (block * BLOCK + BLOCK - 1) * hop + cfg.n_fft == pad + length - past_edge
+        samples = np.random.default_rng(length).uniform(-1.0, 1.0, length)
+        clip = AudioClip(samples=samples, sample_rate=22050)
+        assert power_spectrogram(clip, cfg).tobytes() == reference_power_spectrogram(clip, cfg).tobytes()
+        assert mfcc(clip, cfg).values.tobytes() == reference_mfcc(clip, cfg).tobytes()
+
+    @pytest.mark.parametrize("step", [2, -1, -3])
+    def test_clip_of_strided_samples_matches_the_reference(self, step):
+        samples = np.random.default_rng(abs(step)).uniform(-1.0, 1.0, 3 * 22050)[::step]
+        clip = AudioClip(samples=samples, sample_rate=22050)
+        assert clip.samples is samples and not samples.flags.c_contiguous
+        assert power_spectrogram(clip, CFG).tobytes() == reference_power_spectrogram(clip, CFG).tobytes()
+        assert mfcc(clip, CFG).values.tobytes() == reference_mfcc(clip, CFG).tobytes()
+
     def test_five_second_window_matches_the_reference_bit_for_bit(self):
         t = np.arange(5 * 22050) / 22050
         noise = np.random.default_rng(2).standard_normal(t.size)

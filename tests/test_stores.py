@@ -241,9 +241,18 @@ class TestFeatureStoreRobustness:
             max_size=6,
         )
     )
+    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0]), ("\ud800", 1, [3.0, 4.0, 5.0])])
     def test_write_read_write_is_byte_identical(self, tmp_path, rows):
         records = [FeatureRecord(song_id=i, genre_index=g, values=np.array(v)) for i, g, v in rows]
         first, second = tmp_path / "a.grmf", tmp_path / "b.grmf"
+        # a lone surrogate has no UTF-8 form: the writer refuses its id by name
+        unencodable = [i for i, _, _ in rows if any("\ud800" <= c <= "\udfff" for c in i)]
+        if unencodable:
+            with pytest.raises(ValueError, match="UTF-8 cannot encode") as refused:
+                write_feature_store(first, records, dimension=3)
+            assert str(refused.value).startswith(f"record {unencodable[0]!r} ")
+            assert "\n" not in str(refused.value) and not first.exists()
+            return
         write_feature_store(first, records, dimension=3)
         write_feature_store(second, read_feature_store(first), dimension=3)
         assert first.read_bytes() == second.read_bytes()
