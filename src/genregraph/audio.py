@@ -88,10 +88,11 @@ def decode_wav(data: bytes) -> AudioClip:
     fmt = None
     payload = None
     pos = 12
+    view = memoryview(data)  # each chunk body a view, not a copy
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWavError("fmt chunk truncated")
@@ -211,26 +212,28 @@ def _upfirdn(x: np.ndarray, taps: np.ndarray, up: int, down: int, start: int, st
     and downsampled by down.
 
     Output q = a * up + s is sum_m taps[half + s * down - m * up] * x[a * down + m],
-    so each phase s is one strided view of the zero-padded input (row a
-    starts at a * down) against every up-th tap. einsum, not a BLAS product:
-    the bits depend neither on the BLAS thread count nor on the rows computed.
+    so each phase s is one strided view of x[lo:hi], zero-padded past x's
+    ends (row a starts at a * down), against every up-th tap. einsum, not a
+    BLAS product: the bits depend neither on the BLAS thread count nor on
+    the rows computed.
     """
     half = (taps.size - 1) // 2
     # output q reads x[i] for the i with half + q * down - i * up in [0, 2 * half]
     lo = -((half - start * down) // up)
     hi = ((stop - 1) * down + half) // up + 1
-    padded = np.zeros(hi - lo)
-    padded[max(lo, 0) - lo : min(hi, x.size) - lo] = x[max(lo, 0) : hi]
+    padded = x[max(lo, 0) : hi]  # a view when lo:hi lies inside x
+    if lo < 0 or hi > x.size:
+        padded = np.concatenate([np.zeros(-min(lo, 0)), padded, np.zeros(max(hi - x.size, 0))])
     out = np.empty(stop - start)
-    step = padded.itemsize
+    step = padded.strides[0]
     for first in range(start, min(start + up, stop)):
         a, s = divmod(first, up)
         # m runs up from m_lo while the tap index half + s * down - m * up is in [0, 2 * half]
         m_lo = -((half - s * down) // up)
         phase_taps = np.ascontiguousarray(taps[half + s * down - m_lo * up :: -up])
-        view = np.ndarray(
-            ((stop - first + up - 1) // up, phase_taps.size), padded.dtype, padded,
-            offset=(a * down + m_lo - lo) * step, strides=(down * step, step),
+        view = np.lib.stride_tricks.as_strided(
+            padded[a * down + m_lo - lo :],
+            ((stop - first + up - 1) // up, phase_taps.size), (down * step, step),
         )
         np.einsum("qj,j->q", view, phase_taps, out=out[first - start :: up])
     return out

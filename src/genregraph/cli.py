@@ -23,7 +23,7 @@ from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import MfccConfig, wav_mfcc
-from .nn import Variant
+from .nn import EmbeddingModel, Variant
 from .recommend import (
     Catalog,
     ExperimentConfig,
@@ -297,20 +297,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 class _Served(NamedTuple):
-    """The columns and graph of one store's bytes, per variant a catalog
-    with the weight bytes and TrainConfig it was embedded from, and the
-    read-only MFCC vector of the last query clip with the WAV bytes,
-    MfccConfig and seed it was made from."""
+    """The columns and graph of one store's bytes, per variant the model
+    parsed from its weight bytes and the catalog embedded with them under a
+    TrainConfig, and the read-only MFCC vector of the last query clip with
+    the WAV bytes, MfccConfig and seed it was made from."""
 
     data: bytes | None = None
     table: FeatureTable | None = None
     graph: GenreGraph | None = None
-    catalogs: dict[Variant, tuple[tuple[bytes, TrainConfig], Catalog]] = {}
+    catalogs: dict[Variant, tuple[tuple[bytes, TrainConfig], EmbeddingModel, Catalog]] = {}
     clip: tuple[tuple[bytes, MfccConfig, int], np.ndarray] | None = None
 
 
 # the last store and query clip served: replaced whole, only by a call that
-# succeeded, and never changed in place, so concurrent calls each see one
+# succeeded, and never changed in place (but for the table's norms, computed
+# once to the same value in any thread), so concurrent calls each see one
 # whole entry
 _served = _Served()
 
@@ -336,7 +337,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         table.genre_indices.flags.writeable = False  # values: a read-only view of data
     ids, labels, features = table.ids, table.genre_indices, table.values
     weights = Path(args.weights).read_bytes()
-    model = read_model(args.weights, weights)
+    # the variant tag is in the bytes, so at most one kept entry matches
+    built_from, model, catalog = next(
+        (kept for kept in catalogs.values() if kept[0][0] == weights), (None, None, None)
+    )
+    model = read_model(args.weights, weights) if model is None else model
     _check_model_dim(model, features.shape[1], args.weights)
     cfg = _train_config(args, config, model.variant)
 
@@ -345,7 +350,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if args.song_id is not None and args.song_id not in graph:
         raise UsageError(f"unknown song id {args.song_id!r}")
     try:
-        built_from, catalog = catalogs.get(model.variant, (None, None))
         if built_from != (weights, cfg):
             catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg), graph.node_index)
         if args.song_id is not None:
@@ -368,15 +372,17 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 sample_k=cfg.sage_sample_k,
                 self_loops=cfg.self_loops,
                 seed=derive_seed(cfg.seed, _STREAM_QUERY_AUDIO),
+                train_norms=table.norms,
             )
-            query_id = ""
+            query_id = None
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {args.weights}: {exc}") from None
 
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
     )
-    _served = _Served(data, table, graph, {**catalogs, model.variant: ((weights, cfg), catalog)}, clip)
+    kept = {**catalogs, model.variant: ((weights, cfg), model, catalog)}
+    _served = _Served(data, table, graph, kept, clip)
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
         genre = GENRE_NAMES[graph.label_indices[graph.index_of(song_id)]]

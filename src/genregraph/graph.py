@@ -263,28 +263,59 @@ def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarra
     return out
 
 
+# S = max ‖v‖² + ‖q‖² past which nearest's candidate pass could overflow
+_NORM_LIMIT = np.finfo(np.float64).max / 4
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Read-only squared row norms for nearest; one that overflows is inf, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", vectors, vectors)
+    norms.flags.writeable = False
+    return norms
+
+
 def nearest(
-    query: np.ndarray, vectors: np.ndarray, ids: Sequence[str], k: int, exclude: int = -1
+    query: np.ndarray, vectors: np.ndarray, ids: Sequence[str], k: int, exclude: int = -1,
+    norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k rows of `vectors` nearest the query in Euclidean distance.
 
-    Returns their row indices, nearest first, and their distances. Exact
-    ties break by ascending row index, and row `exclude` is left out. A
-    distance that overflows (or is NaN) raises ValueError naming the id of
-    its row.
+    Returns their row indices, nearest first, and their distances
+    sqrt(((row - query) ** 2).sum()). Exact ties break by ascending row
+    index, and row `exclude` is left out. A distance that overflows (or is
+    NaN) raises ValueError naming the id of its row.
+
+    Only candidates get that distance: the rows whose ‖v‖² − 2v·q, from the
+    squared row norms `norms` (row_norms(vectors) if not given), is within
+    (d + 8)(2⁻⁵⁰S + 2⁻¹⁰⁷⁰) of the (k + 1)-th smallest; d is the dimension
+    and S = max ‖v‖² + ‖q‖². It and the exact squared distance each err by
+    under 2(d + 2)(2⁻⁵³S + 2⁻¹⁰⁷⁴), and a rounded sqrt ties squares under
+    2⁻⁵⁰S apart, so the candidates hold a full sort's first k + 1. They are
+    every row when k + 1 reaches the row count or S is not below
+    _NORM_LIMIT (NaN and inf included).
     """
+    candidates = np.arange(len(vectors))
     with np.errstate(over="ignore", invalid="ignore"):
-        distances = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+        if k + 1 < len(vectors):
+            norms = row_norms(vectors) if norms is None else norms
+            scale = norms.max() + np.einsum("j,j", query, query)
+            if scale < _NORM_LIMIT:
+                approx = np.einsum("ij,j->i", vectors, query)
+                approx *= -2.0
+                approx += norms
+                margin = (vectors.shape[1] + 8) * (2.0**-50 * scale + 2.0**-1070)
+                candidates = np.flatnonzero(approx <= np.partition(approx, k)[k] + margin)
+        rows = vectors if len(candidates) == len(vectors) else vectors[candidates]
+        distances = np.sqrt(((rows - query) ** 2).sum(axis=1))
     finite = np.isfinite(distances)
     if not finite.all():
-        song_id = ids[int(np.argmin(finite))]
+        song_id = ids[int(candidates[np.argmin(finite)])]
         raise ValueError(f"distance from the query to {song_id!r} is not finite")
-    # a stable argsort's first k + 1: the rows at or below the (k + 1)-th distance, sorted
-    cut = np.partition(distances, k)[k] if k + 1 < distances.size else np.inf
-    candidates = np.flatnonzero(distances <= cut)
-    order = candidates[np.argsort(distances[candidates], kind="stable")][: k + 1]
-    order = order[order != exclude][:k]
-    return order, distances[order]
+    # the candidates ascend, so a stable sort breaks exact ties by row index
+    order = np.argsort(distances, kind="stable")[: k + 1]
+    order = order[candidates[order] != exclude][:k]
+    return candidates[order], distances[order]
 
 
 def attach_unseen(
@@ -294,6 +325,7 @@ def attach_unseen(
     true_label: int | None = None,
     k: int = 10,
     train_features: np.ndarray | None = None,
+    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sorted node indices of the neighbor set of a song not in the graph.
 
@@ -301,7 +333,7 @@ def attach_unseen(
     genre (ValueError if the graph has none). FEATURE_KNN places it by
     feature similarity and returns the k training nodes nearest in Euclidean
     distance (`train_features` must hold one row per graph node, aligned
-    with graph order).
+    with graph order; `train_norms`, if given, their row_norms).
     """
     if mode is AttachmentMode.ORACLE:
         if true_label is None:
@@ -323,7 +355,7 @@ def attach_unseen(
                 f"train_features has {feats.shape[0]} rows for {graph.n_nodes} nodes"
             )
         query = np.asarray(feature, dtype=np.float64).ravel()
-        return np.sort(nearest(query, feats, graph.node_ids, k)[0])
+        return np.sort(nearest(query, feats, graph.node_ids, k, norms=train_norms)[0])
 
     raise ValueError(f"unknown attachment mode {mode!r}")
 

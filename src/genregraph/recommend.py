@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graph import GENRE_NAMES, AttachmentMode, build_graph, nearest
+from .graph import GENRE_NAMES, AttachmentMode, build_graph, nearest, row_norms
 from .nn import EmbeddingModel, Variant
 from .train import (
     TrainConfig,
@@ -35,9 +35,10 @@ VARIANT_DISPLAY = {Variant.PLAIN: "MFCC", Variant.SAGE: "GraphSAGE", Variant.GCN
 
 @dataclass(frozen=True)
 class RecommendationList:
-    """Up to k (song_id, distance) pairs in ascending distance order."""
+    """Up to k (song_id, distance) pairs in ascending distance order; the
+    query id is None for a query from outside the catalog."""
 
-    query_id: str
+    query_id: str | None
     items: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
@@ -95,9 +96,10 @@ class Catalog(Mapping[str, np.ndarray]):
     """Catalog vectors keyed by song id, as one read-only matrix in id order.
 
     The ids are sorted once (Python string order); row i of `vectors` is
-    the vector of `ids[i]`. Built once per catalog and searched by every
-    query. An id's row is the rank of its index in `positions`: a
-    GenreGraph's `node_index` over the same ids, or a dict built here.
+    the vector of `ids[i]`, and `norms` holds the rows' read-only squared
+    norms. Built once per catalog and searched by every query. An id's row
+    is the rank of its index in `positions`: a GenreGraph's `node_index`
+    over the same ids, or a dict built here.
     """
 
     def __init__(
@@ -114,6 +116,7 @@ class Catalog(Mapping[str, np.ndarray]):
         self.ids = [ids[i] for i in order]
         self.vectors = vectors[order]
         self.vectors.flags.writeable = False
+        self.norms = row_norms(self.vectors)
         self._positions = positions
         self._rank = np.empty(len(ids), dtype=np.int64)
         self._rank[order] = np.arange(len(ids))
@@ -132,11 +135,12 @@ def recommend(
     query: np.ndarray,
     catalog: Mapping[str, np.ndarray],
     k: int = TOP_K,
-    query_id: str = "",
+    query_id: str | None = None,
 ) -> RecommendationList:
     """The k catalog songs nearest the query in Euclidean distance.
 
-    The query's own id is excluded; exact distance ties break by
+    The query's own id is excluded; a query from outside the catalog has
+    query_id None and excludes nothing. Exact distance ties break by
     ascending song id. A distance that overflows (or is NaN) raises
     ValueError naming the catalog song. A catalog that is not a Catalog is
     turned into one first, so callers with many queries should build the
@@ -151,7 +155,7 @@ def recommend(
         catalog = Catalog(ids, np.array([catalog[i] for i in ids], dtype=np.float64))
     query = np.asarray(query, dtype=np.float64).ravel()
     own = catalog._rank[catalog._positions[query_id]] if query_id in catalog else -1
-    order, distances = nearest(query, catalog.vectors, catalog.ids, k, exclude=own)
+    order, distances = nearest(query, catalog.vectors, catalog.ids, k, own, catalog.norms)
     return RecommendationList(
         query_id=query_id,
         items=tuple(zip([catalog.ids[i] for i in order.tolist()], distances.tolist())),
@@ -242,6 +246,7 @@ def run_experiment(
     train_ids = [song_ids[i] for i in train_idx]
     train_features = features[train_idx]
     train_targets = label_indices[train_idx]
+    train_norms = row_norms(train_features)
 
     query_idx: list[int] = []
     for genre in np.unique(label_indices[test_idx]):
@@ -283,6 +288,7 @@ def run_experiment(
                     sample_k=vcfg.sage_sample_k,
                     self_loops=vcfg.self_loops,
                     seed=derive_seed(vcfg.seed, _STREAM_QUERY, int(qi)),
+                    train_norms=train_norms,
                 )
             recommendations.append(
                 recommend(query_vec, catalog, k=cfg.recommend_k, query_id=qid)

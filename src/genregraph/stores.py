@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import GENRE_NAMES
+from .graph import GENRE_NAMES, row_norms
 from .nn import EmbeddingModel, LayerParams, Variant
 
 FEATURE_MAGIC = b"GRMF"
@@ -102,8 +103,9 @@ class FeatureTable(Sequence[FeatureRecord]):
 
     `ids` holds the song ids, `genre_indices` their genre indices (int64)
     and `values` one float64 row per song, a read-only view of the bytes
-    read. A FeatureRecord is built only when one is indexed or iterated;
-    callers that want arrays read the columns.
+    read; `norms`, their read-only squared norms, is computed on first use.
+    A FeatureRecord is built only when one is indexed or iterated; callers
+    that want arrays read the columns.
     """
 
     def __init__(self, ids: list[str], genre_indices: np.ndarray, values: np.ndarray):
@@ -122,6 +124,10 @@ class FeatureTable(Sequence[FeatureRecord]):
 
     def __iter__(self) -> Iterator[FeatureRecord]:
         return (self[i] for i in range(len(self.ids)))
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return row_norms(self.values)
 
 
 def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTable:

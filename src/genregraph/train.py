@@ -295,6 +295,7 @@ def infer_embedding(
     sample_k: int = 10,
     self_loops: bool = False,
     seed: int = 0,
+    train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Embed a song that is not in the training graph.
 
@@ -302,7 +303,8 @@ def infer_embedding(
     `true_label`) or FEATURE_KNN; its one-row block is built from its
     neighbors' stored training features, sampled as catalog rows are for
     SAGE, and goes through the same graph-layer forward as catalog rows.
-    PLAIN passes the raw feature through unchanged.
+    PLAIN passes the raw feature through unchanged. FEATURE_KNN reads
+    `train_norms`, the training features' row_norms, if given.
     """
     new_feature = np.asarray(new_feature, dtype=np.float64).ravel()
     if model.variant is Variant.PLAIN:
@@ -310,7 +312,9 @@ def infer_embedding(
 
     train_features = np.asarray(train_features, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        neighbors = attach_unseen(graph, new_feature, attachment, true_label, knn_k, train_features)
+        neighbors = attach_unseen(
+            graph, new_feature, attachment, true_label, knn_k, train_features, train_norms
+        )
         if model.variant is Variant.GCN:
             weights, self_weight = extended_adjacency_row(len(neighbors), self_loops)
             row = weights @ train_features[neighbors] + self_weight * new_feature

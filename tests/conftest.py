@@ -36,6 +36,24 @@ def draw_neighbors(neighbors, k, rng):
     return neighbors
 
 
+def reference_nearest(query, vectors, ids, k, exclude=-1):
+    """Reference k-NN search: every row's exact distance, then the rows at
+    or below the (k + 1)-th stably sorted, as a full stable argsort ranks
+    them. The program's candidate search must return the same row indices
+    and distance bits, and raise the same ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+    finite = np.isfinite(distances)
+    if not finite.all():
+        song_id = ids[int(np.argmin(finite))]
+        raise ValueError(f"distance from the query to {song_id!r} is not finite")
+    cut = np.partition(distances, k)[k] if k + 1 < distances.size else np.inf
+    candidates = np.flatnonzero(distances <= cut)
+    order = candidates[np.argsort(distances[candidates], kind="stable")][: k + 1]
+    order = order[order != exclude][:k]
+    return order, distances[order]
+
+
 def reference_generate_clip(recipe, seconds, sample_rate, rng):
     """Reference synthesis: each term as one whole-array expression. The
     program's in-place version must match it bit for bit, and leave rng in

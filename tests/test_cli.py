@@ -2,6 +2,8 @@
 
 import json
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from genregraph.audio import encode_wav, AudioClip
 from genregraph import cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from genregraph.graph import GENRE_NAMES
+from genregraph.mfcc import MfccConfig, wav_mfcc
 from genregraph.nn import Variant, build_model
 from genregraph.recommend import recommend
 from genregraph.stores import (
@@ -739,8 +742,9 @@ class TestServedState:
                 assert self.in_process(capsys, self.argv(root, variant, *self.SONG))[0] == EXIT_OK
         assert cli._served.data == (other / "features.grmf").read_bytes()
         assert sorted(v.value for v in cli._served.catalogs) == ["gcn", "plain", "sage"]
-        for variant, ((weights, _), catalog) in cli._served.catalogs.items():
+        for variant, ((weights, _), model, catalog) in cli._served.catalogs.items():
             assert weights == (other / f"{variant.value}.grmw").read_bytes()
+            assert model.variant is variant
             # every catalog finds its ids through the one map of the store's graph
             assert catalog._positions is cli._served.graph.node_index
         assert self.in_process(capsys, self.argv(served, "gcn", *self.SONG))[0] == EXIT_OK
@@ -753,10 +757,91 @@ class TestServedState:
         audio = ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")]
         assert self.in_process(capsys, self.argv(served, "plain", *audio))[0] == EXIT_OK
         arrays = [cli._served.table.values, cli._served.table.genre_indices, cli._served.clip[1]]
-        arrays += [catalog.vectors for _, catalog in cli._served.catalogs.values()]
+        for _, _, catalog in cli._served.catalogs.values():
+            arrays += [catalog.vectors, catalog.norms]
+        arrays.append(cli._served.table.norms)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_each_weight_file_is_parsed_once(
+        self, served, tiny_workspace, capsys, fresh_python, monkeypatch
+    ):
+        parsed = []
+
+        def counted(path, data=None):
+            parsed.append(Path(path).name)
+            return real(path, data)
+
+        real = cli.read_model
+        monkeypatch.setattr(cli, "read_model", counted)
+        monkeypatch.setattr(cli, "_served", cli._Served())
+        audio = ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")]
+        for extra in ([], ["--seed", "1"], []):
+            for variant in ("plain", "gcn", "sage"):
+                for query in (self.SONG, audio):
+                    argv = self.argv(served, variant, *query, *extra)
+                    assert self.in_process(capsys, argv)[0] == EXIT_OK
+        # other settings embed the catalog again from the kept model
+        assert parsed == ["plain.grmw", "gcn.grmw", "sage.grmw"]
+        # past the 13-byte header and layer 0's two dims: its first weight
+        self.rewrite_float(served / "gcn.grmw", 13 + 8, 5.0)
+        self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *self.SONG))
+        self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *audio))
+        assert parsed[3:] == ["gcn.grmw"]
+
+    def test_repeated_song_query_copies_no_catalog(self, tmp_path, capsys, monkeypatch):
+        # a 4,096 x 30 store: the GCN catalog is 4,096 x 60 float64, 1.9 MB
+        rng = np.random.default_rng(9)
+        records = [
+            FeatureRecord(song_id=f"{GENRE_NAMES[i % 8]}/s{i:04d}", genre_index=i % 8,
+                          values=rng.standard_normal(30))
+            for i in range(4096)
+        ]
+        write_feature_store(tmp_path / "features.grmf", records)
+        write_model(tmp_path / "gcn.grmw", build_model(Variant.GCN, seed=0))
+        monkeypatch.setattr(cli, "_served", cli._Served())
+        argv = self.argv(tmp_path, "gcn", "--song-id", "Rock/s0007")
+        assert self.in_process(capsys, argv)[0] == EXIT_OK
+        catalog = cli._served.catalogs[Variant.GCN][-1]
+        tracemalloc.start()
+        try:
+            served = self.in_process(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert served[0] == EXIT_OK
+        assert peak < catalog.vectors.nbytes == 4096 * 60 * 8
+
+
+class TestEmptySongId:
+    """The store format allows the empty string as an id."""
+
+    @pytest.fixture
+    def store_with_empty_id(self, tiny_workspace, tmp_path):
+        # '' holds the query clip's own MFCC, as recommend --audio computes it
+        wav = tiny_workspace / "Rock" / "Rock_000.wav"
+        records = [
+            FeatureRecord(song_id=f"g{i % 8}/s{i}", genre_index=i % 8, values=np.full(30, i / 7.0))
+            for i in range(16)
+        ]
+        clip = wav_mfcc(wav.read_bytes(), MfccConfig(), 0)
+        records.append(FeatureRecord(song_id="", genre_index=7, values=clip))
+        write_feature_store(tmp_path / "s.grmf", records)
+        write_model(tmp_path / "w.grmw", build_model(Variant.PLAIN, seed=0))
+        return ["recommend", "--store", str(tmp_path / "s.grmf"),
+                "--weights", str(tmp_path / "w.grmw")]
+
+    def test_an_audio_query_may_return_it(self, store_with_empty_id, tiny_workspace, capsys):
+        wav = tiny_workspace / "Rock" / "Rock_000.wav"
+        assert main([*store_with_empty_id, "--audio", str(wav)]) == EXIT_OK
+        rows = capsys.readouterr().out.split("\n")[1:-1]
+        assert rows[0] == f"{1:>4}  {'':<40} {GENRE_NAMES[7]:<14} {0.0:.6f}"
+
+    def test_a_song_query_by_it_excludes_it(self, store_with_empty_id, capsys):
+        assert main([*store_with_empty_id, "--song-id", ""]) == EXIT_OK
+        rows = capsys.readouterr().out.split("\n")[1:-1]
+        assert len(rows) == 10 and all(row.split()[1].startswith("g") for row in rows)
 
 
 class TestPrintedRows:

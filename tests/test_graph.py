@@ -15,12 +15,14 @@ from genregraph.graph import (
     attach_unseen,
     build_graph,
     draw_neighbor_positions,
+    _NORM_LIMIT,
     extended_adjacency_row,
     nearest,
     normalize,
+    row_norms,
 )
 
-from conftest import clique_neighbors, draw_neighbors
+from conftest import clique_neighbors, draw_neighbors, reference_nearest
 
 
 def labels_for(counts):
@@ -429,6 +431,93 @@ class TestNearest:
         expected_order, expected_distances = self.full_sort(query, vectors, k, exclude)
         assert order.tobytes() == expected_order.tobytes()
         assert distances.tobytes() == expected_distances.tobytes()
+        self.assert_like_reference(query, vectors, k, exclude)
+
+    @staticmethod
+    def outcome(search, query, vectors, k, exclude, **norms):
+        """A search's row indices and distances as bytes, or its ValueError."""
+        ids = [f"s{i}" for i in range(len(vectors))]
+        try:
+            order, distances = search(query, vectors, ids, k, exclude, **norms)
+        except ValueError as exc:
+            return str(exc)
+        return order.tobytes(), distances.tobytes()
+
+    def assert_like_reference(self, query, vectors, k, exclude):
+        """nearest, with its norms given or not, returns what the exhaustive
+        reference search returns, or raises its error."""
+        expected = self.outcome(reference_nearest, query, vectors, k, exclude)
+        assert self.outcome(nearest, query, vectors, k, exclude) == expected
+        norms = row_norms(vectors)
+        assert self.outcome(nearest, query, vectors, k, exclude, norms=norms) == expected
+        return expected
+
+    @staticmethod
+    def scene(case, rng, n, dim):
+        """Rows and a query where the candidate pass is hardest to get right."""
+        if case == "ulps":
+            # rows on one ray from the query, a few ulps apart around one distance
+            query = rng.standard_normal(dim)
+            direction = rng.standard_normal(dim)
+            return query, query + direction * (1.0 + rng.integers(-4, 5, size=(n, 1)) * 2.0**-52)
+        if case in ("far", "tiny"):
+            # a tight cluster of tied rows; from far away the rounding of
+            # ‖v‖² - 2v·q dwarfs the gaps between the distances, and near the
+            # underflow range it loses them to subnormals
+            scale = 10.0 ** (rng.uniform(0, 8) if case == "far" else rng.uniform(-165, -150))
+            centre = rng.standard_normal(dim) * scale
+            spread = 10.0 ** rng.uniform(-14, -2) * scale
+            vectors = centre + spread * rng.integers(-2, 3, size=(n, dim))
+            offset = rng.choice([0.0, 1.0, 10.0 ** rng.uniform(0, 4)])
+            return centre + offset * spread * rng.standard_normal(dim), vectors
+        if case == "guard":
+            # squared norms on both sides of the overflow guard
+            size = np.sqrt(_NORM_LIMIT / dim)
+            vectors = rng.choice([-1.0, 1.0], size=(n, dim)) * size * rng.uniform(0.3, 1.2, (n, 1))
+            return rng.choice([-1.0, 1.0], size=dim) * size * rng.uniform(0.0, 0.8), vectors
+        # a NaN or infinite query, sometimes a non-finite row too
+        vectors, query = rng.standard_normal((n, dim)), rng.standard_normal(dim)
+        query[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        if rng.integers(2):
+            vectors[rng.integers(n), rng.integers(dim)] = rng.choice([np.nan, np.inf])
+        return query, vectors
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        case=st.sampled_from(["ulps", "far", "tiny", "guard", "nonfinite"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        dim=st.integers(1, 8),
+        k=st.integers(0, 45),
+        exclude=st.integers(-1, 39),
+    )
+    def test_matches_the_exhaustive_reference(self, case, seed, n, dim, k, exclude):
+        # k + 1 reaches past the row count in some examples: every row is a candidate
+        query, vectors = self.scene(case, np.random.default_rng(seed), n, dim)
+        self.assert_like_reference(query, vectors, k, exclude)
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.499, 0.501, 0.999, 1.001, 2.0])
+    def test_at_the_overflow_guard(self, fraction):
+        # the last row's ‖v‖² is fraction * limit and the query is its
+        # opposite: S = 2 * fraction * limit passes the guard from 0.5 on,
+        # and the last row's squared distance, 4 * fraction * limit, passes
+        # the largest float past 1
+        dim = 4
+        size = np.sqrt(fraction * _NORM_LIMIT / dim)
+        steps = np.arange(5.0)[:, None] * np.ones(dim)
+        vectors = np.vstack([np.zeros((5, dim)), steps, np.full(dim, size)])
+        expected = self.assert_like_reference(-vectors[-1], vectors, 2, -1)
+        overflows = fraction > 1
+        assert isinstance(expected, str) == overflows
+        if overflows:
+            assert expected == "distance from the query to 's10' is not finite"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_query_names_the_first_row(self, bad):
+        vectors = np.random.default_rng(4).standard_normal((20, 3))
+        query = np.array([0.0, bad, 1.0])
+        expected = self.assert_like_reference(query, vectors, 3, -1)
+        assert expected == "distance from the query to 's0' is not finite"
 
 
 class TestExtendedAdjacencyRow:

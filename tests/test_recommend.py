@@ -91,6 +91,24 @@ class TestRecommend:
         rec = recommend(np.zeros(4), catalog, k=10, query_id="q")
         assert rec.item_ids == ["other"]
 
+    def test_an_outside_query_excludes_no_id(self):
+        # the empty string is a catalog id like any other: a query from
+        # outside the catalog (query_id None) may rank it, its own does not
+        vectors = np.array([[0.0], [1.0], [3.0], [2.0]])
+        catalog = Catalog(["", "a", "b", "c"], vectors)
+        assert recommend(vectors[0], catalog, k=2).items == (("", 0.0), ("a", 1.0))
+        assert recommend(vectors[0], catalog, k=2, query_id=None).item_ids == ["", "a"]
+        assert recommend(vectors[0], catalog, k=2, query_id="").item_ids == ["a", "c"]
+        mapping = dict(zip(catalog.ids, catalog.vectors))
+        assert recommend(vectors[0], mapping, k=2).item_ids == ["", "a"]
+
+    def test_catalog_norms_are_the_rows_squared_norms(self):
+        vectors = np.arange(12.0).reshape(4, 3)
+        catalog = Catalog(["b", "é", "a", "Z"], vectors)
+        assert catalog.norms.tobytes() == (catalog.vectors**2).sum(axis=1).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            catalog.norms[0] = 0.0
+
     def test_random_catalogs_match_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

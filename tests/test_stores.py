@@ -245,6 +245,8 @@ class TestFeatureStoreRobustness:
     def test_write_read_write_is_byte_identical(self, tmp_path, rows):
         records = [FeatureRecord(song_id=i, genre_index=g, values=np.array(v)) for i, g, v in rows]
         first, second = tmp_path / "a.grmf", tmp_path / "b.grmf"
+        # every example shares tmp_path, so an earlier one may have written first
+        first.unlink(missing_ok=True)
         # a lone surrogate has no UTF-8 form: the writer refuses its id by name
         unencodable = [i for i, _, _ in rows if any("\ud800" <= c <= "\udfff" for c in i)]
         if unencodable:
