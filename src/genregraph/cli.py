@@ -23,7 +23,7 @@ from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import MfccConfig, wav_mfcc
-from .nn import EmbeddingModel, Variant
+from .nn import INPUT_DIM, EmbeddingModel, Variant
 from .recommend import (
     Catalog,
     ExperimentConfig,
@@ -230,6 +230,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     variant = Variant(args.variant)
     cfg = _train_config(args, config, variant)
     ids, labels, features = _read_store_arrays(args.store)
+    if features.shape[1] != INPUT_DIM:
+        raise UsageError(
+            f"{args.store}: store has {features.shape[1]}-dim features, the model takes {INPUT_DIM}"
+        )
     test_fraction = float(_setting(args, config, "test_fraction", 0.1))
     train_idx, _ = split_train_test(labels, test_fraction=test_fraction, seed=cfg.seed)
 

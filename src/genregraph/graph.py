@@ -183,24 +183,19 @@ _BLOCK_ROWS = 4096
 
 
 def _bounds(degrees: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the 2k-1 bounds numpy's choice draws below: j + 1 for
-    Floyd's j = deg-k..deg-1, then i + 1 for the shuffle's i = k-1..1."""
-    bounds = np.empty((len(degrees), 2 * k - 1), dtype=np.uint64)
+    """Per row, the 2k-1 exclusive bounds numpy's choice draws below: j + 1
+    for Floyd's j = deg-k..deg-1, then i + 1 for the shuffle's i = k-1..1."""
+    bounds = np.empty((len(degrees), 2 * k - 1), dtype=np.int64)
     bounds[:, :k] = degrees[:, None] + np.arange(1 - k, 1)
     bounds[:, k:] = np.arange(k, 1, -1)
     return bounds
 
 
-def _rejected(scaled: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Where Lemire's method, as numpy's buffered_bounded_lemire_uint32
-    runs it, throws the value u away: u * bound mod 2**32 < 2**32 mod bound."""
-    return (scaled & 0xFFFFFFFF) < (1 << 32) % bounds
-
-
 def _floyd_rows(draws: np.ndarray, degrees: np.ndarray, k: int) -> np.ndarray:
     """Floyd's algorithm and the shuffle after it, for many rows at once,
-    from each row's 2k-1 bounded draws."""
-    picks = np.empty((len(degrees), k), dtype=np.int64)
+    from each row's 2k-1 bounded draws. The picks are kept column by
+    column (Fortran order), as the loops below read and write them."""
+    picks = np.empty((len(degrees), k), dtype=np.int64, order="F")
     for c in range(k):
         val = draws[:, c]
         seen = (picks[:, :c] == val[:, None]).any(axis=1)
@@ -224,13 +219,12 @@ def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarra
     """k distinct positions in 0..degree-1 per row, every degree above k.
 
     Equal, bit for bit, to calling rng.choice(degree, k, replace=False) for
-    each row in order on one rng = default_rng(seed). numpy draws each
-    bounded value by Lemire's method from one 32-bit output of the
-    generator, and a row takes 2k-1 of them: k for Floyd's algorithm, k-1
-    for the shuffle after it. Rows run in blocks, vectorized, on those
-    outputs read with rng.integers. A row with a draw numpy rejects and
-    redoes, or for which numpy takes its tail shuffle, is drawn by
-    rng.choice itself, after the block is read again up to that row.
+    each row in order on one rng = default_rng(seed). A row takes 2k-1
+    bounded draws: k for Floyd's algorithm, k-1 for the shuffle after it.
+    Rows run in blocks, vectorized, on the values one rng.integers call
+    draws below their bounds; integers draws each value, redraws included,
+    as choice does. A row for which numpy takes its tail shuffle is drawn
+    by rng.choice itself.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if len(degrees) and degrees.min() <= k:
@@ -240,26 +234,15 @@ def draw_neighbor_positions(degrees: np.ndarray, k: int, seed: int) -> np.ndarra
     out = np.empty((len(degrees), k), dtype=np.int64)
     row = 0
     while row < len(degrees):
-        if not tail[row]:
-            # a block ends before the next tail row
-            deg = degrees[row : row + _BLOCK_ROWS]
-            deg = deg[: np.append(tail[row : row + len(deg)], True).argmax()]
-            bounds = _bounds(deg, k)
-            state = rng.bit_generator.state
-            values = rng.integers(1 << 32, size=bounds.size, dtype=np.uint32)
-            scaled = values.reshape(bounds.shape) * bounds
-            rejected = _rejected(scaled, bounds).any(axis=1)
-            n_fast = int(rejected.argmax()) if rejected.any() else len(deg)
-            draws = (scaled[:n_fast] >> 32).astype(np.int64)
-            out[row : row + n_fast] = _floyd_rows(draws, deg[:n_fast], k)
-            row += n_fast
-            if n_fast == len(deg):
-                continue
-            # rewind to the end of the rows kept, where choice takes over
-            rng.bit_generator.state = state
-            rng.integers(1 << 32, size=n_fast * bounds.shape[1], dtype=np.uint32)
-        out[row] = rng.choice(int(degrees[row]), k, replace=False)
-        row += 1
+        if tail[row]:
+            out[row] = rng.choice(int(degrees[row]), k, replace=False)
+            row += 1
+            continue
+        # a block ends before the next tail row
+        deg = degrees[row : row + _BLOCK_ROWS]
+        deg = deg[: np.append(tail[row : row + len(deg)], True).argmax()]
+        out[row : row + len(deg)] = _floyd_rows(rng.integers(_bounds(deg, k)), deg, k)
+        row += len(deg)
     return out
 
 

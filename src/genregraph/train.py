@@ -119,6 +119,8 @@ def split_train_test(
     if not (0 < test_fraction < 1):
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     label_indices = np.asarray(label_indices)
+    if not len(label_indices):
+        raise ValueError("no songs to split into training and test sets")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for genre in np.unique(label_indices):

@@ -245,6 +245,29 @@ class TestTrain:
         assert err.count("\n") == 1 and "non-finite" in err and "g3/s0" in err
         assert not (tmp_path / "gcn.grmw").exists()
 
+    @pytest.mark.parametrize("variant", ["plain", "gcn", "sage"])
+    def test_store_of_another_dimension_is_named(self, tmp_path, capsys, variant):
+        rng = np.random.default_rng(2)
+        records = [
+            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=rng.normal(size=20))
+            for g in range(8)
+            for s in range(8)
+        ]
+        store = tmp_path / "narrow.grmf"
+        write_feature_store(store, records, dimension=20)
+        rc = main(["train", "--store", str(store), "--variant", variant, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {store}: store has 20-dim features, the model takes 30\n"
+        assert not (tmp_path / f"{variant}.grmw").exists()
+
+    def test_store_with_no_songs_says_so(self, tmp_path, capsys):
+        store = tmp_path / "empty.grmf"
+        write_feature_store(store, [])
+        rc = main(["train", "--store", str(store), "--variant", "gcn", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no songs to split into training and test sets\n"
+
 
 class TestEvaluate:
     def test_report_files_and_table_shape(self, tiny_workspace, capsys):
@@ -372,6 +395,15 @@ class TestEvaluate:
         )
         assert rc == EXIT_USAGE
         assert "dim" in capsys.readouterr().err
+
+    def test_store_with_no_songs_says_so(self, tiny_workspace, tmp_path, capsys):
+        store = tmp_path / "empty.grmf"
+        write_feature_store(store, [])
+        rc = main(
+            ["evaluate", "--store", str(store), "--weights", str(tiny_workspace / "gcn.grmw")]
+        )
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: no songs to split into training and test sets\n"
 
 
 class TestRecommend:

@@ -165,6 +165,8 @@ class TestSplitTrainTest:
             split_train_test(np.array([0, 0]), test_fraction=0.0)
         with pytest.raises(ValueError):
             split_train_test(np.array([0, 0]), test_fraction=1.0)
+        with pytest.raises(ValueError, match="^no songs to split"):
+            split_train_test(np.array([], dtype=np.int64))
 
     def test_seeded_shuffle(self):
         labels = np.repeat(np.arange(3), 30)
