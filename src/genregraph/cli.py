@@ -320,6 +320,19 @@ class _Served(NamedTuple):
 _served = _Served()
 
 
+def _holds(path: Path, data: bytes | None) -> bool:
+    """Whether the file holds exactly `data`, read 64 KiB at a time."""
+    if data is None or path.stat().st_size != len(data):
+        return False
+    chunk, view = bytearray(1 << 16), memoryview(data)
+    with path.open("rb", buffering=0) as fh:
+        for start in range(0, len(data), len(chunk)):
+            del chunk[len(data) - start :]  # the last chunk is shorter
+            if fh.readinto(chunk) != len(chunk) or chunk != view[start : start + len(chunk)]:
+                return False
+        return not fh.read(1)
+
+
 def cmd_recommend(args: argparse.Namespace) -> int:
     global _served
     config = _load_config(args.config)
@@ -334,8 +347,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             true_label = GenreLabel.from_name(args.genre).index
 
     # a hit keeps the bytes the table was parsed from: its values view them
-    data = Path(args.store).read_bytes()
-    data, table, graph, catalogs, clip = _served if _served.data == data else _Served(data, clip=_served.clip)
+    served, store = _served, Path(args.store)
+    data, table, graph, catalogs, clip = served if _holds(store, served.data) else _Served(store.read_bytes(), clip=served.clip)
     if table is None:
         table = read_feature_store(args.store, data)
         table.genre_indices.flags.writeable = False  # values: a read-only view of data

@@ -271,10 +271,17 @@ def adam_step(
 
 
 def embedding_forward(block: np.ndarray, graph_layer: LayerParams) -> np.ndarray:
-    """Graph-layer output rows (the embeddings): ReLU(block W + b)."""
+    """Graph-layer output rows (the embeddings): ReLU(block W + b), with
+    block W taken in row blocks of at most 2**18 multiply-adds, a product
+    OpenBLAS runs on the calling thread at any thread count."""
     block = np.asarray(block, dtype=np.float64)
     _check_affine_shapes(block, graph_layer, "embedding_forward")
-    return _relu(block @ graph_layer.weight + graph_layer.bias)
+    out = np.empty((block.shape[0], graph_layer.out_dim))
+    rows = max(1, 2**18 // graph_layer.weight.size)
+    for start in range(0, block.shape[0], rows):
+        np.matmul(block[start : start + rows], graph_layer.weight, out=out[start : start + rows])
+    out += graph_layer.bias
+    return np.maximum(out, 0.0, out=out)
 
 
 def embedding_loss_and_grads(

@@ -822,28 +822,63 @@ class TestServedState:
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *audio))
         assert parsed[3:] == ["gcn.grmw"]
 
-    def test_repeated_song_query_copies_no_catalog(self, tmp_path, capsys, monkeypatch):
-        # a 4,096 x 30 store: the GCN catalog is 4,096 x 60 float64, 1.9 MB
+    @pytest.fixture
+    def large_store(self, tmp_path, monkeypatch):
+        """A 4,096 x 30 store of 0.96 MiB, 16 chunks of 64 KiB with the genre
+        column in the last, and GCN weights; the GCN catalog is 4,096 x 60
+        float64, 1.9 MB."""
         rng = np.random.default_rng(9)
         records = [
-            FeatureRecord(song_id=f"{GENRE_NAMES[i % 8]}/s{i:04d}", genre_index=i % 8,
-                          values=rng.standard_normal(30))
+            FeatureRecord(song_id=f"s{i:04d}", genre_index=i % 8, values=rng.standard_normal(30))
             for i in range(4096)
         ]
         write_feature_store(tmp_path / "features.grmf", records)
         write_model(tmp_path / "gcn.grmw", build_model(Variant.GCN, seed=0))
         monkeypatch.setattr(cli, "_served", cli._Served())
-        argv = self.argv(tmp_path, "gcn", "--song-id", "Rock/s0007")
-        assert self.in_process(capsys, argv)[0] == EXIT_OK
-        catalog = cli._served.catalogs[Variant.GCN][-1]
+        return self.argv(tmp_path, "gcn", "--song-id", "s0007")
+
+    def test_repeated_song_query_copies_no_catalog_and_reads_no_whole_store(
+        self, large_store, capsys
+    ):
+        assert self.in_process(capsys, large_store)[0] == EXIT_OK
+        store = Path(large_store[2])
+        assert cli._served.data == store.read_bytes()
         tracemalloc.start()
         try:
-            served = self.in_process(capsys, argv)
+            served = self.in_process(capsys, large_store)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert served[0] == EXIT_OK
-        assert peak < catalog.vectors.nbytes == 4096 * 60 * 8
+        # neither the catalog nor the 1 MB file: the store is compared with
+        # the kept bytes 64 KiB at a time
+        assert peak < 256 * 1024 < store.stat().st_size
+
+    def test_store_rewritten_at_its_size_in_the_last_chunk(
+        self, large_store, capsys, fresh_python, monkeypatch
+    ):
+        before = self.assert_like_fresh(capsys, fresh_python, large_store)
+        parsed = []
+
+        def counted(path, data=None):
+            parsed.append(path)
+            return real(path, data)
+
+        real = cli.read_feature_store
+        monkeypatch.setattr(cli, "read_feature_store", counted)
+        store = Path(large_store[2])
+        data = bytearray(store.read_bytes())
+        # the queried song's genre byte, past the 16-byte header and the values
+        offset = 16 + 4096 * 30 * 8 + 7
+        assert data[offset] == GENRE_NAMES.index("Rock")
+        assert offset >= (len(data) - 1) // 65536 * 65536  # in the last chunk
+        data[offset] = GENRE_NAMES.index("Folk")
+        store.write_bytes(bytes(data))
+        after = self.assert_like_fresh(capsys, fresh_python, large_store)
+        assert before[0] == after[0] == EXIT_OK and before[1] != after[1]
+        assert len(parsed) == 1
+        assert self.in_process(capsys, large_store) == after
+        assert len(parsed) == 1
 
 
 class TestEmptySongId:

@@ -297,6 +297,51 @@ class TestSageForward:
         assert np.array_equal(a, b)
 
 
+FORWARD_THREADS_SCRIPT = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+import time
+import numpy as np
+from genregraph.nn import embedding_forward, init_layer
+
+rng = np.random.default_rng(0)
+layer, block = init_layer(60, 60, rng), rng.standard_normal((4096, 60))
+time.sleep(0.5)  # the BLAS threads started at import are asleep by now
+process, thread = time.process_time(), time.thread_time()
+embedding_forward(block, layer)
+time.sleep(0.05)  # a helper thread woken by the product would spin here
+print((time.process_time() - process) - (time.thread_time() - thread))
+"""
+
+
+class TestEmbeddingForward:
+    """The forward takes block W in row blocks: 145 rows at 30 inputs and
+    72 at 60, so row counts around those cover one, several and a partial
+    last block."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 71, 72, 73, 145, 146, 300])
+    @pytest.mark.parametrize("in_dim", [INPUT_DIM, 2 * INPUT_DIM])
+    def test_matches_a_blas_free_product_and_leaves_its_inputs(self, rows, in_dim):
+        rng = np.random.default_rng(rows + in_dim)
+        block = rng.normal(size=(rows, in_dim))
+        layer = random_layer(in_dim, EMBED_DIM, rng)
+        inputs = [block, layer.weight, layer.bias]
+        before = [a.tobytes() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        out = embedding_forward(block, layer)
+        expected = np.maximum(np.einsum("ij,jk->ik", block, layer.weight) + layer.bias, 0.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=1e-13)
+        assert [a.tobytes() for a in inputs] == before
+
+    def test_leaves_the_blas_helper_threads_asleep(self, fresh_python):
+        # a 4,096 x 60 product in one call is past OpenBLAS's one-thread
+        # cutoff; a helper thread it wakes spins on after the call returns
+        done = fresh_python(FORWARD_THREADS_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 0.005
+
+
 class TestMlpForward:
     def test_zero_inputs_and_zero_biases_give_zero_logits(self):
         model = build_model(Variant.PLAIN, seed=0)

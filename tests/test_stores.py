@@ -358,6 +358,29 @@ class TestWeightStoreRobustness:
         assert err == f"error: {store} or {weights}: values too large for the gcn model\n"
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", [Variant.GCN, Variant.SAGE], ids=lambda v: v.value)
+    @pytest.mark.parametrize("last", [False, True], ids=["first-block", "last-partial-block"])
+    def test_overflow_in_one_row_block_is_one_line(self, tmp_path, capsys, variant, last):
+        # 154 standard-normal songs in genres 0-6 and a lone genre-7 song
+        # whose values take the first embedding column past the largest
+        # float. The forward takes 145 (GCN) or 72 (SAGE) rows a block, so
+        # as the last of 155 rows the lone song is in a partial block. GCN
+        # needs self-loops for it; SAGE gives it a zero neighbor mean
+        model = build_model(variant, seed=0)
+        rng = np.random.default_rng(0)
+        records = [FeatureRecord(f"g{i % 7}/s{i}", i % 7, rng.normal(size=30)) for i in range(154)]
+        lone = FeatureRecord("g7/lone", 7, 1.7e308 * np.sign(model.graph_layer.weight[:30, 0]))
+        store, weights = tmp_path / "lone.grmf", tmp_path / f"{variant.value}.grmw"
+        write_feature_store(store, records + [lone] if last else [lone] + records)
+        write_model(weights, model)
+        loops = ["--self-loops"] if variant is Variant.GCN else []
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights),
+                   "--song-id", "g0/s0", *loops])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: {store} or {weights}: values too large for the {variant.value} model\n"
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "variant, verb",
         [(v, verb) for verb in ("recommend", "evaluate") for v in (Variant.GCN, Variant.SAGE)]

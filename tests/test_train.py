@@ -177,6 +177,26 @@ class TestSplitTrainTest:
         assert not np.array_equal(a[1], c[1])
 
 
+CATALOG_SCRIPT = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+import hashlib
+import numpy as np
+from genregraph.graph import build_graph
+from genregraph.nn import Variant, build_model
+from genregraph.train import TrainConfig, compute_embeddings
+
+rng = np.random.default_rng(3)
+labels = np.arange(4096) % 8
+features = rng.standard_normal((4096, 30)) + labels[:, None]
+for variant in (Variant.GCN, Variant.SAGE):
+    model = build_model(variant, seed=0)
+    model.graph_layer.bias[:] = rng.standard_normal(60) / 4
+    vectors = compute_embeddings(model, build_graph(labels), features, TrainConfig(variant=variant))
+    print(variant.value, hashlib.sha256(vectors.tobytes()).hexdigest())
+"""
+
+
 class TestTrainEmbeddings:
     @pytest.mark.parametrize("variant", [Variant.GCN, Variant.SAGE])
     def test_epoch_zero_loss_is_ln8(self, cluster_desk, variant):
@@ -221,6 +241,14 @@ class TestTrainEmbeddings:
             model, _, embeddings = train_embeddings(graph, feats, targets, cfg)
             again = compute_embeddings(model, graph, feats, cfg)
             assert np.array_equal(embeddings, again)
+
+    def test_catalog_bytes_do_not_depend_on_the_blas_thread_count(self, fresh_python):
+        # a 4,096-row catalog: products past OpenBLAS's one-thread cutoff
+        runs = [fresh_python(CATALOG_SCRIPT.format(threads=t)) for t in (1, 2)]
+        for done in runs:
+            assert done.returncode == 0, done.stderr
+        assert runs[0].stdout.split()[::2] == ["gcn", "sage"]
+        assert runs[0].stdout == runs[1].stdout
 
     def test_rejects_plain_and_bad_shapes(self, cluster_desk):
         graph, feats, targets = cluster_desk
