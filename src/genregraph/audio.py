@@ -13,6 +13,7 @@ import os
 import struct
 import wave
 from dataclasses import dataclass
+from enum import IntEnum, unique
 
 import numpy as np
 
@@ -239,8 +240,20 @@ def _upfirdn(x: np.ndarray, taps: np.ndarray, up: int, down: int, start: int, st
     return out
 
 
+@unique
+class SeedStream(IntEnum):
+    """derive_seed's stream tag after a run seed, one per use of randomness; 2 is unused."""
+
+    EPOCH = 0  # train: a SAGE epoch's neighbor sample
+    FINAL = 1  # train: the final SAGE embedding pass
+    QUERY = 3  # evaluate: a held-out query's SAGE sample
+    CLIP = 4  # synth: one song's clip
+    WINDOW = 5  # extract and audio queries: one song's window offset
+    QUERY_AUDIO = 6  # recommend --audio: the query's SAGE sample
+
+
 def derive_seed(*parts: int) -> int:
-    """Stable child seed from a run seed plus stream/epoch indices."""
+    """Stable child seed from a run seed plus a SeedStream tag and indices."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
@@ -256,10 +269,6 @@ def clip_workers(n_clips: int) -> int:
     else:
         cores = os.cpu_count() or 1
     return min(8, cores, n_clips)
-
-
-# seed stream tag for per-song window offsets (mfcc.wav_mfcc)
-WINDOW_SEED_STREAM = 5
 
 
 def random_window(clip: AudioClip, seconds: float, seed: int, sample_rate: int | None = None) -> AudioClip:

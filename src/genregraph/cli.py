@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, extract, train, evaluate, recommend.
 
 Settings resolve in three layers: built-in defaults, then a JSON config
-file (--config), then explicit flags. Every command is deterministic
-given (inputs, config, seed). Exit codes: 0 success, 1 internal error,
-2 input validation error.
+file (--config), then explicit flags; evaluate and recommend take the
+training settings from the weight files they load. Every command is
+deterministic given (inputs, config, seed). Exit codes: 0 success, 1
+internal error, 2 input validation error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import ClipTooShortError, WavDecodeError, clip_workers, derive_seed
+from .audio import ClipTooShortError, SeedStream, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import MfccConfig, wav_mfcc
@@ -55,9 +56,6 @@ from .train import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-
-_STREAM_QUERY_AUDIO = 6
 
 
 class UsageError(ValueError):
@@ -134,28 +132,11 @@ def _genre_list(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _train_config(args: argparse.Namespace, config: dict, variant: Variant) -> TrainConfig:
-    return TrainConfig(
-        embed_lr=float(_setting(args, config, "embed_lr", 0.01)),
-        mlp_lr=float(_setting(args, config, "mlp_lr", 0.001)),
-        epochs=int(_setting(args, config, "epochs", 50)),
-        seed=int(_setting(args, config, "seed", 0)),
-        variant=variant,
-        sage_sample_k=int(_setting(args, config, "sage_sample_k", 10)),
-        self_loops=bool(_setting(args, config, "self_loops", False)),
-    )
-
-
 def _mfcc_config(args: argparse.Namespace, config: dict) -> MfccConfig:
     return MfccConfig(
         window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
         target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
     )
-
-
-def _read_store_arrays(path: str):
-    table = read_feature_store(path)
-    return table.ids, table.genre_indices, table.values
 
 
 def _check_model_dim(model, feature_dim: int, path: str) -> None:
@@ -166,6 +147,13 @@ def _check_model_dim(model, feature_dim: int, path: str) -> None:
             f"{path}: {model.variant.value} weights expect input dim {expected}, "
             f"store provides {actual}"
         )
+
+
+def _check_seed(args: argparse.Namespace, config: dict, model: EmbeddingModel, path: str) -> None:
+    """A seed given to evaluate or recommend must be the weights' own."""
+    seed = int(_setting(args, config, "seed", model.cfg.seed))
+    if seed != model.cfg.seed:
+        raise UsageError(f"{path}: trained with seed {model.cfg.seed}, not the given seed {seed}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -227,19 +215,27 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    variant = Variant(args.variant)
-    cfg = _train_config(args, config, variant)
-    ids, labels, features = _read_store_arrays(args.store)
+    cfg = TrainConfig(
+        embed_lr=float(_setting(args, config, "embed_lr", 0.01)),
+        mlp_lr=float(_setting(args, config, "mlp_lr", 0.001)),
+        epochs=int(_setting(args, config, "epochs", 50)),
+        seed=int(_setting(args, config, "seed", 0)),
+        variant=Variant(args.variant),
+        sage_sample_k=int(_setting(args, config, "sage_sample_k", 10)),
+        self_loops=bool(_setting(args, config, "self_loops", False)),
+        test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
+    )
+    table = read_feature_store(args.store)
+    ids, labels, features = table.ids, table.genre_indices, table.values
     if features.shape[1] != INPUT_DIM:
         raise UsageError(
             f"{args.store}: store has {features.shape[1]}-dim features, the model takes {INPUT_DIM}"
         )
-    test_fraction = float(_setting(args, config, "test_fraction", 0.1))
-    train_idx, _ = split_train_test(labels, test_fraction=test_fraction, seed=cfg.seed)
+    train_idx, _ = split_train_test(labels, test_fraction=cfg.test_fraction, seed=cfg.seed)
 
     train_ids = [ids[i] for i in train_idx]
     graph = None
-    if variant is not Variant.PLAIN:
+    if cfg.variant is not Variant.PLAIN:
         graph = build_graph(labels[train_idx], node_ids=train_ids)
     try:
         model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
@@ -248,11 +244,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out) if args.out else Path(args.store).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    weights_path = out_dir / f"{variant.value}.grmw"
+    weights_path = out_dir / f"{cfg.variant.value}.grmw"
     write_model(weights_path, model)
-    print(f"trained {variant.value} on {len(train_idx)} songs -> {weights_path}")
+    print(f"trained {cfg.variant.value} on {len(train_idx)} songs -> {weights_path}")
     for stage, curve in curves.items():
-        csv_path = out_dir / f"{variant.value}_{stage}_loss.csv"
+        csv_path = out_dir / f"{cfg.variant.value}_{stage}_loss.csv"
         curve.to_csv(csv_path)
         print(
             f"{stage}: loss {curve.train_losses[0]:.6f} -> {curve.train_losses[-1]:.6f} "
@@ -263,30 +259,39 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    ids, labels, features = _read_store_arrays(args.store)
-    dim = features.shape[1]
+    table = read_feature_store(args.store)
 
     pretrained, paths = {}, {}
     for weights_path in args.weights:
         model = read_model(weights_path)
-        _check_model_dim(model, dim, weights_path)
+        _check_model_dim(model, table.values.shape[1], weights_path)
+        _check_seed(args, config, model, weights_path)
         if model.variant.value in pretrained:
             raise UsageError(f"two weight files for variant {model.variant.value!r}")
+        # every file must hold out the songs the first one held out
+        train = next(iter(pretrained.values()), model).cfg
+        if (model.cfg.seed, model.cfg.test_fraction) != (train.seed, train.test_fraction):
+            raise UsageError(
+                f"{args.weights[0]} and {weights_path} were trained on different splits: "
+                f"seed {train.seed} and {model.cfg.seed}, "
+                f"test_fraction {train.test_fraction} and {model.cfg.test_fraction}"
+            )
         pretrained[model.variant.value] = model
         paths[model.variant.value] = weights_path
 
     attachment = AttachmentMode(_setting(args, config, "attachment", "oracle"))
     cfg = ExperimentConfig(
-        train=_train_config(args, config, Variant.GCN),
+        train=train,
         queries_per_genre=int(_setting(args, config, "queries_per_genre", 10)),
-        test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
         attachment=attachment,
         knn_k=int(_setting(args, config, "knn_k", 10)),
         recommend_k=int(_setting(args, config, "recommend_k", 10)),
     )
     variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
     try:
-        reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
+        reports = run_experiment(
+            table.ids, table.genre_indices, table.values, variants, cfg, pretrained=pretrained
+        )
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {paths[exc.variant.value]}: {exc}") from None
 
@@ -301,15 +306,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 class _Served(NamedTuple):
-    """The columns and graph of one store's bytes, per variant the model
-    parsed from its weight bytes and the catalog embedded with them under a
-    TrainConfig, and the read-only MFCC vector of the last query clip with
-    the WAV bytes, MfccConfig and seed it was made from."""
+    """The columns and graph of one store's bytes, per variant the weight
+    bytes, the model parsed from them and the catalog it embeds under the
+    settings it carries, and the read-only MFCC vector of the last query
+    clip with the WAV bytes, MfccConfig and seed it was made from."""
 
     data: bytes | None = None
     table: FeatureTable | None = None
     graph: GenreGraph | None = None
-    catalogs: dict[Variant, tuple[tuple[bytes, TrainConfig], EmbeddingModel, Catalog]] = {}
+    catalogs: dict[Variant, tuple[bytes, EmbeddingModel, Catalog]] = {}
     clip: tuple[tuple[bytes, MfccConfig, int], np.ndarray] | None = None
 
 
@@ -355,19 +360,18 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     ids, labels, features = table.ids, table.genre_indices, table.values
     weights = Path(args.weights).read_bytes()
     # the variant tag is in the bytes, so at most one kept entry matches
-    built_from, model, catalog = next(
-        (kept for kept in catalogs.values() if kept[0][0] == weights), (None, None, None)
-    )
+    model, catalog = next(((m, c) for w, m, c in catalogs.values() if w == weights), (None, None))
     model = read_model(args.weights, weights) if model is None else model
     _check_model_dim(model, features.shape[1], args.weights)
-    cfg = _train_config(args, config, model.variant)
+    _check_seed(args, config, model, args.weights)
+    cfg = model.cfg
 
     if graph is None:
         graph = build_graph(labels, node_ids=ids)
     if args.song_id is not None and args.song_id not in graph:
         raise UsageError(f"unknown song id {args.song_id!r}")
     try:
-        if built_from != (weights, cfg):
+        if catalog is None:
             catalog = Catalog(ids, compute_embeddings(model, graph, features, cfg), graph.node_index)
         if args.song_id is not None:
             query_vec = catalog[args.song_id]
@@ -388,7 +392,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 knn_k=int(_setting(args, config, "knn_k", 10)),
                 sample_k=cfg.sage_sample_k,
                 self_loops=cfg.self_loops,
-                seed=derive_seed(cfg.seed, _STREAM_QUERY_AUDIO),
+                seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
                 train_norms=table.norms,
             )
             query_id = None
@@ -398,7 +402,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     result = recommend(
         query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
     )
-    kept = {**catalogs, model.variant: ((weights, cfg), model, catalog)}
+    kept = {**catalogs, model.variant: (weights, model, catalog)}
     _served = _Served(data, table, graph, kept, clip)
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
     for rank, (song_id, distance) in enumerate(result.items, start=1):
@@ -408,9 +412,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed_help: str = "run seed (default 0)") -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="run seed (default 0)")
+    parser.add_argument("--seed", type=int, help=seed_help)
+
+
+_WEIGHTS_SEED = "the seed the weights were trained with; a seed given must equal it"
 
 
 @functools.cache
@@ -454,21 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="Γ report comparing trained variants")
-    _add_common(p)
+    _add_common(p, _WEIGHTS_SEED)
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, nargs="+", metavar="GRMW")
     p.add_argument("--attachment", choices=[m.value for m in AttachmentMode])
     p.add_argument("--queries-per-genre", type=int)
-    p.add_argument("--test-fraction", type=float)
     p.add_argument("--knn-k", type=int)
     p.add_argument("--recommend-k", type=int)
-    p.add_argument("--sage-sample-k", type=int)
-    p.add_argument("--self-loops", action=argparse.BooleanOptionalAction)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-10 most similar songs for a query")
-    _add_common(p)
+    _add_common(p, _WEIGHTS_SEED)
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, metavar="GRMW")
     p.add_argument("--song-id", help="query by id of a song in the store")
@@ -478,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--window-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
-    p.add_argument("--sage-sample-k", type=int)
-    p.add_argument("--self-loops", action=argparse.BooleanOptionalAction)
     p.set_defaults(func=cmd_recommend)
 
     return parser
@@ -498,8 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except IsolatedNodeError as exc:
         print(
-            f"error: song {exc.node_id!r} is the only {exc.genre} song in the graph; "
-            "the GCN needs --self-loops to normalize a song with no same-genre company",
+            f"error: song {exc.node_id!r} is the only {exc.genre} song in the graph; re-run "
+            "train with --self-loops to let the GCN normalize a song with no same-genre company",
             file=sys.stderr,
         )
         return EXIT_USAGE

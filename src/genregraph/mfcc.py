@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, WINDOW_SEED_STREAM, AudioClip, decode_wav
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream, decode_wav
 from .audio import derive_seed, random_window
 
 LOG_FLOOR = 1e-10
@@ -245,9 +245,9 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
 
 def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:
     """MFCC vector of WAV bytes: decode, cut a window seeded by (seed,
-    WINDOW_SEED_STREAM, index) at the config's rate, resampling only it, then
+    SeedStream.WINDOW, index) at the config's rate, resampling only it, then
     mfcc. The one path for extract, audio queries and the in-memory corpus.
     """
-    window_seed = derive_seed(seed, WINDOW_SEED_STREAM, index)
+    window_seed = derive_seed(seed, SeedStream.WINDOW, index)
     window = random_window(decode_wav(data), cfg.window_seconds, window_seed, cfg.target_sample_rate)
     return mfcc(window, cfg).values

@@ -39,6 +39,32 @@ class Variant(enum.Enum):
     SAGE = "sage"
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """The settings a model is trained under, which its weight file records."""
+
+    embed_lr: float = 0.01
+    mlp_lr: float = 0.001
+    epochs: int = 50
+    seed: int = 0
+    variant: Variant = Variant.GCN
+    sage_sample_k: int = 10
+    self_loops: bool = False
+    test_fraction: float = 0.1
+
+    def __post_init__(self):
+        if not (0 < self.embed_lr < np.inf and 0 < self.mlp_lr < np.inf):
+            raise ValueError("learning rates must be positive and finite")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
+        if not 1 <= self.epochs < 2**32:
+            raise ValueError(f"epochs must be in 1..2**32-1, got {self.epochs}")
+        if not 1 <= self.sage_sample_k < 2**32:
+            raise ValueError(f"sage_sample_k must be in 1..2**32-1, got {self.sage_sample_k}")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+
+
 @dataclass
 class LayerParams:
     """One affine layer: weight (in_dim x out_dim) plus bias (out_dim)."""
@@ -84,16 +110,20 @@ def init_layer(in_dim: int, out_dim: int, rng: np.random.Generator, zero: bool =
 
 @dataclass
 class EmbeddingModel:
-    """Graph layer plus classifier heads for one pipeline variant.
+    """Graph layer plus classifier heads for the variant cfg.variant, trained under cfg.
 
     embed_head is the throwaway linear classifier used only while the graph
     layer is trained; mlp is the three-layer genre classifier.
     """
 
-    variant: Variant
+    cfg: TrainConfig
     graph_layer: LayerParams | None
     embed_head: LayerParams | None
     mlp: list[LayerParams]
+
+    @property
+    def variant(self) -> Variant:
+        return self.cfg.variant
 
     def __post_init__(self):
         if self.variant is Variant.PLAIN:
@@ -134,7 +164,7 @@ def build_model(variant: Variant, seed: int) -> EmbeddingModel:
         init_layer(MLP_HIDDEN[0], MLP_HIDDEN[1], rng),
         init_layer(MLP_HIDDEN[1], N_GENRES, rng, zero=True),
     ]
-    return EmbeddingModel(variant=variant, graph_layer=graph_layer, embed_head=embed_head, mlp=mlp)
+    return EmbeddingModel(TrainConfig(seed=seed, variant=variant), graph_layer, embed_head, mlp)
 
 
 def _relu(z: np.ndarray) -> np.ndarray:

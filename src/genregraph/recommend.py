@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .audio import SeedStream, derive_seed
 from .graph import GENRE_NAMES, AttachmentMode, build_graph, nearest, row_norms
 from .nn import EmbeddingModel, Variant
 from .train import (
     TrainConfig,
     compute_embeddings,
-    derive_seed,
     infer_embedding,
     split_train_test,
     train_embeddings,
 )
 
 TOP_K = 10
-
-_STREAM_QUERY = 3
 
 VARIANT_DISPLAY = {Variant.PLAIN: "MFCC", Variant.SAGE: "GraphSAGE", Variant.GCN: "GCN"}
 
@@ -209,7 +206,6 @@ def gamma(
 class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     queries_per_genre: int = 10
-    test_fraction: float = 0.1
     attachment: AttachmentMode = AttachmentMode.ORACLE
     knn_k: int = 10
     recommend_k: int = TOP_K
@@ -231,17 +227,18 @@ def run_experiment(
 ) -> dict[str, EvalReport]:
     """Train each variant, embed held-out songs, recommend, and score Γ.
 
-    The catalog is the training songs' embeddings; queries are up to
-    queries_per_genre held-out songs per genre, attached by cfg.attachment.
-    A pretrained model (keyed by variant value) skips that variant's
-    training and reuses its weights.
+    The split is cfg.train's seed and test_fraction. The catalog is the
+    training songs' embeddings; queries are up to queries_per_genre
+    held-out songs per genre, attached by cfg.attachment. A pretrained
+    model (keyed by variant value) skips that variant's training and is
+    used under the settings it carries, which should hold the same split.
     """
     label_indices = np.asarray(label_indices, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
     labels_by_id = dict(zip(song_ids, label_indices.tolist()))
 
     train_idx, test_idx = split_train_test(
-        label_indices, test_fraction=cfg.test_fraction, seed=cfg.train.seed
+        label_indices, test_fraction=cfg.train.test_fraction, seed=cfg.train.seed
     )
     train_ids = [song_ids[i] for i in train_idx]
     train_features = features[train_idx]
@@ -255,7 +252,6 @@ def run_experiment(
 
     reports: dict[str, EvalReport] = {}
     for variant in variants:
-        vcfg = replace(cfg.train, variant=variant)
         if variant is Variant.PLAIN:
             model = None
             graph = None
@@ -264,10 +260,10 @@ def run_experiment(
             graph = build_graph(train_targets, node_ids=train_ids)
             if pretrained and variant.value in pretrained:
                 model = pretrained[variant.value]
-                catalog_vectors = compute_embeddings(model, graph, train_features, vcfg)
+                catalog_vectors = compute_embeddings(model, graph, train_features, model.cfg)
             else:
                 model, _, catalog_vectors = train_embeddings(
-                    graph, train_features, train_targets, vcfg
+                    graph, train_features, train_targets, replace(cfg.train, variant=variant)
                 )
         catalog = Catalog(train_ids, catalog_vectors)
 
@@ -285,9 +281,9 @@ def run_experiment(
                     cfg.attachment,
                     true_label=int(label_indices[qi]),
                     knn_k=cfg.knn_k,
-                    sample_k=vcfg.sage_sample_k,
-                    self_loops=vcfg.self_loops,
-                    seed=derive_seed(vcfg.seed, _STREAM_QUERY, int(qi)),
+                    sample_k=model.cfg.sage_sample_k,
+                    self_loops=model.cfg.self_loops,
+                    seed=derive_seed(model.cfg.seed, SeedStream.QUERY, int(qi)),
                     train_norms=train_norms,
                 )
             recommendations.append(

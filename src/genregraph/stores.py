@@ -5,9 +5,12 @@ then three columns: count x dimension little-endian float64 values
 (row-major, so 8-byte aligned after the 16-byte header), count u8 genre
 indices, and count UTF-8 song ids, each followed by a NUL byte.
 
-GRMW: magic "GRMW", u32 LE version, u8 variant tag, u32 LE layer count,
-then per layer u32 in_dim, u32 out_dim, weights (row-major) and bias as
-little-endian float64.
+GRMW: magic "GRMW", u32 LE version (2), u8 variant tag, u32 LE layer
+count, then the settings the model was trained under (u64 seed, u32
+epochs, f64 embed_lr, f64 mlp_lr, u32 sage_sample_k, u8 self_loops, f64
+test_fraction), then per layer u32 in_dim, u32 out_dim, weights
+(row-major) and bias as little-endian float64. A version-1 file, without
+the settings, is refused.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import GENRE_NAMES, row_norms
-from .nn import EmbeddingModel, LayerParams, Variant
+from .nn import EmbeddingModel, LayerParams, TrainConfig, Variant
 
 FEATURE_MAGIC = b"GRMF"
 WEIGHT_MAGIC = b"GRMW"
 FEATURE_VERSION = 2
-WEIGHT_VERSION = 1
+WEIGHT_VERSION = 2
+# the TrainConfig fields a weight file records after its layer count, and their layout
+_SETTINGS = ("seed", "epochs", "embed_lr", "mlp_lr", "sage_sample_k", "self_loops", "test_fraction")
+_SETTINGS_LAYOUT = struct.Struct("<QIddI?d")
 
 _VARIANT_TAGS = {Variant.PLAIN: 0, Variant.GCN: 1, Variant.SAGE: 2}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}
@@ -168,17 +174,12 @@ def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTa
     return FeatureTable(ids, genres, values)
 
 
-def _model_layers(model: EmbeddingModel) -> list[LayerParams]:
-    if model.variant is Variant.PLAIN:
-        return list(model.mlp)
-    return [model.graph_layer, model.embed_head, *model.mlp]
-
-
 def write_model(path: str | Path, model: EmbeddingModel) -> None:
-    layers = _model_layers(model)
+    layers = [layer for layer in (model.graph_layer, model.embed_head, *model.mlp) if layer is not None]
     parts = [
         WEIGHT_MAGIC,
         struct.pack("<IBI", WEIGHT_VERSION, _VARIANT_TAGS[model.variant], len(layers)),
+        _SETTINGS_LAYOUT.pack(*(getattr(model.cfg, name) for name in _SETTINGS)),
     ]
     for layer in layers:
         parts.append(struct.pack("<II", layer.in_dim, layer.out_dim))
@@ -194,13 +195,18 @@ def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
         raise StoreFormatError(f"{path}: bad magic, not a weight store")
     version, tag, layer_count = struct.unpack("<IBI", reader.take(9))
     if version != WEIGHT_VERSION:
-        raise StoreFormatError(f"{path}: unsupported version {version}")
+        raise StoreFormatError(f"{path}: unsupported version {version}; re-run train")
     if tag not in _TAG_VARIANTS:
         raise StoreFormatError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
     expected = 3 if variant is Variant.PLAIN else 5
     if layer_count != expected:
         raise StoreFormatError(f"{path}: {variant.value} model must have {expected} layers, got {layer_count}")
+    settings = _SETTINGS_LAYOUT.unpack(reader.take(_SETTINGS_LAYOUT.size))
+    try:
+        cfg = TrainConfig(variant=variant, **dict(zip(_SETTINGS, settings)))
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from None
 
     layers = []
     for i in range(layer_count):
@@ -215,7 +221,5 @@ def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
         raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
 
     if variant is Variant.PLAIN:
-        return EmbeddingModel(variant=variant, graph_layer=None, embed_head=None, mlp=layers)
-    return EmbeddingModel(
-        variant=variant, graph_layer=layers[0], embed_head=layers[1], mlp=layers[2:]
-    )
+        return EmbeddingModel(cfg=cfg, graph_layer=None, embed_head=None, mlp=layers)
+    return EmbeddingModel(cfg=cfg, graph_layer=layers[0], embed_head=layers[1], mlp=layers[2:])

@@ -16,13 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, clip_workers, derive_seed, encode_wav
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream, clip_workers
+from .audio import derive_seed, encode_wav
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
 from .mfcc import MfccConfig, wav_mfcc
 from .stores import FeatureRecord
-
-_STREAM_CLIP = 4
 
 WINDOW_SECONDS = 5.0
 
@@ -174,7 +173,7 @@ def generate_clip(
 
 
 def song_seed(spec: SyntheticSpec, genre_index: int, song_index: int) -> int:
-    return derive_seed(spec.seed, _STREAM_CLIP, genre_index, song_index)
+    return derive_seed(spec.seed, SeedStream.CLIP, genre_index, song_index)
 
 
 def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes], object]) -> list:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .audio import derive_seed
+from .audio import SeedStream, derive_seed
 from .graph import (
     AttachmentMode,
     GenreGraph,
@@ -30,6 +30,7 @@ from .nn import (
     AdamState,
     EmbeddingModel,
     LayerParams,
+    TrainConfig,
     Variant,
     adam_step,
     build_model,
@@ -39,10 +40,6 @@ from .nn import (
     sampled_neighbor_means,
     softmax_cross_entropy,
 )
-
-# stream tags for deriving independent per-purpose seeds from one run seed
-_STREAM_EPOCH = 0
-_STREAM_FINAL = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -60,25 +57,6 @@ class ModelOverflowError(ValueError):
     def __init__(self, variant: Variant):
         self.variant = variant
         super().__init__(f"values too large for the {variant.value} model")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    embed_lr: float = 0.01
-    mlp_lr: float = 0.001
-    epochs: int = 50
-    seed: int = 0
-    variant: Variant = Variant.GCN
-    sage_sample_k: int = 10
-    self_loops: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.embed_lr < np.inf and 0 < self.mlp_lr < np.inf):
-            raise ValueError("learning rates must be positive and finite")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.sage_sample_k < 1:
-            raise ValueError(f"sage_sample_k must be >= 1, got {self.sage_sample_k}")
 
 
 @dataclass(frozen=True)
@@ -204,10 +182,10 @@ def train_embeddings(
     if features.shape[0] != graph.n_nodes:
         raise ValueError(f"{features.shape[0]} feature rows for {graph.n_nodes} nodes")
 
-    model = build_model(cfg.variant, cfg.seed)
+    model = replace(build_model(cfg.variant, cfg.seed), cfg=cfg)
 
     def block(epoch: int) -> np.ndarray:
-        seed = derive_seed(cfg.seed, _STREAM_EPOCH, epoch)
+        seed = derive_seed(cfg.seed, SeedStream.EPOCH, epoch)
         return graph_block(cfg.variant, graph, features, cfg, seed)
 
     layers = [model.graph_layer, model.embed_head]
@@ -232,12 +210,12 @@ def compute_embeddings(
 
     Reproduces the final embedding pass of train_embeddings bit for bit,
     so weights loaded from disk yield the same catalog as the training
-    run that wrote them (given the same cfg).
+    run that wrote them (given cfg = model.cfg, the settings they record).
     """
     features = np.asarray(features, dtype=np.float64)
     if model.variant is Variant.PLAIN:
         return features
-    seed = derive_seed(cfg.seed, _STREAM_FINAL)
+    seed = derive_seed(cfg.seed, SeedStream.FINAL)
     with np.errstate(over="ignore", invalid="ignore"):
         return _embed(graph_block(model.variant, graph, features, cfg, seed), model)
 
@@ -279,7 +257,7 @@ def train_pipeline(
     """Run both stages for cfg.variant; PLAIN skips the embedding stage."""
     curves: dict[str, LossCurve] = {}
     if cfg.variant is Variant.PLAIN:
-        model, inputs = build_model(Variant.PLAIN, cfg.seed), features
+        model, inputs = replace(build_model(Variant.PLAIN, cfg.seed), cfg=cfg), features
     else:
         model, curves["embedding"], inputs = train_embeddings(graph, features, targets, cfg)
     _, curves["classifier"] = train_classifier(inputs, targets, cfg, mlp=model.mlp)

@@ -13,10 +13,12 @@ from genregraph.audio import (
     ClipTooShortError,
     EmptyWavError,
     MalformedWavError,
+    SeedStream,
     UnsupportedWavError,
     WavDecodeError,
     clip_workers,
     decode_wav,
+    derive_seed,
     encode_wav,
     random_window,
     resample,
@@ -272,3 +274,15 @@ class TestClipWorkers:
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 64)
         assert clip_workers(clips) == expected
+
+
+class TestSeedStreams:
+    def test_each_use_keeps_its_tag(self):
+        # the tags are part of every seeded byte the program writes; 2 is unused
+        assert {s.name: s.value for s in SeedStream} == {
+            "EPOCH": 0, "FINAL": 1, "QUERY": 3, "CLIP": 4, "WINDOW": 5, "QUERY_AUDIO": 6,
+        }
+
+    def test_a_tag_derives_the_seed_its_integer_does(self):
+        for stream in SeedStream:
+            assert derive_seed(7, stream, 3) == derive_seed(7, int(stream), 3)

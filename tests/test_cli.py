@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +609,15 @@ class TestServedState:
         struct.pack_into("<d", data, offset, value + delta)
         path.write_bytes(bytes(data))
 
+    # past the 13-byte header, the 41 bytes of settings and layer 0's two dims
+    FIRST_WEIGHT = 13 + 41 + 8
+
+    @staticmethod
+    def rewrite_settings(path, **changes):
+        """Rewrite the weight file with the same layers under other settings."""
+        model = read_model(path)
+        write_model(path, replace(model, cfg=replace(model.cfg, **changes)))
+
     def assert_like_fresh(self, capsys, fresh_python, argv):
         served = self.in_process(capsys, argv)
         done = fresh_python(f"import sys\nfrom genregraph.cli import main\nsys.exit(main({argv!r}))")
@@ -658,6 +668,10 @@ class TestServedState:
             "--seed": ["--seed", "1"],
         }.get(change, [])
         original = query_wav.read_bytes()
+        weights, trained = served / "gcn.grmw", (served / "gcn.grmw").read_bytes()
+        if change == "--seed":
+            # a seed given to recommend must be the weights' own
+            self.rewrite_settings(weights, seed=1)
         if change == "one sample":
             # the middle sample of the 6 s clip, inside every 5 s window
             data, start = bytearray(original), original.index(b"data") + 8
@@ -671,6 +685,7 @@ class TestServedState:
         assert transforms[0].tobytes() != transforms[1].tobytes()
         # one clip is kept: the first clip and settings again transform again
         query_wav.write_bytes(original)
+        weights.write_bytes(trained)
         assert self.in_process(capsys, first) == before
         assert len(transforms) == 3 and transforms[2].tobytes() == transforms[0].tobytes()
 
@@ -704,8 +719,7 @@ class TestServedState:
     def test_weights_rewritten_with_one_float_changed(self, served, capsys, fresh_python):
         argv = self.argv(served, "gcn", *self.SONG)
         before = self.assert_like_fresh(capsys, fresh_python, argv)
-        # past the 13-byte header and layer 0's two dims: its first weight
-        self.rewrite_float(served / "gcn.grmw", 13 + 8, 5.0)
+        self.rewrite_float(served / "gcn.grmw", self.FIRST_WEIGHT, 5.0)
         after = self.assert_like_fresh(capsys, fresh_python, argv)
         assert before[0] == after[0] == EXIT_OK and before[1] != after[1]
 
@@ -724,22 +738,27 @@ class TestServedState:
     def test_settings_changed_between_calls(
         self, served, tiny_workspace, capsys, fresh_python, variant
     ):
+        # the settings are the weight file's: the same layers rewritten under each
         queries = (self.SONG, ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")])
-        settings = ([], ["--seed", "1"], ["--sage-sample-k", "3"], ["--self-loops"])
-        outputs = {}
-        for extra in settings:
+        weights = served / f"{variant}.grmw"
+        trained = weights.read_bytes()
+        settings = ({}, {"seed": 1}, {"sage_sample_k": 3}, {"self_loops": True})
+        outputs = []
+        for changes in settings:
+            weights.write_bytes(trained)
+            self.rewrite_settings(weights, **changes)
+            outputs.append({})
             for query in queries:
-                argv = self.argv(served, variant, *query, *extra)
-                rc, outputs[tuple(query + extra)], _ = self.assert_like_fresh(
-                    capsys, fresh_python, argv
-                )
+                argv = self.argv(served, variant, *query)
+                rc, outputs[-1][tuple(query)], _ = self.assert_like_fresh(capsys, fresh_python, argv)
                 assert rc == EXIT_OK
         # back to the first settings: the first calls' printouts
+        weights.write_bytes(trained)
         for query in queries:
-            assert self.in_process(capsys, self.argv(served, variant, *query))[1] == outputs[tuple(query)]
+            assert self.in_process(capsys, self.argv(served, variant, *query))[1] == outputs[0][tuple(query)]
         # each setting the variant reads changes the song query's printout
-        read = settings[1:3] if variant == "sage" else settings[3:]
-        assert all(outputs[tuple(self.SONG + extra)] != outputs[tuple(self.SONG)] for extra in read)
+        read = outputs[1:3] if variant == "sage" else outputs[3:]
+        assert all(out[tuple(self.SONG)] != outputs[0][tuple(self.SONG)] for out in read)
 
     @pytest.mark.parametrize("value, words", [(1e308, "values too large"), (1e200, "is not finite")])
     def test_overflowing_store_after_a_good_one_caches_nothing(
@@ -774,7 +793,7 @@ class TestServedState:
                 assert self.in_process(capsys, self.argv(root, variant, *self.SONG))[0] == EXIT_OK
         assert cli._served.data == (other / "features.grmf").read_bytes()
         assert sorted(v.value for v in cli._served.catalogs) == ["gcn", "plain", "sage"]
-        for variant, ((weights, _), model, catalog) in cli._served.catalogs.items():
+        for variant, (weights, model, catalog) in cli._served.catalogs.items():
             assert weights == (other / f"{variant.value}.grmw").read_bytes()
             assert model.variant is variant
             # every catalog finds its ids through the one map of the store's graph
@@ -809,15 +828,14 @@ class TestServedState:
         monkeypatch.setattr(cli, "read_model", counted)
         monkeypatch.setattr(cli, "_served", cli._Served())
         audio = ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")]
-        for extra in ([], ["--seed", "1"], []):
+        for extra in ([], ["--seed", "0"], []):
             for variant in ("plain", "gcn", "sage"):
                 for query in (self.SONG, audio):
                     argv = self.argv(served, variant, *query, *extra)
                     assert self.in_process(capsys, argv)[0] == EXIT_OK
-        # other settings embed the catalog again from the kept model
+        # the weights' own seed, given, serves from the kept model
         assert parsed == ["plain.grmw", "gcn.grmw", "sage.grmw"]
-        # past the 13-byte header and layer 0's two dims: its first weight
-        self.rewrite_float(served / "gcn.grmw", 13 + 8, 5.0)
+        self.rewrite_float(served / "gcn.grmw", self.FIRST_WEIGHT, 5.0)
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *self.SONG))
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *audio))
         assert parsed[3:] == ["gcn.grmw"]
@@ -938,10 +956,12 @@ class TestRemovedFlags:
     @pytest.mark.parametrize(
         "verb, flag",
         [("evaluate", "--epochs"), ("evaluate", "--embed-lr"), ("evaluate", "--mlp-lr"),
-         ("recommend", "--out")],
+         ("recommend", "--out"), ("evaluate", "--test-fraction"), ("evaluate", "--sage-sample-k"),
+         ("evaluate", "--self-loops"), ("recommend", "--sage-sample-k"), ("recommend", "--self-loops")],
     )
     def test_flag_that_changed_nothing_is_rejected(self, tmp_path, capsys, verb, flag):
-        # evaluate trains nothing and recommend writes nothing
+        # evaluate trains nothing and recommend writes nothing; both take the
+        # training settings from the weights
         args = [verb, "--store", str(tmp_path / "s.grmf"), "--weights", str(tmp_path / "w.grmw")]
         assert main([*args, flag, "1"]) == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
@@ -967,7 +987,8 @@ class TestRemovedFlags:
 
     def test_training_keys_of_a_shared_config_leave_evaluate_unchanged(self, tiny_workspace, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 1, "embed_lr": 7.0, "mlp_lr": 9.0}))
+        cfg_path.write_text(json.dumps({"epochs": 1, "embed_lr": 7.0, "mlp_lr": 9.0,
+                                        "sage_sample_k": 1, "self_loops": True, "test_fraction": 0.5}))
         weights = [str(tiny_workspace / f"{v}.grmw") for v in ("plain", "sage", "gcn")]
         for out, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--config", str(cfg_path)])):
             rc = main(["evaluate", "--store", str(tiny_workspace / "features.grmf"),
@@ -1122,6 +1143,14 @@ class TestSettingRanges:
         self.assert_one_line_usage_error(capsys, argv, "learning rates must be positive and finite")
         assert not (tmp_path / "gcn.grmw").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_train_seed_outside_64_bits(self, tiny_workspace, tmp_path, capsys, seed):
+        # the weight file records the seed in 8 bytes
+        argv = ["train", "--store", str(tiny_workspace / "features.grmf"), "--variant", "gcn",
+                "--out", str(tmp_path), "--seed", str(seed)]
+        self.assert_one_line_usage_error(capsys, argv, f"seed must be in 0..2**64-1, got {seed}")
+        assert not (tmp_path / "gcn.grmw").exists()
+
     @pytest.mark.parametrize(
         "flag, value, words",
         [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz"),
@@ -1190,3 +1219,59 @@ class TestOracleAttachment:
         assert out == "" and err == "error: no Pop song in the graph to attach to\n"
         assert main([*base, "--genre", "Rock"]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 11
+
+
+class TestWeightsCarryTheirSettings:
+    """evaluate and recommend take every training setting from the weights;
+    a seed given to them must be the weights' own, and evaluate's weight
+    files must share one train/test split."""
+
+    def test_self_loops_weights_evaluate_without_the_flag(self, tmp_path, capsys):
+        # two songs per genre: one to train on, alone in its clique, and one to query
+        assert main(["synth", "--out", str(tmp_path), "--seed", "0", "--songs-per-genre", "2"]) == 0
+        assert main(["extract", "--manifest", str(tmp_path / "manifest.csv")]) == 0
+        store = str(tmp_path / "features.grmf")
+        assert main(["train", "--store", store, "--variant", "gcn", "--self-loops", "--epochs", "3"]) == 0
+        assert read_model(tmp_path / "gcn.grmw").cfg.self_loops is True
+        capsys.readouterr()
+        assert main(["evaluate", "--store", store, "--weights", str(tmp_path / "gcn.grmw")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and "GCN" in out and (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("verb", ["evaluate", "recommend"])
+    def test_a_seed_other_than_the_weights_is_one_line_naming_the_file(
+        self, tiny_workspace, tmp_path, capsys, verb, given
+    ):
+        weights = tiny_workspace / "plain.grmw"
+        args = [verb, "--store", str(tiny_workspace / "features.grmf"), "--weights", str(weights),
+                *(["--out", str(tmp_path)] if verb == "evaluate" else ["--song-id", "Rock/Rock_000.wav"])]
+        if given == "flag":
+            args += ["--seed", "1"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {weights}: trained with seed 0, not the given seed 1\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, split",
+        [("--seed", "1", "seed 0 and 1, test_fraction 0.1 and 0.1"),
+         ("--test-fraction", "0.2", "seed 0 and 0, test_fraction 0.1 and 0.2")],
+    )
+    def test_weight_files_of_two_splits_are_one_line_naming_both(
+        self, tiny_workspace, tmp_path, capsys, flag, value, split
+    ):
+        store = str(tiny_workspace / "features.grmf")
+        argv = ["train", "--store", store, "--variant", "gcn", "--epochs", "2", "--out", str(tmp_path)]
+        assert main([*argv, flag, value]) == EXIT_OK
+        plain, gcn = tiny_workspace / "plain.grmw", tmp_path / "gcn.grmw"
+        capsys.readouterr()
+        rc = main(["evaluate", "--store", store, "--weights", str(plain), str(gcn), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_USAGE and out == ""
+        assert err == f"error: {plain} and {gcn} were trained on different splits: {split}\n"
+        assert not (tmp_path / "report.json").exists()

@@ -505,7 +505,7 @@ class TestParameterCounts:
         rng = np.random.default_rng(0)
         bad = random_layer(INPUT_DIM + 1, EMBED_DIM, rng)
         with pytest.raises(ValueError):
-            EmbeddingModel(variant=Variant.GCN, graph_layer=bad, embed_head=None, mlp=[])
+            EmbeddingModel(TrainConfig(variant=Variant.GCN), graph_layer=bad, embed_head=None, mlp=[])
 
     def test_final_layers_start_at_zero(self):
         for variant in Variant:

@@ -1,6 +1,7 @@
 """Binary feature (GRMF) and weight (GRMW) store formats."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from genregraph.audio import AudioClip, encode_wav
 from genregraph.cli import EXIT_OK, EXIT_USAGE, main
-from genregraph.nn import Variant, build_model
+from genregraph.nn import TrainConfig, Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
@@ -22,6 +23,19 @@ from genregraph.stores import (
     write_feature_store,
     write_model,
 )
+
+
+# a weight file's settings follow its 13-byte header: field -> (offset, struct format)
+SETTING_AT = {
+    "seed": (13, "<Q"),
+    "epochs": (21, "<I"),
+    "embed_lr": (25, "<d"),
+    "mlp_lr": (33, "<d"),
+    "sage_sample_k": (41, "<I"),
+    "self_loops": (45, "<B"),
+    "test_fraction": (46, "<d"),
+}
+SETTINGS_SIZE = 41
 
 
 def sample_records(n=6, dim=30, seed=0):
@@ -295,11 +309,11 @@ class TestFeatureStoreRobustness:
 
 
 class TestWeightStoreRobustness:
-    # 28 is the sign-and-exponent byte of the first graph-layer weight:
+    # 69 is the sign-and-exponent byte of the first graph-layer weight:
     # XOR 0x40 makes it about 1e306, and distances from it overflow
     @_EXAMPLES
     @given(corruption=_CORRUPTION, variant=st.sampled_from(list(Variant)))
-    @example(corruption=(28, 0x40), variant=Variant.GCN)
+    @example(corruption=(28 + SETTINGS_SIZE, 0x40), variant=Variant.GCN)
     def test_corrupt_weights_read_or_raise_and_recommend_exits_0_or_2(
         self, tmp_path, capsys, corruption, variant
     ):
@@ -372,10 +386,9 @@ class TestWeightStoreRobustness:
         lone = FeatureRecord("g7/lone", 7, 1.7e308 * np.sign(model.graph_layer.weight[:30, 0]))
         store, weights = tmp_path / "lone.grmf", tmp_path / f"{variant.value}.grmw"
         write_feature_store(store, records + [lone] if last else [lone] + records)
-        write_model(weights, model)
-        loops = ["--self-loops"] if variant is Variant.GCN else []
+        write_model(weights, replace(model, cfg=replace(model.cfg, self_loops=True)))
         rc = main(["recommend", "--store", str(store), "--weights", str(weights),
-                   "--song-id", "g0/s0", *loops])
+                   "--song-id", "g0/s0"])
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
         assert err == f"error: {store} or {weights}: values too large for the {variant.value} model\n"
@@ -542,10 +555,115 @@ class TestWeightStore:
         path = tmp_path / "shape.grmw"
         write_model(path, model)
         raw = bytearray(path.read_bytes())
-        offset = 4 + 4 + 1 + 4
+        offset = 4 + 4 + 1 + 4 + SETTINGS_SIZE
         in_dim, out_dim = struct.unpack_from("<II", raw, offset)
         assert (in_dim, out_dim) == (30, 60)
         struct.pack_into("<II", raw, offset, 60, 30)
         path.write_bytes(bytes(raw))
         with pytest.raises((StoreFormatError, ValueError)):
             read_model(path)
+
+
+class TestWeightSettings:
+    """A weight file records the TrainConfig its model was trained under,
+    and read_model refuses settings TrainConfig refuses."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_settings_round_trip_in_their_layout(self, tmp_path, variant):
+        cfg = TrainConfig(embed_lr=0.02, mlp_lr=3e-4, epochs=7, seed=2**64 - 1, variant=variant,
+                          sage_sample_k=4, self_loops=True, test_fraction=0.25)
+        path = tmp_path / "w.grmw"
+        write_model(path, replace(build_model(variant, seed=0), cfg=cfg))
+        assert read_model(path).cfg == cfg
+        raw = path.read_bytes()
+        assert struct.unpack_from("<IBI", raw, 4)[0] == WEIGHT_VERSION == 2
+        assert {f: struct.unpack_from(fmt, raw, at)[0] for f, (at, fmt) in SETTING_AT.items()} == {
+            "seed": 2**64 - 1, "epochs": 7, "embed_lr": 0.02, "mlp_lr": 3e-4,
+            "sage_sample_k": 4, "self_loops": 1, "test_fraction": 0.25,
+        }
+        # the first layer's dims follow the settings
+        assert struct.unpack_from("<II", raw, 13 + SETTINGS_SIZE)[0] in (30, 60)
+
+    @staticmethod
+    def recommend_error(capsys, store, weights):
+        """The one stderr line of a recommend call that exits 2."""
+        capsys.readouterr()
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_USAGE and out == "" and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("test_fraction", 0.0, "test_fraction must be in (0, 1), got 0.0"),
+            ("test_fraction", 1.0, "test_fraction must be in (0, 1), got 1.0"),
+            ("test_fraction", -0.1, "test_fraction must be in (0, 1), got -0.1"),
+            ("test_fraction", np.nan, "test_fraction must be in (0, 1), got nan"),
+            ("epochs", 0, "epochs must be in 1..2**32-1, got 0"),
+            ("sage_sample_k", 0, "sage_sample_k must be in 1..2**32-1, got 0"),
+            ("embed_lr", 0.0, "learning rates must be positive and finite"),
+            ("embed_lr", -0.01, "learning rates must be positive and finite"),
+            ("mlp_lr", np.nan, "learning rates must be positive and finite"),
+            ("mlp_lr", np.inf, "learning rates must be positive and finite"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_refused_setting_is_one_line(self, tmp_path, capsys, variant, field, value, words):
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(variant, seed=0))
+        raw = bytearray(weights.read_bytes())
+        struct.pack_into(SETTING_AT[field][1], raw, SETTING_AT[field][0], value)
+        weights.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError):
+            read_model(weights)
+        assert self.recommend_error(capsys, store, weights) == f"error: {weights}: {words}\n"
+
+    def test_truncation_inside_the_settings_is_one_line(self, tmp_path, capsys):
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(Variant.SAGE, seed=0))
+        raw = weights.read_bytes()
+        for end in range(13, 13 + SETTINGS_SIZE):
+            weights.write_bytes(raw[:end])
+            err = self.recommend_error(capsys, store, weights)
+            assert err == f"error: {weights}: truncated at byte 13\n"
+
+    def test_version_1_file_asks_to_re_run_train(self, tmp_path, capsys):
+        # a version-1 file: the same header and layers, with no settings between
+        store, weights = tmp_path / "c.grmf", tmp_path / "gcn.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        raw = weights.read_bytes()
+        _, tag, count = struct.unpack_from("<IBI", raw, 4)
+        v1 = WEIGHT_MAGIC + struct.pack("<IBI", 1, tag, count) + raw[13 + SETTINGS_SIZE :]
+        weights.write_bytes(v1)
+        expected = f"error: {weights}: unsupported version 1; re-run train\n"
+        assert self.recommend_error(capsys, store, weights) == expected
+        rc = main(["evaluate", "--store", str(store), "--weights", str(weights), "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE and capsys.readouterr().err == expected
+
+    @_EXAMPLES
+    @given(
+        offset=st.integers(0, SETTINGS_SIZE - 1),
+        mask=st.integers(0, 255),
+        variant=st.sampled_from(list(Variant)),
+    )
+    def test_corrupt_settings_read_or_raise_and_recommend_exits_0_or_2(
+        self, tmp_path, capsys, offset, mask, variant
+    ):
+        # (offset, 0) cuts the file inside the settings; any other mask flips bits of one byte
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        _sixteen_song_store(store)
+        write_model(weights, build_model(variant, seed=0))
+        weights.write_bytes(_corrupted(weights.read_bytes(), (13 + offset, mask)))
+        try:
+            cfg = read_model(weights).cfg
+        except StoreFormatError:
+            pass
+        else:
+            assert cfg.variant is variant and 0 < cfg.test_fraction < 1
+        _recommend_exits_0_or_2(
+            capsys, "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"
+        )

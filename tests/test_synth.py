@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from genregraph.audio import WINDOW_SEED_STREAM, decode_wav, encode_wav, random_window, resample
+from genregraph.audio import SeedStream, decode_wav, encode_wav, random_window, resample
 from genregraph.dataset import DatasetManifest
 from genregraph.graph import GENRE_NAMES, GenreLabel
 from genregraph.mfcc import MfccConfig, mfcc, wav_mfcc
@@ -195,7 +195,7 @@ class TestSynthesizeFeatures:
             clip = decode_wav(manifest.resolve(entry, out).read_bytes())
             clip = resample(clip, cfg.target_sample_rate)
             window = random_window(
-                clip, cfg.window_seconds, seed=derive_seed(spec.seed, WINDOW_SEED_STREAM, index)
+                clip, cfg.window_seconds, seed=derive_seed(spec.seed, SeedStream.WINDOW, index)
             )
             from_disk.append(mfcc(window, cfg).values)
 
