@@ -28,6 +28,7 @@ from .nn import INPUT_DIM, EmbeddingModel, Variant
 from .recommend import (
     Catalog,
     ExperimentConfig,
+    SplitMismatchError,
     recommend,
     render_text_report,
     reports_to_json,
@@ -149,13 +150,6 @@ def _check_model_dim(model, feature_dim: int, path: str) -> None:
         )
 
 
-def _check_seed(args: argparse.Namespace, config: dict, model: EmbeddingModel, path: str) -> None:
-    """A seed given to evaluate or recommend must be the weights' own."""
-    seed = int(_setting(args, config, "seed", model.cfg.seed))
-    if seed != model.cfg.seed:
-        raise UsageError(f"{path}: trained with seed {model.cfg.seed}, not the given seed {seed}")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     genres = _genre_list(_setting(args, config, "genres", GENRE_NAMES))
@@ -233,10 +227,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     train_idx, _ = split_train_test(labels, test_fraction=cfg.test_fraction, seed=cfg.seed)
 
-    train_ids = [ids[i] for i in train_idx]
     graph = None
     if cfg.variant is not Variant.PLAIN:
-        graph = build_graph(labels[train_idx], node_ids=train_ids)
+        graph = build_graph(labels[train_idx], node_ids=[ids[i] for i in train_idx])
     try:
         model, curves = train_pipeline(graph, features[train_idx], labels[train_idx], cfg)
     except ModelOverflowError as exc:
@@ -260,40 +253,35 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     table = read_feature_store(args.store)
+    ids, labels, features = table.ids, table.genre_indices, table.values
 
     pretrained, paths = {}, {}
     for weights_path in args.weights:
         model = read_model(weights_path)
-        _check_model_dim(model, table.values.shape[1], weights_path)
-        _check_seed(args, config, model, weights_path)
+        _check_model_dim(model, features.shape[1], weights_path)
         if model.variant.value in pretrained:
             raise UsageError(f"two weight files for variant {model.variant.value!r}")
-        # every file must hold out the songs the first one held out
-        train = next(iter(pretrained.values()), model).cfg
-        if (model.cfg.seed, model.cfg.test_fraction) != (train.seed, train.test_fraction):
-            raise UsageError(
-                f"{args.weights[0]} and {weights_path} were trained on different splits: "
-                f"seed {train.seed} and {model.cfg.seed}, "
-                f"test_fraction {train.test_fraction} and {model.cfg.test_fraction}"
-            )
         pretrained[model.variant.value] = model
         paths[model.variant.value] = weights_path
+    train = next(iter(pretrained.values())).cfg  # run_experiment holds every file to this split
+    seed = int(_setting(args, config, "seed", train.seed))
+    if seed != train.seed:
+        raise UsageError(f"{args.weights[0]}: trained with seed {train.seed}, not the given seed {seed}")
 
-    attachment = AttachmentMode(_setting(args, config, "attachment", "oracle"))
     cfg = ExperimentConfig(
         train=train,
         queries_per_genre=int(_setting(args, config, "queries_per_genre", 10)),
-        attachment=attachment,
+        attachment=AttachmentMode(_setting(args, config, "attachment", "oracle")),
         knn_k=int(_setting(args, config, "knn_k", 10)),
         recommend_k=int(_setting(args, config, "recommend_k", 10)),
     )
     variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
     try:
-        reports = run_experiment(
-            table.ids, table.genre_indices, table.values, variants, cfg, pretrained=pretrained
-        )
+        reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {paths[exc.variant.value]}: {exc}") from None
+    except SplitMismatchError as exc:
+        raise UsageError(f"{args.weights[0]} and {paths[exc.variant]} were {exc}") from None
 
     text = render_text_report(reports)
     out_dir = Path(args.out) if args.out else Path(args.store).parent
@@ -363,7 +351,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     model, catalog = next(((m, c) for w, m, c in catalogs.values() if w == weights), (None, None))
     model = read_model(args.weights, weights) if model is None else model
     _check_model_dim(model, features.shape[1], args.weights)
-    _check_seed(args, config, model, args.weights)
     cfg = model.cfg
 
     if graph is None:
@@ -412,12 +399,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_help: str = "run seed (default 0)") -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--seed", type=int, help=seed_help)
-
-
-_WEIGHTS_SEED = "the seed the weights were trained with; a seed given must equal it"
+    parser.add_argument("--seed", type=int, help="run seed (default 0)")
 
 
 @functools.cache
@@ -461,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="Γ report comparing trained variants")
-    _add_common(p, _WEIGHTS_SEED)
+    p.add_argument("--config", metavar="PATH", help="JSON config file")
+    p.add_argument("--seed", type=int, help="the weights' training seed; a seed given must equal it")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, nargs="+", metavar="GRMW")
@@ -472,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-10 most similar songs for a query")
-    _add_common(p, _WEIGHTS_SEED)
+    p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, metavar="GRMW")
     p.add_argument("--song-id", help="query by id of a song in the store")

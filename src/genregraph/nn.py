@@ -63,6 +63,9 @@ class TrainConfig:
             raise ValueError(f"sage_sample_k must be in 1..2**32-1, got {self.sage_sample_k}")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.self_loops not in (False, True):  # a weight file holds it in one byte
+            raise ValueError(f"self_loops must be 0 or 1, got {self.self_loops}")
+        object.__setattr__(self, "self_loops", bool(self.self_loops))
 
 
 @dataclass

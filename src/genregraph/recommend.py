@@ -217,6 +217,17 @@ class ExperimentConfig:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
 
+class SplitMismatchError(ValueError):
+    """A pretrained model was trained on a split other than the experiment's."""
+
+    def __init__(self, variant: str, model: TrainConfig, split: TrainConfig):
+        self.variant = variant
+        super().__init__(
+            f"trained on different splits: seed {split.seed} and {model.seed}, "
+            f"test_fraction {split.test_fraction} and {model.test_fraction}"
+        )
+
+
 def run_experiment(
     song_ids: Sequence[str],
     label_indices: np.ndarray,
@@ -231,8 +242,11 @@ def run_experiment(
     training songs' embeddings; queries are up to queries_per_genre
     held-out songs per genre, attached by cfg.attachment. A pretrained
     model (keyed by variant value) skips that variant's training and is
-    used under the settings it carries, which should hold the same split.
+    used under its own settings; one of another split raises SplitMismatchError.
     """
+    for name, model in (pretrained or {}).items():
+        if (model.cfg.seed, model.cfg.test_fraction) != (cfg.train.seed, cfg.train.test_fraction):
+            raise SplitMismatchError(name, model.cfg, cfg.train)
     label_indices = np.asarray(label_indices, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
     labels_by_id = dict(zip(song_ids, label_indices.tolist()))

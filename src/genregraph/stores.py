@@ -7,8 +7,8 @@ indices, and count UTF-8 song ids, each followed by a NUL byte.
 
 GRMW: magic "GRMW", u32 LE version (2), u8 variant tag, u32 LE layer
 count, then the settings the model was trained under (u64 seed, u32
-epochs, f64 embed_lr, f64 mlp_lr, u32 sage_sample_k, u8 self_loops, f64
-test_fraction), then per layer u32 in_dim, u32 out_dim, weights
+epochs, f64 embed_lr, f64 mlp_lr, u32 sage_sample_k, u8 self_loops 0 or
+1, f64 test_fraction), then per layer u32 in_dim, u32 out_dim, weights
 (row-major) and bias as little-endian float64. A version-1 file, without
 the settings, is refused.
 """
@@ -32,7 +32,7 @@ FEATURE_VERSION = 2
 WEIGHT_VERSION = 2
 # the TrainConfig fields a weight file records after its layer count, and their layout
 _SETTINGS = ("seed", "epochs", "embed_lr", "mlp_lr", "sage_sample_k", "self_loops", "test_fraction")
-_SETTINGS_LAYOUT = struct.Struct("<QIddI?d")
+_SETTINGS_LAYOUT = struct.Struct("<QIddIBd")
 
 _VARIANT_TAGS = {Variant.PLAIN: 0, Variant.GCN: 1, Variant.SAGE: 2}
 _TAG_VARIANTS = {tag: variant for variant, tag in _VARIANT_TAGS.items()}

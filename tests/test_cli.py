@@ -423,9 +423,7 @@ class TestRecommend:
     def test_song_query_prints_ten_matching_rows(self, tiny_workspace, capsys):
         records = read_feature_store(tiny_workspace / "features.grmf")
         query_id = records[0].song_id
-        rc, out, _ = self.run_recommend(
-            tiny_workspace, capsys, "--song-id", query_id, "--seed", "0"
-        )
+        rc, out, _ = self.run_recommend(tiny_workspace, capsys, "--song-id", query_id)
         assert rc == EXIT_OK
         lines = out.splitlines()
         rows = [line.split() for line in lines[1:]]
@@ -458,9 +456,7 @@ class TestRecommend:
     def test_rank_one_is_nearest_non_self_neighbor(self, tiny_workspace, capsys):
         records = read_feature_store(tiny_workspace / "features.grmf")
         query_id = records[5].song_id
-        rc, out, _ = self.run_recommend(
-            tiny_workspace, capsys, "--song-id", query_id, "--seed", "0"
-        )
+        rc, out, _ = self.run_recommend(tiny_workspace, capsys, "--song-id", query_id)
         assert rc == EXIT_OK
         first = out.splitlines()[1].split()
         assert first[0] == "1"
@@ -469,9 +465,7 @@ class TestRecommend:
 
     def test_audio_query_with_knn_attachment(self, tiny_workspace, capsys):
         wav = next(iter(sorted(tiny_workspace.rglob("*.wav"))))
-        rc, out, _ = self.run_recommend(
-            tiny_workspace, capsys, "--audio", str(wav), "--seed", "0"
-        )
+        rc, out, _ = self.run_recommend(tiny_workspace, capsys, "--audio", str(wav))
         assert rc == EXIT_OK
         assert len(out.splitlines()) == 11
 
@@ -665,12 +659,11 @@ class TestServedState:
         argv = first + {
             "--window-seconds": ["--window-seconds", "3"],
             "--sample-rate": ["--sample-rate", "44100"],
-            "--seed": ["--seed", "1"],
         }.get(change, [])
         original = query_wav.read_bytes()
         weights, trained = served / "gcn.grmw", (served / "gcn.grmw").read_bytes()
         if change == "--seed":
-            # a seed given to recommend must be the weights' own
+            # recommend takes the seed the weights were trained with
             self.rewrite_settings(weights, seed=1)
         if change == "one sample":
             # the middle sample of the 6 s clip, inside every 5 s window
@@ -828,12 +821,12 @@ class TestServedState:
         monkeypatch.setattr(cli, "read_model", counted)
         monkeypatch.setattr(cli, "_served", cli._Served())
         audio = ["--audio", str(tiny_workspace / "Rock" / "Rock_000.wav")]
-        for extra in ([], ["--seed", "0"], []):
+        for extra in ([], ["--k", "3"], []):
             for variant in ("plain", "gcn", "sage"):
                 for query in (self.SONG, audio):
                     argv = self.argv(served, variant, *query, *extra)
                     assert self.in_process(capsys, argv)[0] == EXIT_OK
-        # the weights' own seed, given, serves from the kept model
+        # a query setting serves from the kept model
         assert parsed == ["plain.grmw", "gcn.grmw", "sage.grmw"]
         self.rewrite_float(served / "gcn.grmw", self.FIRST_WEIGHT, 5.0)
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *self.SONG))
@@ -957,7 +950,8 @@ class TestRemovedFlags:
         "verb, flag",
         [("evaluate", "--epochs"), ("evaluate", "--embed-lr"), ("evaluate", "--mlp-lr"),
          ("recommend", "--out"), ("evaluate", "--test-fraction"), ("evaluate", "--sage-sample-k"),
-         ("evaluate", "--self-loops"), ("recommend", "--sage-sample-k"), ("recommend", "--self-loops")],
+         ("evaluate", "--self-loops"), ("recommend", "--sage-sample-k"), ("recommend", "--self-loops"),
+         ("recommend", "--seed")],
     )
     def test_flag_that_changed_nothing_is_rejected(self, tmp_path, capsys, verb, flag):
         # evaluate trains nothing and recommend writes nothing; both take the
@@ -996,6 +990,22 @@ class TestRemovedFlags:
             assert rc == EXIT_OK
         for name in ("report.json", "report.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_training_keys_of_a_shared_config_leave_recommend_unchanged(
+        self, tiny_workspace, tmp_path, capsys
+    ):
+        # the seed too: recommend seeds the audio window and SAGE sample from the weights
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "epochs": 1, "sage_sample_k": 1, "self_loops": True}))
+        wav = tiny_workspace / "Rock" / "Rock_000.wav"
+        argv = ["recommend", "--store", str(tiny_workspace / "features.grmf"),
+                "--weights", str(tiny_workspace / "sage.grmw"), "--audio", str(wav)]
+        printed = []
+        for extra in ([], ["--config", str(cfg_path)]):
+            capsys.readouterr()
+            assert main([*argv, *extra]) == EXIT_OK
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and printed[0].err == ""
 
 
 class TestConfigFile:
@@ -1223,8 +1233,8 @@ class TestOracleAttachment:
 
 class TestWeightsCarryTheirSettings:
     """evaluate and recommend take every training setting from the weights;
-    a seed given to them must be the weights' own, and evaluate's weight
-    files must share one train/test split."""
+    a seed given to evaluate must be the weights' own, and its weight files
+    must share one train/test split."""
 
     def test_self_loops_weights_evaluate_without_the_flag(self, tmp_path, capsys):
         # two songs per genre: one to train on, alone in its clique, and one to query
@@ -1239,13 +1249,12 @@ class TestWeightsCarryTheirSettings:
         assert err == "" and "GCN" in out and (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("given", ["flag", "config"])
-    @pytest.mark.parametrize("verb", ["evaluate", "recommend"])
     def test_a_seed_other_than_the_weights_is_one_line_naming_the_file(
-        self, tiny_workspace, tmp_path, capsys, verb, given
+        self, tiny_workspace, tmp_path, capsys, given
     ):
         weights = tiny_workspace / "plain.grmw"
-        args = [verb, "--store", str(tiny_workspace / "features.grmf"), "--weights", str(weights),
-                *(["--out", str(tmp_path)] if verb == "evaluate" else ["--song-id", "Rock/Rock_000.wav"])]
+        args = ["evaluate", "--store", str(tiny_workspace / "features.grmf"),
+                "--weights", str(weights), "--out", str(tmp_path)]
         if given == "flag":
             args += ["--seed", "1"]
         else:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genregraph.graph import GENRE_NAMES, AttachmentMode, build_graph
-from genregraph.nn import Variant
+from genregraph.nn import Variant, build_model
 from genregraph.recommend import (
     Catalog,
     EvalReport,
     ExperimentConfig,
     RecommendationList,
+    SplitMismatchError,
     gamma,
     recommend,
     render_text_report,
@@ -379,6 +380,21 @@ class TestRunExperiment:
         assert gcn.catalog_size == 360
         assert all(n == 5 for n in gcn.queries_per_genre.values())
         assert set(gcn.gamma_per_genre) == set(GENRE_NAMES)
+
+    @pytest.mark.parametrize(
+        "split, words",
+        [(TrainConfig(seed=1), "seed 1 and 0, test_fraction 0.1 and 0.1"),
+         (TrainConfig(test_fraction=0.2), "seed 0 and 0, test_fraction 0.2 and 0.1")],
+    )
+    def test_pretrained_model_of_another_split_is_refused(self, desk_arrays, split, words):
+        # its catalog would hold training songs that the experiment's split queries
+        ids, labels, features = desk_arrays
+        pretrained = {"plain": build_model(Variant.PLAIN, seed=0), "gcn": build_model(Variant.GCN, seed=0)}
+        with pytest.raises(SplitMismatchError, match=f"^trained on different splits: {words}$") as err:
+            run_experiment(ids, labels, features, [Variant.GCN], ExperimentConfig(train=split), pretrained)
+        assert err.value.variant == "plain"
+        # the model's own split runs
+        run_experiment(ids, labels, features, [Variant.PLAIN], ExperimentConfig(), {"plain": pretrained["plain"]})
 
     def test_pretrained_weights_reproduce_the_inline_report(self, desk_arrays):
         ids, labels, features = desk_arrays

@@ -606,6 +606,8 @@ class TestWeightSettings:
             ("embed_lr", -0.01, "learning rates must be positive and finite"),
             ("mlp_lr", np.nan, "learning rates must be positive and finite"),
             ("mlp_lr", np.inf, "learning rates must be positive and finite"),
+            ("self_loops", 2, "self_loops must be 0 or 1, got 2"),
+            ("self_loops", 255, "self_loops must be 0 or 1, got 255"),
         ],
     )
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -664,6 +666,9 @@ class TestWeightSettings:
             pass
         else:
             assert cfg.variant is variant and 0 < cfg.test_fraction < 1
+            # only a self_loops byte of 0 or 1 reads, as the bool it stands for
+            byte = weights.read_bytes()[SETTING_AT["self_loops"][0]]
+            assert byte in (0, 1) and cfg.self_loops is bool(byte)
         _recommend_exits_0_or_2(
             capsys, "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"
         )
