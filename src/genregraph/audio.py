@@ -279,10 +279,10 @@ def random_window(clip: AudioClip, seconds: float, seed: int, sample_rate: int |
     seed always yields the same offset.
     """
     rate = clip.sample_rate if sample_rate is None else sample_rate
-    window_len = int(round(seconds * rate))
+    n = -(-len(clip) * rate // clip.sample_rate)  # ceil(len * rate / clip rate)
+    window_len = int(round(min(seconds * rate, n + 1)))  # n + 1: longer than the clip, even at inf
     if window_len <= 0:
         raise ValueError(f"window of {seconds}s is empty at {rate} Hz")
-    n = -(-len(clip) * rate // clip.sample_rate)  # ceil(len * rate / clip rate)
     if n < window_len:
         raise ClipTooShortError(required_seconds=seconds, actual_seconds=n / rate)
     rng = np.random.default_rng(seed)

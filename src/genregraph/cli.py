@@ -2,9 +2,9 @@
 
 Settings resolve in three layers: built-in defaults, then a JSON config
 file (--config), then explicit flags; evaluate and recommend take the
-training settings from the weight files they load. Every command is
-deterministic given (inputs, config, seed). Exit codes: 0 success, 1
-internal error, 2 input validation error.
+training settings from the weights, recommend the MFCC front end from the
+store. Every command is deterministic given (inputs, config, seed). Exit
+codes: 0 success, 1 internal error, 2 input validation error.
 """
 
 from __future__ import annotations
@@ -133,13 +133,6 @@ def _genre_list(value) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _mfcc_config(args: argparse.Namespace, config: dict) -> MfccConfig:
-    return MfccConfig(
-        window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
-        target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-    )
-
-
 def _check_model_dim(model, feature_dim: int, path: str) -> None:
     expected = (model.mlp[0] if model.graph_layer is None else model.graph_layer).in_dim
     actual = 2 * feature_dim if model.variant is Variant.SAGE else feature_dim
@@ -173,7 +166,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     manifest = DatasetManifest.load(manifest_path)
     base = manifest_path.parent
     seed = int(_setting(args, config, "seed", 0))
-    cfg = _mfcc_config(args, config)
+    cfg = MfccConfig(
+        window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
+        target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
+    )
 
     def extract_one(item: tuple[int, object]):
         index, entry = item
@@ -202,7 +198,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else base
     out_dir.mkdir(parents=True, exist_ok=True)
     store_path = out_dir / "features.grmf"
-    write_feature_store(store_path, records, dimension=cfg.n_mfcc)
+    write_feature_store(store_path, records, dimension=cfg.n_mfcc, front_end=cfg)
     print(f"extracted {len(records)} x {cfg.n_mfcc} features -> {store_path}")
     return EXIT_OK
 
@@ -297,7 +293,7 @@ class _Served(NamedTuple):
     """The columns and graph of one store's bytes, per variant the weight
     bytes, the model parsed from them and the catalog it embeds under the
     settings it carries, and the read-only MFCC vector of the last query
-    clip with the WAV bytes, MfccConfig and seed it was made from."""
+    clip with the WAV bytes, the store's MfccConfig and the seed it was made from."""
 
     data: bytes | None = None
     table: FeatureTable | None = None
@@ -364,7 +360,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             query_vec = catalog[args.song_id]
             query_id = args.song_id
         else:
-            made_from = (Path(args.audio).read_bytes(), _mfcc_config(args, config), cfg.seed)
+            made_from = (Path(args.audio).read_bytes(), table.front_end, cfg.seed)
             if clip is None or clip[0] != made_from:
                 vec = wav_mfcc(*made_from)
                 vec.flags.writeable = False
@@ -465,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genre", help="true genre for oracle attachment of --audio")
     p.add_argument("--attachment", choices=[m.value for m in AttachmentMode])
     p.add_argument("--k", type=int)
-    p.add_argument("--window-seconds", type=float)
-    p.add_argument("--sample-rate", type=int)
     p.set_defaults(func=cmd_recommend)
 
     return parser

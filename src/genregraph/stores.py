@@ -1,9 +1,11 @@
 """Binary stores for extracted features (GRMF) and model weights (GRMW).
 
-GRMF: magic "GRMF", u32 LE version, u32 LE song count, u32 LE dimension,
-then three columns: count x dimension little-endian float64 values
-(row-major, so 8-byte aligned after the 16-byte header), count u8 genre
-indices, and count UTF-8 song ids, each followed by a NUL byte.
+GRMF: magic "GRMF", u32 LE version (3), u32 LE song count, u32 LE
+dimension, the MfccConfig that made the values (u64 target_sample_rate,
+f64 window_seconds), then three columns: count x dimension little-endian
+float64 values (row-major, 8-byte aligned at byte 32), count u8 genre
+indices, and count UTF-8 song ids, each followed by a NUL byte. A
+version-2 file, without the MfccConfig, is refused.
 
 GRMW: magic "GRMW", u32 LE version (2), u8 variant tag, u32 LE layer
 count, then the settings the model was trained under (u64 seed, u32
@@ -24,12 +26,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import GENRE_NAMES, row_norms
+from .mfcc import MfccConfig
 from .nn import EmbeddingModel, LayerParams, TrainConfig, Variant
 
 FEATURE_MAGIC = b"GRMF"
 WEIGHT_MAGIC = b"GRMW"
-FEATURE_VERSION = 2
+FEATURE_VERSION = 3
 WEIGHT_VERSION = 2
+# the MfccConfig fields a feature file records after its header, and their layout
+_FRONT_END = ("target_sample_rate", "window_seconds")
+_FRONT_END_LAYOUT = struct.Struct("<Qd")
 # the TrainConfig fields a weight file records after its layer count, and their layout
 _SETTINGS = ("seed", "epochs", "embed_lr", "mlp_lr", "sage_sample_k", "self_loops", "test_fraction")
 _SETTINGS_LAYOUT = struct.Struct("<QIddIBd")
@@ -79,7 +85,8 @@ class _Reader:
 
 
 def write_feature_store(
-    path: str | Path, records: Sequence[FeatureRecord], dimension: int = 30
+    path: str | Path, records: Sequence[FeatureRecord], dimension: int = 30,
+    front_end: MfccConfig = MfccConfig(),
 ) -> None:
     for rec in records:
         if rec.values.shape != (dimension,):
@@ -97,6 +104,7 @@ def write_feature_store(
     parts = [
         FEATURE_MAGIC,
         struct.pack("<III", FEATURE_VERSION, len(records), dimension),
+        _FRONT_END_LAYOUT.pack(*(getattr(front_end, name) for name in _FRONT_END)),
         *(rec.values.astype("<f8").tobytes() for rec in records),
         bytes(rec.genre_index for rec in records),
         id_bytes,
@@ -109,15 +117,17 @@ class FeatureTable(Sequence[FeatureRecord]):
 
     `ids` holds the song ids, `genre_indices` their genre indices (int64)
     and `values` one float64 row per song, a read-only view of the bytes
-    read; `norms`, their read-only squared norms, is computed on first use.
+    read; `norms`, their read-only squared norms, is computed on first use;
+    `front_end` is the MfccConfig that made the values, and must make a query's.
     A FeatureRecord is built only when one is indexed or iterated; callers
     that want arrays read the columns.
     """
 
-    def __init__(self, ids: list[str], genre_indices: np.ndarray, values: np.ndarray):
+    def __init__(self, ids: list[str], genre_indices: np.ndarray, values: np.ndarray, front_end: MfccConfig):
         self.ids = ids
         self.genre_indices = genre_indices
         self.values = values
+        self.front_end = front_end
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -144,6 +154,11 @@ def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTa
     version, count, dimension = struct.unpack("<III", reader.take(12))
     if version != FEATURE_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}; re-run extract")
+    recorded = _FRONT_END_LAYOUT.unpack(reader.take(_FRONT_END_LAYOUT.size))
+    try:
+        front_end = MfccConfig(**dict(zip(_FRONT_END, recorded)))
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from None
     values = np.frombuffer(reader.take(8 * count * dimension), "<f8").reshape(count, dimension)
     genres = np.frombuffer(reader.take(count), dtype=np.uint8).astype(np.int64)
 
@@ -171,7 +186,7 @@ def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTa
     if not finite.all():
         bad = int(np.argmin(finite))
         raise StoreFormatError(f"{path}: song {ids[bad]!r} has a non-finite feature value")
-    return FeatureTable(ids, genres, values)
+    return FeatureTable(ids, genres, values, front_end)
 
 
 def write_model(path: str | Path, model: EmbeddingModel) -> None:

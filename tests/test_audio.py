@@ -179,6 +179,14 @@ class TestRandomWindow:
         assert info.value.required_seconds == 5.0
         assert info.value.actual_seconds == 3.0
 
+    @pytest.mark.parametrize("rate", [None, 22050])
+    def test_window_past_the_largest_float_sample_count_is_too_short(self, rate):
+        # 1e305 s at 22,050 Hz is more samples than a float holds
+        clip = AudioClip(samples=np.zeros(3000), sample_rate=22050)
+        with pytest.raises(ClipTooShortError) as info:
+            random_window(clip, 1e305, seed=0, sample_rate=rate)
+        assert info.value.required_seconds == 1e305
+
     def test_offsets_uniform_chi_square(self):
         # 10 s at 1 kHz, 2 s window -> 8001 valid offsets
         clip = AudioClip(samples=np.arange(10000, dtype=np.float64) / 10000, sample_rate=1000)

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genregraph.audio import encode_wav, AudioClip
+from genregraph.audio import SeedStream, derive_seed, encode_wav, AudioClip
 from genregraph import cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
-from genregraph.graph import GENRE_NAMES
+from genregraph.graph import GENRE_NAMES, AttachmentMode
 from genregraph.mfcc import MfccConfig, wav_mfcc
 from genregraph.nn import Variant, build_model
-from genregraph.recommend import recommend
+from genregraph.recommend import Catalog, recommend
 from genregraph.stores import (
     FeatureRecord,
     read_feature_store,
@@ -24,7 +24,7 @@ from genregraph.stores import (
     write_model,
 )
 from genregraph.synth import SyntheticSpec, synthesize_features
-from genregraph.train import TrainConfig, compute_embeddings
+from genregraph.train import TrainConfig, compute_embeddings, infer_embedding
 from genregraph.graph import build_graph
 
 
@@ -58,6 +58,35 @@ class TestStartUp:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+    def test_blas_runs_on_the_calling_thread_by_default(self, fresh_python):
+        # this process holds the value genregraph pinned, so the child drops
+        # it before numpy loads; a BLAS worker would spin on the CPU after
+        # the import and show as process time that is not the main thread's
+        done = fresh_python(
+            "import os, time\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "import genregraph\n"
+            "process, thread = time.process_time(), time.thread_time()\n"
+            "time.sleep(0.3)\n"
+            "idle = (time.process_time() - process) - (time.thread_time() - thread)\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')), idle)"
+        )
+        assert done.returncode == 0, done.stderr
+        value, threads, idle = done.stdout.split()
+        assert (value, threads) == ("1", "1")
+        assert float(idle) < 0.005
+
+    def test_a_thread_count_set_before_the_import_wins(self, fresh_python):
+        done = fresh_python(
+            "import os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "import genregraph\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "2\n"
 
 
 class TestSynth:
@@ -605,12 +634,20 @@ class TestServedState:
 
     # past the 13-byte header, the 41 bytes of settings and layer 0's two dims
     FIRST_WEIGHT = 13 + 41 + 8
+    # past the 16-byte header and the 16 bytes of the MFCC front end
+    FIRST_VALUE = 16 + 16
 
     @staticmethod
     def rewrite_settings(path, **changes):
         """Rewrite the weight file with the same layers under other settings."""
         model = read_model(path)
         write_model(path, replace(model, cfg=replace(model.cfg, **changes)))
+
+    @staticmethod
+    def rewrite_front_end(path, **changes):
+        """Rewrite the feature store with the same columns under another front end."""
+        table = read_feature_store(path)
+        write_feature_store(path, table, front_end=replace(table.front_end, **changes))
 
     def assert_like_fresh(self, capsys, fresh_python, argv):
         served = self.in_process(capsys, argv)
@@ -649,22 +686,24 @@ class TestServedState:
         assert len(transforms) == 1
 
     @pytest.mark.parametrize(
-        "change", ["one sample", "--window-seconds", "--sample-rate", "--seed"]
+        "change", ["one sample", "window_seconds", "target_sample_rate", "--seed"]
     )
     def test_a_changed_clip_or_setting_transforms_again(
         self, served, query_wav, capsys, fresh_python, transforms, change
     ):
         first = self.argv(served, "gcn", "--audio", str(query_wav))
         before = self.assert_like_fresh(capsys, fresh_python, first)
-        argv = first + {
-            "--window-seconds": ["--window-seconds", "3"],
-            "--sample-rate": ["--sample-rate", "44100"],
-        }.get(change, [])
         original = query_wav.read_bytes()
         weights, trained = served / "gcn.grmw", (served / "gcn.grmw").read_bytes()
+        store, extracted = served / "features.grmf", (served / "features.grmf").read_bytes()
         if change == "--seed":
             # recommend takes the seed the weights were trained with
             self.rewrite_settings(weights, seed=1)
+        # and transforms the clip with the front end the store records
+        if change == "window_seconds":
+            self.rewrite_front_end(store, window_seconds=3.0)
+        if change == "target_sample_rate":
+            self.rewrite_front_end(store, target_sample_rate=44100)
         if change == "one sample":
             # the middle sample of the 6 s clip, inside every 5 s window
             data, start = bytearray(original), original.index(b"data") + 8
@@ -673,12 +712,13 @@ class TestServedState:
             struct.pack_into("<h", data, offset, sample + (1000 if sample < 0 else -1000))
             query_wav.write_bytes(bytes(data))
             assert query_wav.stat().st_size == len(original)
-        assert self.assert_like_fresh(capsys, fresh_python, argv)[0] == EXIT_OK
+        assert self.assert_like_fresh(capsys, fresh_python, first)[0] == EXIT_OK
         assert len(transforms) == 2
         assert transforms[0].tobytes() != transforms[1].tobytes()
         # one clip is kept: the first clip and settings again transform again
         query_wav.write_bytes(original)
         weights.write_bytes(trained)
+        store.write_bytes(extracted)
         assert self.in_process(capsys, first) == before
         assert len(transforms) == 3 and transforms[2].tobytes() == transforms[0].tobytes()
 
@@ -704,7 +744,7 @@ class TestServedState:
         before = self.assert_like_fresh(capsys, fresh_python, argv)
         store = served / "features.grmf"
         size, song = store.stat().st_size, read_feature_store(store).ids.index(self.SONG[1])
-        self.rewrite_float(store, 16 + 8 * 30 * song, 3.0)  # the query's first value
+        self.rewrite_float(store, self.FIRST_VALUE + 8 * 30 * song, 3.0)  # the query's first value
         assert store.stat().st_size == size
         after = self.assert_like_fresh(capsys, fresh_python, argv)
         assert before[0] == after[0] == EXIT_OK and before[1] != after[1]
@@ -780,7 +820,7 @@ class TestServedState:
         other = tmp_path_factory.mktemp("other")
         for name in ("features.grmf", "plain.grmw", "gcn.grmw", "sage.grmw"):
             (other / name).write_bytes((served / name).read_bytes())
-        self.rewrite_float(other / "features.grmf", 16, 1.0)
+        self.rewrite_float(other / "features.grmf", self.FIRST_VALUE, 1.0)
         for root in (served, other):
             for variant in ("plain", "gcn", "sage"):
                 assert self.in_process(capsys, self.argv(root, variant, *self.SONG))[0] == EXIT_OK
@@ -879,8 +919,8 @@ class TestServedState:
         monkeypatch.setattr(cli, "read_feature_store", counted)
         store = Path(large_store[2])
         data = bytearray(store.read_bytes())
-        # the queried song's genre byte, past the 16-byte header and the values
-        offset = 16 + 4096 * 30 * 8 + 7
+        # the queried song's genre byte, past the header, front end and values
+        offset = self.FIRST_VALUE + 4096 * 30 * 8 + 7
         assert data[offset] == GENRE_NAMES.index("Rock")
         assert offset >= (len(data) - 1) // 65536 * 65536  # in the last chunk
         data[offset] = GENRE_NAMES.index("Folk")
@@ -890,6 +930,52 @@ class TestServedState:
         assert len(parsed) == 1
         assert self.in_process(capsys, large_store) == after
         assert len(parsed) == 1
+
+
+class TestQueryFollowsTheStoreFrontEnd:
+    """recommend --audio transforms the query clip with the MfccConfig the
+    store records, the one extract made every catalog vector with."""
+
+    @staticmethod
+    def library_rows(store, weights, wav, front_end):
+        """(song id, printed distance) of the top 10 for the clip transformed
+        under front_end, through the library."""
+        table, model = read_feature_store(store), read_model(weights)
+        cfg = model.cfg
+        graph = build_graph(table.genre_indices, node_ids=table.ids)
+        catalog = Catalog(table.ids, compute_embeddings(model, graph, table.values, cfg))
+        query = infer_embedding(
+            model, graph, table.values, wav_mfcc(wav.read_bytes(), front_end, cfg.seed),
+            AttachmentMode.FEATURE_KNN, sample_k=cfg.sage_sample_k, self_loops=cfg.self_loops,
+            seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
+        )
+        return [(sid, f"{dist:.6f}") for sid, dist in recommend(query, catalog, k=10).items]
+
+    # a GCN query row without self-loops sums its neighbors only, so the
+    # variants that read the query's own vector show the front end
+    @pytest.mark.parametrize("variant", ["plain", "sage"])
+    @pytest.mark.parametrize(
+        "flag, value, front_end",
+        [("--sample-rate", "44100", MfccConfig(target_sample_rate=44100)),
+         ("--window-seconds", "4", MfccConfig(window_seconds=4.0))],
+        ids=["sample-rate", "window-seconds"],
+    )
+    def test_audio_query_is_transformed_as_the_store_was(
+        self, tiny_workspace, tmp_path, capsys, flag, value, front_end, variant
+    ):
+        manifest = tiny_workspace / "manifest.csv"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path), flag, value]) == EXIT_OK
+        store, weights = tmp_path / "features.grmf", tiny_workspace / f"{variant}.grmw"
+        assert read_feature_store(store).front_end == front_end
+        wav = tiny_workspace / "Folk" / "Folk_001.wav"
+        capsys.readouterr()
+        assert main(["recommend", "--store", str(store), "--weights", str(weights),
+                     "--audio", str(wav)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        rows = [(line.split()[1], line.split()[3]) for line in out.splitlines()[1:]]
+        assert err == "" and rows == self.library_rows(store, weights, wav, front_end)
+        # the default front end ranks another list against this catalog
+        assert rows != self.library_rows(store, weights, wav, MfccConfig())
 
 
 class TestEmptySongId:
@@ -951,11 +1037,12 @@ class TestRemovedFlags:
         [("evaluate", "--epochs"), ("evaluate", "--embed-lr"), ("evaluate", "--mlp-lr"),
          ("recommend", "--out"), ("evaluate", "--test-fraction"), ("evaluate", "--sage-sample-k"),
          ("evaluate", "--self-loops"), ("recommend", "--sage-sample-k"), ("recommend", "--self-loops"),
-         ("recommend", "--seed")],
+         ("recommend", "--seed"), ("recommend", "--window-seconds"), ("recommend", "--sample-rate")],
     )
     def test_flag_that_changed_nothing_is_rejected(self, tmp_path, capsys, verb, flag):
         # evaluate trains nothing and recommend writes nothing; both take the
-        # training settings from the weights
+        # training settings from the weights, and recommend takes the MFCC
+        # front end from the store
         args = [verb, "--store", str(tmp_path / "s.grmf"), "--weights", str(tmp_path / "w.grmw")]
         assert main([*args, flag, "1"]) == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
@@ -1162,14 +1249,22 @@ class TestSettingRanges:
         assert not (tmp_path / "gcn.grmw").exists()
 
     @pytest.mark.parametrize(
-        "flag, value, words",
-        [("--window-seconds", "inf", "finite"), ("--sample-rate", "400000", "8000..384000 Hz"),
-         ("--sample-rate", "16000", "22050")],
+        "offset, layout, value, words",
+        [(24, "<d", np.inf, "finite"), (16, "<Q", 400000, "8000..384000 Hz"),
+         (16, "<Q", 16000, "22050")],
     )
-    def test_recommend_audio(self, tiny_workspace, capsys, flag, value, words):
+    def test_recommend_audio_store_front_end(
+        self, tiny_workspace, tmp_path, capsys, offset, layout, value, words
+    ):
+        # the store records the rate (bytes 16-23) and window (24-31) of its front end
+        store = tmp_path / "features.grmf"
+        raw = bytearray((tiny_workspace / "features.grmf").read_bytes())
+        struct.pack_into(layout, raw, offset, value)
+        store.write_bytes(bytes(raw))
         wav = next(iter(sorted(tiny_workspace.rglob("*.wav"))))
-        argv = ["recommend", "--store", str(tiny_workspace / "features.grmf"),
-                "--weights", str(tiny_workspace / "gcn.grmw"), "--audio", str(wav), flag, value]
+        argv = ["recommend", "--store", str(store),
+                "--weights", str(tiny_workspace / "gcn.grmw"), "--audio", str(wav)]
+        self.assert_one_line_usage_error(capsys, argv, f"error: {store}: ")
         self.assert_one_line_usage_error(capsys, argv, words)
 
 

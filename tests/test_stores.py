@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from genregraph.audio import AudioClip, encode_wav
 from genregraph.cli import EXIT_OK, EXIT_USAGE, main
+from genregraph.mfcc import MfccConfig
 from genregraph.nn import TrainConfig, Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
@@ -36,6 +37,10 @@ SETTING_AT = {
     "test_fraction": (46, "<d"),
 }
 SETTINGS_SIZE = 41
+
+# a feature file's front end follows its 16-byte header; the values follow it
+FRONT_END_AT = {"target_sample_rate": (16, "<Q"), "window_seconds": (24, "<d")}
+VALUES_AT = 32
 
 
 def sample_records(n=6, dim=30, seed=0):
@@ -166,8 +171,8 @@ class TestFeatureStore:
         path = tmp_path / "g.grmf"
         write_feature_store(path, sample_records(n=1))
         raw = bytearray(path.read_bytes())
-        # the genre column starts right after the header and the 1 x 30 values
-        raw[16 + 8 * 1 * 30] = 200
+        # the genre column starts right after the header, front end and 1 x 30 values
+        raw[VALUES_AT + 8 * 1 * 30] = 200
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreFormatError, match="genre index 200"):
             read_feature_store(path)
@@ -277,7 +282,7 @@ class TestFeatureStoreRobustness:
         path = tmp_path / "u.grmf"
         write_feature_store(path, sample_records(n=1))
         raw = bytearray(path.read_bytes())
-        raw[16 + 8 * 1 * 30 + 1] = 0xFF  # first byte of the first id
+        raw[VALUES_AT + 8 * 1 * 30 + 1] = 0xFF  # first byte of the first id
         path.write_bytes(bytes(raw))
         with pytest.raises(StoreFormatError, match="UTF-8"):
             read_feature_store(path)
@@ -672,3 +677,118 @@ class TestWeightSettings:
         _recommend_exits_0_or_2(
             capsys, "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"
         )
+
+
+class TestFeatureFrontEnd:
+    """A feature file records the MfccConfig fields its values were made
+    under, and read_feature_store refuses a front end MfccConfig refuses."""
+
+    def test_front_end_round_trips_in_its_layout(self, tmp_path):
+        path = tmp_path / "f.grmf"
+        front_end = MfccConfig(target_sample_rate=44100, window_seconds=2.5)
+        records = sample_records(n=3)
+        write_feature_store(path, records, front_end=front_end)
+        table = read_feature_store(path)
+        assert table.front_end == front_end
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 4)[0] == FEATURE_VERSION == 3
+        assert {f: struct.unpack_from(fmt, raw, at)[0] for f, (at, fmt) in FRONT_END_AT.items()} == {
+            "target_sample_rate": 44100, "window_seconds": 2.5,
+        }
+        # the values follow, 8-byte aligned
+        assert VALUES_AT % 8 == 0
+        assert raw[VALUES_AT : VALUES_AT + 8] == records[0].values[:1].astype("<f8").tobytes()
+        write_feature_store(path, records)
+        assert read_feature_store(path).front_end == MfccConfig()
+
+    @staticmethod
+    def one_line_error(capsys, argv):
+        """The one stderr line of a verb that exits 2 and prints nothing."""
+        capsys.readouterr()
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == EXIT_USAGE and out == "" and err.count("\n") == 1
+        return err
+
+    def verbs(self, tmp_path, store):
+        """recommend --audio and train on the store, argv each."""
+        weights, wav = tmp_path / "w.grmw", tmp_path / "q.wav"
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        wav.write_bytes(_clip_wav())
+        return (
+            ["recommend", "--store", str(store), "--weights", str(weights), "--audio", str(wav)],
+            ["train", "--store", str(store), "--variant", "gcn", "--out", str(tmp_path / "out")],
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("target_sample_rate", 0, "sample rate must lie in 8000..384000 Hz"),
+            ("target_sample_rate", 16000, "sample rate 16000 Hz is below 22050 Hz, twice the "
+             "11025 Hz top mel band edge"),
+            ("target_sample_rate", 400000, "sample rate must lie in 8000..384000 Hz"),
+            ("window_seconds", 0.0, "window_seconds must be positive and finite, got 0.0"),
+            ("window_seconds", -1.0, "window_seconds must be positive and finite, got -1.0"),
+            ("window_seconds", np.nan, "window_seconds must be positive and finite, got nan"),
+            ("window_seconds", np.inf, "window_seconds must be positive and finite, got inf"),
+        ],
+    )
+    def test_refused_front_end_is_one_line_naming_the_file(
+        self, tmp_path, capsys, field, value, words
+    ):
+        store = tmp_path / "c.grmf"
+        _sixteen_song_store(store)
+        raw = bytearray(store.read_bytes())
+        struct.pack_into(FRONT_END_AT[field][1], raw, FRONT_END_AT[field][0], value)
+        store.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError):
+            read_feature_store(store)
+        for argv in self.verbs(tmp_path, store):
+            assert self.one_line_error(capsys, argv) == f"error: {store}: {words}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_truncation_inside_the_front_end_is_one_line(self, tmp_path, capsys):
+        store = tmp_path / "c.grmf"
+        _sixteen_song_store(store)
+        raw = store.read_bytes()
+        verbs = self.verbs(tmp_path, store)
+        for end in range(16, VALUES_AT):
+            store.write_bytes(raw[:end])
+            for argv in verbs:
+                assert self.one_line_error(capsys, argv) == f"error: {store}: truncated at byte 16\n"
+
+    def test_version_2_file_asks_to_re_run_extract(self, tmp_path, capsys):
+        # a version-2 file: the same header and columns, with no front end between
+        store = tmp_path / "v2.grmf"
+        _sixteen_song_store(store)
+        raw = store.read_bytes()
+        _, count, dimension = struct.unpack_from("<III", raw, 4)
+        store.write_bytes(FEATURE_MAGIC + struct.pack("<III", 2, count, dimension) + raw[VALUES_AT:])
+        with pytest.raises(StoreFormatError, match="unsupported version 2"):
+            read_feature_store(store)
+        expected = f"error: {store}: unsupported version 2; re-run extract\n"
+        for argv in self.verbs(tmp_path, store):
+            assert self.one_line_error(capsys, argv) == expected
+
+    @_EXAMPLES
+    @given(offset=st.integers(0, VALUES_AT - 17), mask=st.integers(0, 255))
+    @example(offset=15, mask=0x40)  # a window of about 3e-308 s: no sample in it
+    @example(offset=15, mask=0x3F)  # a window of about 2e304 s: longer than any clip
+    def test_corrupt_front_end_reads_or_raises_and_recommend_exits_0_or_2(
+        self, tmp_path, capsys, offset, mask
+    ):
+        # (offset, 0) cuts the file inside the front end; any other mask flips bits of one byte
+        store = tmp_path / "c.grmf"
+        _sixteen_song_store(store)
+        store.write_bytes(_corrupted(store.read_bytes(), (16 + offset, mask)))
+        recommend, _ = self.verbs(tmp_path, store)
+        try:
+            front_end = read_feature_store(store).front_end
+        except StoreFormatError:
+            pass
+        else:
+            raw = store.read_bytes()
+            assert front_end == MfccConfig(
+                **{f: struct.unpack_from(fmt, raw, at)[0] for f, (at, fmt) in FRONT_END_AT.items()}
+            )
+        _recommend_exits_0_or_2(capsys, *recommend[1:])
