@@ -46,9 +46,9 @@ class ClipTooShortError(ValueError):
     def __init__(self, required_seconds: float, actual_seconds: float):
         self.required_seconds = required_seconds
         self.actual_seconds = actual_seconds
-        super().__init__(
-            f"clip is {actual_seconds:.3f}s, need at least {required_seconds:.3f}s"
-        )
+        # to the millisecond, or from 1e9 s on in e-notation: at most 15 characters
+        shown = [f"{s:.3f}s" if abs(s) < 1e9 else f"{s:.3e}s" for s in (actual_seconds, required_seconds)]
+        super().__init__(f"clip is {shown[0]}, need at least {shown[1]}")
 
 
 @dataclass(frozen=True)

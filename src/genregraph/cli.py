@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, extract, train, evaluate, recommend.
 
-Settings resolve in three layers: built-in defaults, then a JSON config
-file (--config), then explicit flags; evaluate and recommend take the
-training settings from the weights, recommend the MFCC front end from the
-store. Every command is deterministic given (inputs, config, seed). Exit
-codes: 0 success, 1 internal error, 2 input validation error.
+Settings resolve in three layers: the defaults of the library type or
+function a verb passes them to, then a JSON config file (--config), then
+flags; evaluate and recommend take the training settings from the weights,
+recommend the MFCC front end from the store. Every command is
+deterministic given (inputs, config, seed). Exit codes: 0 success, 1
+internal error, 2 input validation error.
 """
 
 from __future__ import annotations
@@ -63,24 +64,40 @@ class UsageError(ValueError):
     """Bad user input: flags, config, manifest, store, or audio files."""
 
 
+def _genre_list(value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        value = [g.strip() for g in value.split(",") if g.strip()]
+    return tuple(value)
+
+
+# each config key and the cast of its value; the flag of its name gives that type
 _CONFIG_KEYS = {
-    "seed",
-    "songs_per_genre",
-    "clip_seconds",
-    "sample_rate",
-    "genres",
-    "test_fraction",
-    "window_seconds",
-    "epochs",
-    "embed_lr",
-    "mlp_lr",
-    "sage_sample_k",
-    "self_loops",
-    "attachment",
-    "queries_per_genre",
-    "knn_k",
-    "recommend_k",
-    "k",
+    "seed": int,
+    "songs_per_genre": int,
+    "clip_seconds": float,
+    "sample_rate": int,
+    "genres": _genre_list,
+    "test_fraction": float,
+    "window_seconds": float,
+    "epochs": int,
+    "embed_lr": float,
+    "mlp_lr": float,
+    "sage_sample_k": int,
+    "self_loops": bool,
+    "attachment": AttachmentMode,
+    "queries_per_genre": int,
+    "knn_k": int,
+    "recommend_k": int,
+    "k": int,
+}
+
+# the JSON types a config value may take, by its key's cast
+_CONFIG_TYPES = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    AttachmentMode: ("a string", (str,)),
+    _genre_list: ("a string or a list of strings", (str, list)),
 }
 
 
@@ -95,42 +112,30 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(doc.keys() - _CONFIG_KEYS.keys())
     if unknown:
         raise UsageError(f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_KEYS)}")
     return doc
 
 
-# the JSON types a config value may take, by the type of the setting's default
-_CONFIG_TYPES = {
-    bool: ("a boolean", (bool,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    tuple: ("a string or a list of strings", (str, list)),
-}
-
-
-def _setting(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag value if given, else config file value, else default.
-
-    A config value must have the JSON type of the default; true and false
-    are booleans only, not numbers.
+def _given(args: argparse.Namespace, config: dict, *keys: str) -> dict:
+    """The settings among `keys` that a flag or else the config file gives,
+    cast. A key given by neither is left out, so it keeps the default of the
+    type or function the verb passes the settings to. A config value must
+    have the JSON type of its key; true and false are booleans, not numbers.
     """
-    value = getattr(args, key, None)
-    if value is None and key in config:
-        value = config[key]
-        kind, types = _CONFIG_TYPES[type(default)]
-        listed = value if type(value) is list else []
-        if type(value) not in types or any(type(g) is not str for g in listed):
-            raise UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    return default if value is None else value
-
-
-def _genre_list(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        value = [g.strip() for g in value.split(",") if g.strip()]
-    return tuple(value)
+    given = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None and key in config:
+            value = config[key]
+            kind, types = _CONFIG_TYPES[_CONFIG_KEYS[key]]
+            listed = value if type(value) is list else []
+            if type(value) not in types or any(type(g) is not str for g in listed):
+                raise UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+        if value is not None:
+            given[key] = _CONFIG_KEYS[key](value)
+    return given
 
 
 def _check_model_dim(model, feature_dim: int, path: str) -> None:
@@ -145,14 +150,8 @@ def _check_model_dim(model, feature_dim: int, path: str) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    genres = _genre_list(_setting(args, config, "genres", GENRE_NAMES))
-    spec = SyntheticSpec(
-        songs_per_genre=int(_setting(args, config, "songs_per_genre", 50)),
-        clip_seconds=float(_setting(args, config, "clip_seconds", 6.0)),
-        sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-        seed=int(_setting(args, config, "seed", 0)),
-        genres=genres,
-    )
+    keys = ("genres", "songs_per_genre", "clip_seconds", "sample_rate", "seed")
+    spec = SyntheticSpec(**_given(args, config, *keys))
     out_dir = Path(args.out)
     manifest = generate_dataset(spec, out_dir)
     print(f"wrote {len(manifest)} WAV files across {len(spec.genres)} genres to {out_dir}")
@@ -165,11 +164,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     manifest = DatasetManifest.load(manifest_path)
     base = manifest_path.parent
-    seed = int(_setting(args, config, "seed", 0))
-    cfg = MfccConfig(
-        window_seconds=float(_setting(args, config, "window_seconds", 5.0)),
-        target_sample_rate=int(_setting(args, config, "sample_rate", 22050)),
-    )
+    seed = _given(args, config, "seed").get("seed", 0)
+    front_end = _given(args, config, "window_seconds", "sample_rate")
+    if "sample_rate" in front_end:
+        front_end["target_sample_rate"] = front_end.pop("sample_rate")
+    cfg = MfccConfig(**front_end)
 
     def extract_one(item: tuple[int, object]):
         index, entry = item
@@ -205,16 +204,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    cfg = TrainConfig(
-        embed_lr=float(_setting(args, config, "embed_lr", 0.01)),
-        mlp_lr=float(_setting(args, config, "mlp_lr", 0.001)),
-        epochs=int(_setting(args, config, "epochs", 50)),
-        seed=int(_setting(args, config, "seed", 0)),
-        variant=Variant(args.variant),
-        sage_sample_k=int(_setting(args, config, "sage_sample_k", 10)),
-        self_loops=bool(_setting(args, config, "self_loops", False)),
-        test_fraction=float(_setting(args, config, "test_fraction", 0.1)),
-    )
+    keys = ("embed_lr", "mlp_lr", "epochs", "seed", "sage_sample_k", "self_loops", "test_fraction")
+    cfg = TrainConfig(variant=Variant(args.variant), **_given(args, config, *keys))
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
     if features.shape[1] != INPUT_DIM:
@@ -260,17 +251,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pretrained[model.variant.value] = model
         paths[model.variant.value] = weights_path
     train = next(iter(pretrained.values())).cfg  # run_experiment holds every file to this split
-    seed = int(_setting(args, config, "seed", train.seed))
+    seed = _given(args, config, "seed").get("seed", train.seed)
     if seed != train.seed:
         raise UsageError(f"{args.weights[0]}: trained with seed {train.seed}, not the given seed {seed}")
 
-    cfg = ExperimentConfig(
-        train=train,
-        queries_per_genre=int(_setting(args, config, "queries_per_genre", 10)),
-        attachment=AttachmentMode(_setting(args, config, "attachment", "oracle")),
-        knn_k=int(_setting(args, config, "knn_k", 10)),
-        recommend_k=int(_setting(args, config, "recommend_k", 10)),
-    )
+    keys = ("queries_per_genre", "attachment", "knn_k", "recommend_k")
+    cfg = ExperimentConfig(train=train, **_given(args, config, *keys))
     variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
     try:
         reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
@@ -329,7 +315,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         raise UsageError("give exactly one of --song-id or --audio")
     true_label = None
     if args.audio is not None:
-        attachment = AttachmentMode(_setting(args, config, "attachment", "feature_knn"))
+        attachment = _given(args, config, "attachment").get("attachment", AttachmentMode.FEATURE_KNN)
         if attachment is AttachmentMode.ORACLE:
             if args.genre is None:
                 raise UsageError("oracle attachment for an audio file needs --genre")
@@ -362,7 +348,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         else:
             made_from = (Path(args.audio).read_bytes(), table.front_end, cfg.seed)
             if clip is None or clip[0] != made_from:
-                vec = wav_mfcc(*made_from)
+                try:
+                    vec = wav_mfcc(*made_from)
+                except ClipTooShortError as exc:
+                    raise UsageError(f"{args.audio}: {exc}, the window {args.store} records") from None
+                except (WavDecodeError, ValueError) as exc:
+                    raise UsageError(f"{args.audio}: {exc}") from None
                 vec.flags.writeable = False
                 clip = (made_from, vec)
             query_vec = infer_embedding(
@@ -372,9 +363,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 clip[1],
                 attachment,
                 true_label=true_label,
-                knn_k=int(_setting(args, config, "knn_k", 10)),
-                sample_k=cfg.sage_sample_k,
-                self_loops=cfg.self_loops,
+                **_given(args, config, "knn_k"),
                 seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
                 train_norms=table.norms,
             )
@@ -382,9 +371,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {args.weights}: {exc}") from None
 
-    result = recommend(
-        query_vec, catalog, k=int(_setting(args, config, "k", 10)), query_id=query_id
-    )
+    result = recommend(query_vec, catalog, **_given(args, config, "k"), query_id=query_id)
     kept = {**catalogs, model.variant: (weights, model, catalog)}
     _served = _Served(data, table, graph, kept, clip)
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")

@@ -34,7 +34,9 @@ class MfccConfig:
 
     def __post_init__(self):
         if not MIN_SAMPLE_RATE <= self.target_sample_rate <= MAX_SAMPLE_RATE:
-            raise ValueError(f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
+            raise ValueError(
+                f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz, got {self.target_sample_rate}"
+            )
         if self.n_mfcc <= 0 or self.n_mfcc > self.n_mels:
             raise ValueError(f"need 0 < n_mfcc <= n_mels, got {self.n_mfcc} vs {self.n_mels}")
         if self.hop_length <= 0 or self.hop_length > self.n_fft:

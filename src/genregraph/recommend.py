@@ -295,8 +295,6 @@ def run_experiment(
                     cfg.attachment,
                     true_label=int(label_indices[qi]),
                     knn_k=cfg.knn_k,
-                    sample_k=model.cfg.sage_sample_k,
-                    self_loops=model.cfg.self_loops,
                     seed=derive_seed(model.cfg.seed, SeedStream.QUERY, int(qi)),
                     train_norms=train_norms,
                 )

@@ -235,6 +235,9 @@ def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
     if reader.pos != len(reader.data):
         raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
 
-    if variant is Variant.PLAIN:
-        return EmbeddingModel(cfg=cfg, graph_layer=None, embed_head=None, mlp=layers)
-    return EmbeddingModel(cfg=cfg, graph_layer=layers[0], embed_head=layers[1], mlp=layers[2:])
+    try:  # EmbeddingModel refuses a layer of the wrong size for the variant
+        if variant is Variant.PLAIN:
+            return EmbeddingModel(cfg=cfg, graph_layer=None, embed_head=None, mlp=layers)
+        return EmbeddingModel(cfg=cfg, graph_layer=layers[0], embed_head=layers[1], mlp=layers[2:])
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from None

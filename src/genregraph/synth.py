@@ -120,7 +120,9 @@ class SyntheticSpec:
         if not WINDOW_SECONDS <= self.clip_seconds < np.inf:
             raise ValueError(f"clips must be at least {WINDOW_SECONDS} s long and finite")
         if not MIN_SAMPLE_RATE <= self.sample_rate <= MAX_SAMPLE_RATE:
-            raise ValueError(f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
+            raise ValueError(
+                f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
+            )
         object.__setattr__(self, "genres", tuple(self.genres))
         unknown = [g for g in self.genres if g not in GENRE_NAMES]
         if unknown:

@@ -272,8 +272,6 @@ def infer_embedding(
     attachment: AttachmentMode,
     true_label: int | None = None,
     knn_k: int = 10,
-    sample_k: int = 10,
-    self_loops: bool = False,
     seed: int = 0,
     train_norms: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -281,8 +279,9 @@ def infer_embedding(
 
     The song is attached by ORACLE (to the clique of genre index
     `true_label`) or FEATURE_KNN; its one-row block is built from its
-    neighbors' stored training features, sampled as catalog rows are for
-    SAGE, and goes through the same graph-layer forward as catalog rows.
+    neighbors' stored training features, sampled from `seed` as catalog
+    rows are for SAGE, and goes through the same graph-layer forward as
+    catalog rows, under the sample size and self-loops of model.cfg.
     PLAIN passes the raw feature through unchanged. FEATURE_KNN reads
     `train_norms`, the training features' row_norms, if given.
     """
@@ -296,9 +295,10 @@ def infer_embedding(
             graph, new_feature, attachment, true_label, knn_k, train_features, train_norms
         )
         if model.variant is Variant.GCN:
-            weights, self_weight = extended_adjacency_row(len(neighbors), self_loops)
+            weights, self_weight = extended_adjacency_row(len(neighbors), model.cfg.self_loops)
             row = weights @ train_features[neighbors] + self_weight * new_feature
         else:
+            sample_k = model.cfg.sage_sample_k
             if len(neighbors) > sample_k:
                 neighbors = neighbors[draw_neighbor_positions([len(neighbors)], sample_k, seed)[0]]
             row = np.concatenate([new_feature, train_features[neighbors].mean(axis=0)])

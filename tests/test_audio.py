@@ -186,6 +186,8 @@ class TestRandomWindow:
         with pytest.raises(ClipTooShortError) as info:
             random_window(clip, 1e305, seed=0, sample_rate=rate)
         assert info.value.required_seconds == 1e305
+        # in e-notation, not as a 306-digit number
+        assert str(info.value) == "clip is 0.136s, need at least 1.000e+305s"
 
     def test_offsets_uniform_chi_square(self):
         # 10 s at 1 kHz, 2 s window -> 8001 valid offsets

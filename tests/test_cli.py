@@ -15,7 +15,7 @@ from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, mai
 from genregraph.graph import GENRE_NAMES, AttachmentMode
 from genregraph.mfcc import MfccConfig, wav_mfcc
 from genregraph.nn import Variant, build_model
-from genregraph.recommend import Catalog, recommend
+from genregraph.recommend import Catalog, ExperimentConfig, recommend
 from genregraph.stores import (
     FeatureRecord,
     read_feature_store,
@@ -946,8 +946,7 @@ class TestQueryFollowsTheStoreFrontEnd:
         catalog = Catalog(table.ids, compute_embeddings(model, graph, table.values, cfg))
         query = infer_embedding(
             model, graph, table.values, wav_mfcc(wav.read_bytes(), front_end, cfg.seed),
-            AttachmentMode.FEATURE_KNN, sample_k=cfg.sage_sample_k, self_loops=cfg.self_loops,
-            seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
+            AttachmentMode.FEATURE_KNN, seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
         )
         return [(sid, f"{dist:.6f}") for sid, dist in recommend(query, catalog, k=10).items]
 
@@ -1379,3 +1378,50 @@ class TestWeightsCarryTheirSettings:
         assert rc == EXIT_USAGE and out == ""
         assert err == f"error: {plain} and {gcn} were trained on different splits: {split}\n"
         assert not (tmp_path / "report.json").exists()
+
+
+class TestUnsetSettingsKeepTheLibraryDefaults:
+    """A setting that no flag and no config key gives keeps the default of
+    the library type the verb passes its settings to."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_train_records_the_train_config_defaults(self, tiny_workspace, tmp_path, variant):
+        argv = ["train", "--store", str(tiny_workspace / "features.grmf"), "--variant", variant.value]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert read_model(tmp_path / f"{variant.value}.grmw").cfg == TrainConfig(variant=variant)
+
+    def test_extract_records_the_mfcc_config_front_end(self, tiny_workspace, tmp_path):
+        argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert read_feature_store(tmp_path / "features.grmf").front_end == MfccConfig()
+
+    def test_evaluate_scores_under_the_experiment_config_defaults(
+        self, tiny_workspace, tmp_path, monkeypatch
+    ):
+        run_experiment, scored = cli.run_experiment, []
+
+        def spy(*args, **kwargs):
+            scored.append(args[4])  # the ExperimentConfig
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        weights = tiny_workspace / "gcn.grmw"
+        argv = ["evaluate", "--store", str(tiny_workspace / "features.grmf"), "--weights", str(weights)]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert scored == [ExperimentConfig(train=read_model(weights).cfg)]
+
+
+class TestOptionCount:
+    def test_flags_per_verb_and_config_keys(self):
+        # a new setting updates this count, the README and the ROADMAP together
+        (verbs,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+        counts = {
+            verb: sum(1 for a in parser._actions if a.option_strings and a.dest != "help")
+            for verb, parser in verbs.items()
+        }
+        assert counts == {"synth": 7, "extract": 6, "train": 11, "evaluate": 9, "recommend": 8}
+        assert sum(counts.values()) == 41  # --no-self-loops is the other half of --self-loops
+        assert len(cli._CONFIG_KEYS) == 17
+        # each config key names a flag of some verb
+        dests = {a.dest for parser in verbs.values() for a in parser._actions}
+        assert set(cli._CONFIG_KEYS) <= dests

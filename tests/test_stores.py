@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from genregraph.audio import AudioClip, encode_wav
 from genregraph.cli import EXIT_OK, EXIT_USAGE, main
 from genregraph.mfcc import MfccConfig
-from genregraph.nn import TrainConfig, Variant, build_model
+from genregraph.nn import LayerParams, TrainConfig, Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
@@ -483,7 +483,29 @@ class TestWavRobustness:
         rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--audio", str(wav)])
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
-        assert err == "error: sample rate 8 Hz is below 8000 Hz\n"
+        assert err == f"error: {wav}: sample rate 8 Hz is below 8000 Hz\n"
+
+    @pytest.mark.parametrize(
+        "data, window, words",
+        [
+            (b"RIFX" + bytes(40), 5.0, "not a RIFF/WAVE file"),
+            (_clip_wav(seconds=4.0), 5.0, "clip is 4.000s, need at least 5.000s, the window {} records"),
+            (_clip_wav(), 1e304, "clip is 5.500s, need at least 1.000e+304s, the window {} records"),
+        ],
+        ids=["not_a_wav", "short_clip", "huge_window"],
+    )
+    def test_query_error_is_one_line_naming_the_wav(self, tmp_path, capsys, data, window, words):
+        # a too-short clip also names the store whose recorded window it needs
+        store, weights, wav = tmp_path / "c.grmf", tmp_path / "w.grmw", tmp_path / "q.wav"
+        _sixteen_song_store(store)
+        raw = bytearray(store.read_bytes())
+        struct.pack_into(FRONT_END_AT["window_seconds"][1], raw, FRONT_END_AT["window_seconds"][0], window)
+        store.write_bytes(bytes(raw))
+        write_model(weights, build_model(Variant.GCN, seed=0))
+        wav.write_bytes(data)
+        capsys.readouterr()
+        rc = main(["recommend", "--store", str(store), "--weights", str(weights), "--audio", str(wav)])
+        assert (rc, *capsys.readouterr()) == (EXIT_USAGE, "", f"error: {wav}: {words.format(store)}\n")
 
 
 class TestWeightStore:
@@ -553,20 +575,32 @@ class TestWeightStore:
         with pytest.raises(StoreFormatError, match="trailing"):
             read_model(path)
 
-    def test_loaded_model_enforces_architecture(self, tmp_path):
-        # A tampered graph-layer shape must fail the construction-time
-        # parameter-count assertion, not load silently.
-        model = build_model(Variant.GCN, seed=0)
-        path = tmp_path / "shape.grmw"
-        write_model(path, model)
-        raw = bytearray(path.read_bytes())
-        offset = 4 + 4 + 1 + 4 + SETTINGS_SIZE
-        in_dim, out_dim = struct.unpack_from("<II", raw, offset)
-        assert (in_dim, out_dim) == (30, 60)
-        struct.pack_into("<II", raw, offset, 60, 30)
-        path.write_bytes(bytes(raw))
-        with pytest.raises((StoreFormatError, ValueError)):
-            read_model(path)
+    @pytest.mark.parametrize(
+        "variant, shape, words",
+        [
+            (Variant.GCN, (60, 30), "GCN graph layer must have 1860 parameters"),
+            (Variant.GCN, (30, 59), "GCN graph layer must have 1860 parameters"),
+            (Variant.SAGE, (60, 59), "SAGE graph layer must have 3660 parameters"),
+        ],
+    )
+    def test_loaded_model_enforces_architecture(self, tmp_path, capsys, variant, shape, words):
+        # a graph layer of the wrong size fails the construction-time
+        # parameter count rather than loading, with one line naming the file
+        store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
+        _sixteen_song_store(store)
+        model = build_model(variant, seed=0)
+        model.graph_layer = LayerParams(np.zeros(shape), np.zeros(shape[1]))  # after the check
+        write_model(weights, model)
+        with pytest.raises(StoreFormatError, match=f"^{weights}: {words}$"):
+            read_model(weights)
+        for argv in (
+            ["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"],
+            ["evaluate", "--store", str(store), "--weights", str(weights), "--out", str(tmp_path / "out")],
+        ):
+            capsys.readouterr()
+            rc = main(argv)
+            assert (rc, *capsys.readouterr()) == (EXIT_USAGE, "", f"error: {weights}: {words}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestWeightSettings:
@@ -723,10 +757,10 @@ class TestFeatureFrontEnd:
     @pytest.mark.parametrize(
         "field, value, words",
         [
-            ("target_sample_rate", 0, "sample rate must lie in 8000..384000 Hz"),
+            ("target_sample_rate", 0, "sample rate must lie in 8000..384000 Hz, got 0"),
             ("target_sample_rate", 16000, "sample rate 16000 Hz is below 22050 Hz, twice the "
              "11025 Hz top mel band edge"),
-            ("target_sample_rate", 400000, "sample rate must lie in 8000..384000 Hz"),
+            ("target_sample_rate", 400000, "sample rate must lie in 8000..384000 Hz, got 400000"),
             ("window_seconds", 0.0, "window_seconds must be positive and finite, got 0.0"),
             ("window_seconds", -1.0, "window_seconds must be positive and finite, got -1.0"),
             ("window_seconds", np.nan, "window_seconds must be positive and finite, got nan"),

@@ -1,6 +1,7 @@
 """Two-stage training, loss curves, splits, and unseen-node inference."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,7 +398,7 @@ class TestInferEmbedding:
         model = build_model(Variant.SAGE, seed=9)
         out = infer_embedding(
             model, graph, np.tile(x, (4, 1)), y,
-            AttachmentMode.ORACLE, true_label=1, sample_k=10,
+            AttachmentMode.ORACLE, true_label=1,
         )
         concat = np.concatenate([y, x])
         expected = np.maximum(concat @ model.graph_layer.weight + model.graph_layer.bias, 0.0)
@@ -418,13 +419,44 @@ class TestInferEmbedding:
         train_features = rng.normal(size=(len(genres), INPUT_DIM))
         query = rng.normal(size=INPUT_DIM)
         model = build_model(Variant.SAGE, seed=5)
+        model = replace(model, cfg=replace(model.cfg, sage_sample_k=k))
         out = infer_embedding(
-            model, graph, train_features, query, AttachmentMode.ORACLE,
-            true_label=3, sample_k=k, seed=seed,
+            model, graph, train_features, query, AttachmentMode.ORACLE, true_label=3, seed=seed,
         )
         sampled = draw_neighbors(graph.genre_members(3), k, np.random.default_rng(seed))
         row = np.concatenate([query, train_features[sampled].mean(axis=0)])
         assert out.tobytes() == embedding_forward(row[None, :], model.graph_layer)[0].tobytes()
+
+    def test_sage_query_row_samples_the_models_own_sample_k(self):
+        # no sampling argument: cfg.sage_sample_k = 3 draws 3 of the clique's 12
+        rng = np.random.default_rng(12)
+        graph = build_graph(labels_for({3: 12, 6: 5}))
+        train_features = rng.normal(size=(17, INPUT_DIM))
+        query = rng.normal(size=INPUT_DIM)
+        model = build_model(Variant.SAGE, seed=5)
+        model = replace(model, cfg=replace(model.cfg, sage_sample_k=3))
+        out = infer_embedding(
+            model, graph, train_features, query, AttachmentMode.ORACLE, true_label=3, seed=21
+        )
+        sampled = draw_neighbors(graph.genre_members(3), 3, np.random.default_rng(21))
+        row = np.concatenate([query, train_features[sampled].mean(axis=0)])
+        assert out.tobytes() == embedding_forward(row[None, :], model.graph_layer)[0].tobytes()
+
+    def test_gcn_query_row_takes_the_models_own_self_loop(self):
+        # no self-loop argument: with cfg.self_loops the query and each of
+        # its k = 4 clique neighbors weigh 1/(k+1)
+        rng = np.random.default_rng(13)
+        graph = build_graph(labels_for({2: 4, 5: 3}))
+        train_features = rng.normal(size=(7, INPUT_DIM))
+        query = rng.normal(size=INPUT_DIM)
+        model = build_model(Variant.GCN, seed=9)
+        model = replace(model, cfg=replace(model.cfg, self_loops=True))
+        out = infer_embedding(
+            model, graph, train_features, query, AttachmentMode.ORACLE, true_label=2
+        )
+        row = (train_features[:4].sum(axis=0) + query) / 5
+        expected = embedding_forward(row[None, :], model.graph_layer)[0]
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_knn_single_neighbor_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
@@ -448,6 +480,7 @@ class TestInferEmbedding:
         train_features = rng.normal(size=(12, INPUT_DIM))
         query = rng.normal(size=INPUT_DIM)
         model = build_model(Variant.GCN, seed=2)
+        model = replace(model, cfg=replace(model.cfg, self_loops=self_loops))
 
         if mode is AttachmentMode.ORACLE:
             chosen = [i for i in range(12) if graph.label_indices[i] == 1]
@@ -460,7 +493,7 @@ class TestInferEmbedding:
 
         out = infer_embedding(
             model, graph, train_features, query, mode,
-            true_label=label, knn_k=4, self_loops=self_loops,
+            true_label=label, knn_k=4,
         )
         expected = dense_extended_embedding(
             graph, train_features, query, chosen, model.graph_layer, self_loops
@@ -476,13 +509,13 @@ class TestInferEmbedding:
         genres = np.array([lab.index for lab in labels])
         features = 100.0 * rng.normal(size=(8, INPUT_DIM))[genres] + rng.normal(size=(15, INPUT_DIM))
         model = build_model(Variant.GCN, seed=3)
-        cfg = TrainConfig(variant=Variant.GCN, self_loops=self_loops)
-        catalog = compute_embeddings(model, build_graph(labels), features, cfg)
+        model = replace(model, cfg=replace(model.cfg, self_loops=self_loops))
+        catalog = compute_embeddings(model, build_graph(labels), features, model.cfg)
         song = 7
         rest = [i for i in range(15) if i != song]
         out = infer_embedding(
             model, build_graph([labels[i] for i in rest]), features[rest], features[song], mode,
-            true_label=int(genres[song]), knn_k=5, self_loops=self_loops,
+            true_label=int(genres[song]), knn_k=5,
         )
         np.testing.assert_allclose(out, catalog[song], rtol=0, atol=1e-12)
 
