@@ -242,24 +242,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
 
-    pretrained, paths = {}, {}
+    models, paths = [], {}
     for weights_path in args.weights:
         model = read_model(weights_path)
         _check_model_dim(model, features.shape[1], weights_path)
-        if model.variant.value in pretrained:
-            raise UsageError(f"two weight files for variant {model.variant.value!r}")
-        pretrained[model.variant.value] = model
+        models.append(model)
         paths[model.variant.value] = weights_path
-    train = next(iter(pretrained.values())).cfg  # run_experiment holds every file to this split
-    seed = _given(args, config, "seed").get("seed", train.seed)
-    if seed != train.seed:
-        raise UsageError(f"{args.weights[0]}: trained with seed {train.seed}, not the given seed {seed}")
+    trained = models[0].cfg.seed  # run_experiment holds every file to the first one's split
+    seed = _given(args, config, "seed").get("seed", trained)
+    if seed != trained:
+        raise UsageError(f"{args.weights[0]}: trained with seed {trained}, not the given seed {seed}")
 
     keys = ("queries_per_genre", "attachment", "knn_k", "recommend_k")
-    cfg = ExperimentConfig(train=train, **_given(args, config, *keys))
-    variants = [v for v in (Variant.PLAIN, Variant.SAGE, Variant.GCN) if v.value in pretrained]
+    cfg = ExperimentConfig(**_given(args, config, *keys))
     try:
-        reports = run_experiment(ids, labels, features, variants, cfg, pretrained=pretrained)
+        reports = run_experiment(ids, labels, features, models, cfg)
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {paths[exc.variant.value]}: {exc}") from None
     except SplitMismatchError as exc:
@@ -314,12 +311,16 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     if (args.song_id is None) == (args.audio is None):
         raise UsageError("give exactly one of --song-id or --audio")
     true_label = None
+    if args.song_id is not None and (args.attachment, args.genre) != (None, None):
+        raise UsageError("--attachment and --genre apply only to an --audio query")
     if args.audio is not None:
         attachment = _given(args, config, "attachment").get("attachment", AttachmentMode.FEATURE_KNN)
         if attachment is AttachmentMode.ORACLE:
             if args.genre is None:
                 raise UsageError("oracle attachment for an audio file needs --genre")
             true_label = GenreLabel.from_name(args.genre).index
+        elif args.genre is not None:
+            raise UsageError(f"--genre applies only to oracle attachment, not {attachment.value}")
 
     # a hit keeps the bytes the table was parsed from: its values view them
     served, store = _served, Path(args.store)

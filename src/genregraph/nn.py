@@ -255,7 +255,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     total = exp.sum(axis=1, keepdims=True)
     probs = exp / total
     log_probs = shifted - np.log(total)
-    loss = float(-log_probs[np.arange(n), targets].mean())
+    loss = 0.0 - float(log_probs[np.arange(n), targets].mean())  # never -0.0
 
     dlogits = probs.copy()
     dlogits[np.arange(n), targets] -= 1.0

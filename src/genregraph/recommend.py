@@ -9,21 +9,15 @@ graph-refined embeddings on a held-out split.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .audio import SeedStream, derive_seed
 from .graph import GENRE_NAMES, AttachmentMode, build_graph, nearest, row_norms
 from .nn import EmbeddingModel, Variant
-from .train import (
-    TrainConfig,
-    compute_embeddings,
-    infer_embedding,
-    split_train_test,
-    train_embeddings,
-)
+from .train import TrainConfig, compute_embeddings, infer_embedding, split_train_test
 
 TOP_K = 10
 
@@ -204,21 +198,19 @@ def gamma(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    train: TrainConfig = field(default_factory=TrainConfig)
     queries_per_genre: int = 10
     attachment: AttachmentMode = AttachmentMode.ORACLE
     knn_k: int = 10
     recommend_k: int = TOP_K
 
     def __post_init__(self):
-        if self.queries_per_genre < 1:
-            raise ValueError(f"queries_per_genre must be >= 1, got {self.queries_per_genre}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        for name in ("queries_per_genre", "knn_k", "recommend_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class SplitMismatchError(ValueError):
-    """A pretrained model was trained on a split other than the experiment's."""
+    """A model was trained on a split other than the experiment's."""
 
     def __init__(self, variant: str, model: TrainConfig, split: TrainConfig):
         self.variant = variant
@@ -232,32 +224,37 @@ def run_experiment(
     song_ids: Sequence[str],
     label_indices: np.ndarray,
     features: np.ndarray,
-    variants: Iterable[Variant],
-    cfg: ExperimentConfig,
-    pretrained: Mapping[str, EmbeddingModel] | None = None,
+    models: Sequence[EmbeddingModel],
+    cfg: ExperimentConfig = ExperimentConfig(),
 ) -> dict[str, EvalReport]:
-    """Train each variant, embed held-out songs, recommend, and score Γ.
+    """Embed held-out songs with each trained model, recommend, and score Γ.
 
-    The split is cfg.train's seed and test_fraction. The catalog is the
-    training songs' embeddings; queries are up to queries_per_genre
-    held-out songs per genre, attached by cfg.attachment. A pretrained
-    model (keyed by variant value) skips that variant's training and is
-    used under its own settings; one of another split raises SplitMismatchError.
+    The split is the first model's seed and test_fraction: a model of
+    another split raises SplitMismatchError, and a second model of one
+    variant ValueError. The catalog is the training songs' embeddings
+    under each model's own settings; queries are up to queries_per_genre
+    held-out songs per genre, attached by cfg.attachment.
     """
-    for name, model in (pretrained or {}).items():
-        if (model.cfg.seed, model.cfg.test_fraction) != (cfg.train.seed, cfg.train.test_fraction):
-            raise SplitMismatchError(name, model.cfg, cfg.train)
+    if not models:
+        raise ValueError("no models to score")
+    split = models[0].cfg
+    variants = [model.variant for model in models]
+    for model in models:
+        if variants.count(model.variant) > 1:
+            raise ValueError(f"two models of variant {model.variant.value!r}")
+        if (model.cfg.seed, model.cfg.test_fraction) != (split.seed, split.test_fraction):
+            raise SplitMismatchError(model.variant.value, model.cfg, split)
     label_indices = np.asarray(label_indices, dtype=np.int64)
     features = np.asarray(features, dtype=np.float64)
     labels_by_id = dict(zip(song_ids, label_indices.tolist()))
 
     train_idx, test_idx = split_train_test(
-        label_indices, test_fraction=cfg.train.test_fraction, seed=cfg.train.seed
+        label_indices, test_fraction=split.test_fraction, seed=split.seed
     )
     train_ids = [song_ids[i] for i in train_idx]
     train_features = features[train_idx]
-    train_targets = label_indices[train_idx]
     train_norms = row_norms(train_features)
+    graph = build_graph(label_indices[train_idx], node_ids=train_ids)
 
     query_idx: list[int] = []
     for genre in np.unique(label_indices[test_idx]):
@@ -265,47 +262,30 @@ def run_experiment(
         query_idx.extend(genre_tests[: cfg.queries_per_genre])
 
     reports: dict[str, EvalReport] = {}
-    for variant in variants:
-        if variant is Variant.PLAIN:
-            model = None
-            graph = None
-            catalog_vectors = train_features
-        else:
-            graph = build_graph(train_targets, node_ids=train_ids)
-            if pretrained and variant.value in pretrained:
-                model = pretrained[variant.value]
-                catalog_vectors = compute_embeddings(model, graph, train_features, model.cfg)
-            else:
-                model, _, catalog_vectors = train_embeddings(
-                    graph, train_features, train_targets, replace(cfg.train, variant=variant)
-                )
-        catalog = Catalog(train_ids, catalog_vectors)
-
+    for model in models:
+        catalog_vectors = compute_embeddings(model, graph, train_features, model.cfg)
+        catalog = Catalog(train_ids, catalog_vectors, graph.node_index)
         recommendations = []
         for qi in query_idx:
-            qid = song_ids[qi]
-            if variant is Variant.PLAIN:
-                query_vec = features[qi]
-            else:
-                query_vec = infer_embedding(
-                    model,
-                    graph,
-                    train_features,
-                    features[qi],
-                    cfg.attachment,
-                    true_label=int(label_indices[qi]),
-                    knn_k=cfg.knn_k,
-                    seed=derive_seed(model.cfg.seed, SeedStream.QUERY, int(qi)),
-                    train_norms=train_norms,
-                )
+            query_vec = infer_embedding(
+                model,
+                graph,
+                train_features,
+                features[qi],
+                cfg.attachment,
+                true_label=int(label_indices[qi]),
+                knn_k=cfg.knn_k,
+                seed=derive_seed(model.cfg.seed, SeedStream.QUERY, int(qi)),
+                train_norms=train_norms,
+            )
             recommendations.append(
-                recommend(query_vec, catalog, k=cfg.recommend_k, query_id=qid)
+                recommend(query_vec, catalog, k=cfg.recommend_k, query_id=song_ids[qi])
             )
 
-        reports[variant.value] = gamma(
+        reports[model.variant.value] = gamma(
             recommendations,
             labels_by_id,
-            variant=variant.value,
+            variant=model.variant.value,
             attachment_mode=cfg.attachment.value,
             catalog_size=len(train_ids),
         )

@@ -11,8 +11,11 @@ from hypothesis import settings
 
 from genregraph.audio import AudioClip, _lowpass
 from genregraph.cli import main
+from genregraph.graph import build_graph
 from genregraph.mfcc import LOG_FLOOR, _constants
+from genregraph.nn import TrainConfig, Variant
 from genregraph.synth import SyntheticSpec, synthesize_features
+from genregraph.train import split_train_test, train_pipeline
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
 # and no per-example deadline, which a loaded runner would trip.
@@ -52,6 +55,18 @@ def reference_nearest(query, vectors, ids, k, exclude=-1):
     order = candidates[np.argsort(distances[candidates], kind="stable")][: k + 1]
     order = order[order != exclude][:k]
     return order, distances[order]
+
+
+def train_models(ids, labels, features, variants=tuple(Variant), **settings):
+    """One model per variant, trained by train_pipeline on the training rows
+    of the split its TrainConfig(**settings) names, as the train verb does."""
+    cfg = TrainConfig(**settings)
+    train_idx, _ = split_train_test(labels, test_fraction=cfg.test_fraction, seed=cfg.seed)
+    graph = build_graph(labels[train_idx], node_ids=[ids[i] for i in train_idx])
+    return [
+        train_pipeline(graph, features[train_idx], labels[train_idx], TrainConfig(variant=v, **settings))[0]
+        for v in variants
+    ]
 
 
 def reference_generate_clip(recipe, seconds, sample_rate, rng):

@@ -25,9 +25,11 @@ from genregraph.nn import (
     sampled_neighbor_means,
     softmax_cross_entropy,
 )
-from genregraph.recommend import ExperimentConfig, recommend, run_experiment
+from genregraph.recommend import recommend, run_experiment
 from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import TrainConfig, train_pipeline
+
+from conftest import train_models
 
 
 def verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -105,10 +107,8 @@ def test_criterion_03_gamma_ordering(desk_sets, capsys):
     averages = {}
     ok = True
     for seed, (ids, labels, features) in desk_sets.items():
-        cfg = ExperimentConfig(train=TrainConfig(seed=seed))
-        reports = run_experiment(
-            ids, labels, features, [Variant.PLAIN, Variant.SAGE, Variant.GCN], cfg
-        )
+        models = train_models(ids, labels, features, seed=seed)
+        reports = run_experiment(ids, labels, features, models)
         triple = tuple(reports[v].gamma_average for v in ("gcn", "sage", "plain"))
         averages[seed] = triple
         ok = ok and triple[0] >= triple[1] >= triple[2]

@@ -291,6 +291,23 @@ class TestTrain:
         assert err == f"error: {store}: store has 20-dim features, the model takes 30\n"
         assert not (tmp_path / f"{variant}.grmw").exists()
 
+    def test_loss_that_reaches_zero_is_not_negative_zero(self, tmp_path, capsys):
+        # at lr 1 four 5-song training cliques are fitted exactly within 20 epochs
+        records = synthesize_features(
+            SyntheticSpec(genres=("Rock", "Folk", "Pop", "Electronic"), songs_per_genre=6, seed=0)
+        )
+        store = tmp_path / "four.grmf"
+        write_feature_store(store, records)
+        for variant in ("gcn", "sage"):
+            argv = ["train", "--store", str(store), "--variant", variant, "--out", str(tmp_path)]
+            assert main([*argv, "--embed-lr", "1", "--mlp-lr", "1", "--epochs", "20"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "-> 0.000000" in out and "-0.0" not in out
+        csv_text = (tmp_path / "gcn_embedding_loss.csv").read_text()
+        assert csv_text.splitlines()[-1] == "19,0.0,0.0"
+        for csv_path in tmp_path.glob("*_loss.csv"):
+            assert "-0.0" not in csv_path.read_text()
+
     def test_store_with_no_songs_says_so(self, tmp_path, capsys):
         store = tmp_path / "empty.grmf"
         write_feature_store(store, [])
@@ -339,11 +356,12 @@ class TestEvaluate:
             ]
         )
         assert rc == EXIT_USAGE
-        assert "two weight files" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: two models of variant 'gcn'\n"
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--queries-per-genre", "-1"), ("--queries-per-genre", "0"), ("--knn-k", "0")],
+        [("--queries-per-genre", "-1"), ("--queries-per-genre", "0"), ("--knn-k", "0"),
+         ("--recommend-k", "0")],
     )
     def test_counts_below_one_rejected(self, tiny_workspace, tmp_path, capsys, flag, value):
         # a negative count used to slice held-out songs from the end
@@ -536,6 +554,34 @@ class TestRecommend:
         assert rc == EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not finite" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--song-id", "Rock/Rock_000.wav", "--attachment", "oracle"],
+            ["--song-id", "Rock/Rock_000.wav", "--attachment", "feature_knn"],
+            ["--song-id", "Rock/Rock_000.wav", "--genre", "Rock"],
+            ["--song-id", "Rock/Rock_000.wav", "--genre", "Nope"],
+            ["--audio", "q.wav", "--genre", "Rock"],
+            ["--audio", "q.wav", "--genre", "Nope", "--attachment", "feature_knn"],
+        ],
+        ids=lambda extra: " ".join(extra[::2]) + " " + extra[-1],
+    )
+    def test_flag_the_query_does_not_use_is_refused(self, tiny_workspace, capsys, extra):
+        if "--audio" in extra:
+            message = "--genre applies only to oracle attachment, not feature_knn"
+        else:
+            message = "--attachment and --genre apply only to an --audio query"
+        rc, out, err = self.run_recommend(tiny_workspace, capsys, *extra)
+        assert (rc, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_config_keys_the_query_does_not_use_stay_ignored(self, tiny_workspace, tmp_path, capsys):
+        # one config file serves every verb
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"attachment": "oracle", "knn_k": 3}))
+        query = ["--song-id", "Rock/Rock_000.wav"]
+        rc, out, _ = self.run_recommend(tiny_workspace, capsys, *query, "--config", str(config))
+        assert (rc, out) == (EXIT_OK, self.run_recommend(tiny_workspace, capsys, *query)[1])
 
     def test_query_flags_checked_before_the_store_is_read(self, tmp_path, capsys):
         missing = ["--store", str(tmp_path / "no.grmf"), "--weights", str(tmp_path / "no.grmw")]
@@ -1401,14 +1447,14 @@ class TestUnsetSettingsKeepTheLibraryDefaults:
         run_experiment, scored = cli.run_experiment, []
 
         def spy(*args, **kwargs):
-            scored.append(args[4])  # the ExperimentConfig
+            scored.append((args[3][0].cfg, args[4]))  # the model's settings, the ExperimentConfig
             return run_experiment(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_experiment", spy)
         weights = tiny_workspace / "gcn.grmw"
         argv = ["evaluate", "--store", str(tiny_workspace / "features.grmf"), "--weights", str(weights)]
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-        assert scored == [ExperimentConfig(train=read_model(weights).cfg)]
+        assert scored == [(read_model(weights).cfg, ExperimentConfig())]
 
 
 class TestOptionCount:

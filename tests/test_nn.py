@@ -392,6 +392,13 @@ class TestSoftmaxCrossEntropy:
         assert loss < 1e-12
         assert np.max(np.abs(dlogits)) < 1e-12
 
+    def test_exactly_fitted_batch_costs_positive_zero(self):
+        # every target's log-probability is exactly 0.0, and so is the mean
+        logits = np.zeros((2, N_GENRES))
+        logits[[0, 1], [3, 5]] = 1e3
+        loss, _ = softmax_cross_entropy(logits, np.array([3, 5]))
+        assert loss == 0.0 and np.copysign(1.0, loss) == 1.0
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(size=(4, N_GENRES))

@@ -1,6 +1,8 @@
 """Top-k recommendation, the Γ metric, and the comparison experiment."""
 
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from genregraph.recommend import (
     run_experiment,
 )
 from genregraph.train import TrainConfig, split_train_test, train_embeddings
+
+from conftest import train_models
 
 
 def exhaustive_top_k(query, catalog, k, query_id=""):
@@ -359,19 +363,22 @@ def single_genre_songs():
     return ids, labels, features
 
 
+@pytest.fixture(scope="module")
+def desk_models(desk_arrays):
+    """PLAIN, SAGE and GCN trained at seed 0 on the desk split."""
+    return train_models(*desk_arrays, [Variant.PLAIN, Variant.SAGE, Variant.GCN], seed=0)
+
+
 class TestRunExperiment:
-    @pytest.mark.parametrize("field", ["queries_per_genre", "knn_k"])
+    @pytest.mark.parametrize("field", ["queries_per_genre", "knn_k", "recommend_k"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_config_rejects_counts_below_one(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             ExperimentConfig(**{field: value})
 
-    def test_desk_gcn_is_perfect_and_ordering_holds(self, desk_arrays):
+    def test_desk_gcn_is_perfect_and_ordering_holds(self, desk_arrays, desk_models):
         ids, labels, features = desk_arrays
-        cfg = ExperimentConfig(train=TrainConfig(seed=0))
-        reports = run_experiment(
-            ids, labels, features, [Variant.PLAIN, Variant.SAGE, Variant.GCN], cfg
-        )
+        reports = run_experiment(ids, labels, features, desk_models)
         gcn, sage, plain = reports["gcn"], reports["sage"], reports["plain"]
         assert gcn.gamma_average == 100.0
         assert all(v == 100.0 for v in gcn.gamma_per_genre.values())
@@ -381,52 +388,70 @@ class TestRunExperiment:
         assert all(n == 5 for n in gcn.queries_per_genre.values())
         assert set(gcn.gamma_per_genre) == set(GENRE_NAMES)
 
+    @pytest.mark.parametrize("attachment", list(AttachmentMode), ids=lambda m: m.value)
+    def test_reports_do_not_depend_on_the_model_order(self, desk_arrays, desk_models, attachment):
+        ids, labels, features = desk_arrays
+        cfg = ExperimentConfig(attachment=attachment)
+        texts = {
+            (reports_to_json(reports), render_text_report(reports))
+            for reports in (
+                run_experiment(ids, labels, features, list(order), cfg)
+                for order in itertools.permutations(desk_models)
+            )
+        }
+        assert len(texts) == 1
+
     @pytest.mark.parametrize(
         "split, words",
         [(TrainConfig(seed=1), "seed 1 and 0, test_fraction 0.1 and 0.1"),
          (TrainConfig(test_fraction=0.2), "seed 0 and 0, test_fraction 0.2 and 0.1")],
     )
-    def test_pretrained_model_of_another_split_is_refused(self, desk_arrays, split, words):
-        # its catalog would hold training songs that the experiment's split queries
+    def test_model_of_another_split_is_refused(self, desk_arrays, split, words):
+        # its catalog would hold training songs that the first model's split queries
         ids, labels, features = desk_arrays
-        pretrained = {"plain": build_model(Variant.PLAIN, seed=0), "gcn": build_model(Variant.GCN, seed=0)}
+        first = replace(build_model(Variant.GCN, seed=0), cfg=split)
+        plain = build_model(Variant.PLAIN, seed=0)
         with pytest.raises(SplitMismatchError, match=f"^trained on different splits: {words}$") as err:
-            run_experiment(ids, labels, features, [Variant.GCN], ExperimentConfig(train=split), pretrained)
+            run_experiment(ids, labels, features, [first, plain])
         assert err.value.variant == "plain"
         # the model's own split runs
-        run_experiment(ids, labels, features, [Variant.PLAIN], ExperimentConfig(), {"plain": pretrained["plain"]})
+        run_experiment(ids, labels, features, [plain])
 
-    def test_pretrained_weights_reproduce_the_inline_report(self, desk_arrays):
+    def test_second_model_of_a_variant_is_refused(self, desk_arrays):
         ids, labels, features = desk_arrays
-        cfg = ExperimentConfig(train=TrainConfig(seed=1))
-        inline = run_experiment(ids, labels, features, [Variant.GCN], cfg)
+        models = [build_model(v, seed=0) for v in (Variant.SAGE, Variant.PLAIN, Variant.SAGE)]
+        with pytest.raises(ValueError, match="^two models of variant 'sage'$"):
+            run_experiment(ids, labels, features, models)
+        with pytest.raises(ValueError, match="^no models to score$"):
+            run_experiment(ids, labels, features, [])
 
+    def test_embedding_stage_alone_gives_the_pipeline_report(self, desk_arrays):
+        # the classifier that train_pipeline adds does not enter the embeddings
+        ids, labels, features = desk_arrays
         train_idx, _ = split_train_test(labels, test_fraction=0.1, seed=1)
         graph = build_graph(labels[train_idx], node_ids=[ids[i] for i in train_idx])
-        model, _, _ = train_embeddings(
-            graph, features[train_idx], labels[train_idx], TrainConfig(seed=1)
-        )
+        staged = [
+            train_embeddings(
+                graph, features[train_idx], labels[train_idx], TrainConfig(variant=v, seed=1)
+            )[0]
+            for v in (Variant.GCN, Variant.SAGE)
+        ]
+        piped = train_models(ids, labels, features, [Variant.GCN, Variant.SAGE], seed=1)
+        for attachment in AttachmentMode:
+            cfg = ExperimentConfig(attachment=attachment)
+            staged_json = reports_to_json(run_experiment(ids, labels, features, staged, cfg))
+            assert staged_json == reports_to_json(run_experiment(ids, labels, features, piped, cfg))
 
-        reloaded = run_experiment(
-            ids, labels, features, [Variant.GCN], cfg, pretrained={"gcn": model}
-        )
-        assert reloaded["gcn"].to_dict() == inline["gcn"].to_dict()
-
-        knn_cfg = ExperimentConfig(
-            train=TrainConfig(seed=1), attachment=AttachmentMode.FEATURE_KNN
-        )
-        knn = run_experiment(
-            ids, labels, features, [Variant.GCN], knn_cfg, pretrained={"gcn": model}
-        )
+        oracle = run_experiment(ids, labels, features, piped)
+        knn_cfg = ExperimentConfig(attachment=AttachmentMode.FEATURE_KNN)
+        knn = run_experiment(ids, labels, features, piped, knn_cfg)
         assert knn["gcn"].attachment_mode == "feature_knn"
-        assert knn["gcn"].gamma_average <= inline["gcn"].gamma_average
+        assert knn["gcn"].gamma_average <= oracle["gcn"].gamma_average
 
     def test_single_genre_dataset_scores_100_for_every_variant(self, single_genre_songs):
         ids, labels, features = single_genre_songs
-        cfg = ExperimentConfig(train=TrainConfig(seed=0, epochs=5))
-        reports = run_experiment(
-            ids, labels, features, [Variant.PLAIN, Variant.SAGE, Variant.GCN], cfg
-        )
+        models = train_models(ids, labels, features, seed=0, epochs=5)
+        reports = run_experiment(ids, labels, features, models)
         for report in reports.values():
             assert report.gamma_average == 100.0
 
@@ -434,10 +459,8 @@ class TestRunExperiment:
 @pytest.fixture(scope="module")
 def small_reports(small_arrays):
     ids, labels, features = small_arrays
-    cfg = ExperimentConfig(train=TrainConfig(seed=0, epochs=10))
-    return run_experiment(
-        ids, labels, features, [Variant.PLAIN, Variant.SAGE, Variant.GCN], cfg
-    )
+    models = train_models(ids, labels, features, seed=0, epochs=10)
+    return run_experiment(ids, labels, features, models)
 
 
 class TestReportRendering:
