@@ -41,7 +41,6 @@ from .graph import (
 )
 from .mfcc import (
     MfccConfig,
-    MfccVector,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,

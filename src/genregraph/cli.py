@@ -24,7 +24,7 @@ import numpy as np
 from .audio import ClipTooShortError, SeedStream, WavDecodeError, clip_workers, derive_seed
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
-from .mfcc import MfccConfig, wav_mfcc
+from .mfcc import N_MFCC, MfccConfig, wav_mfcc
 from .nn import INPUT_DIM, EmbeddingModel, Variant
 from .recommend import (
     Catalog,
@@ -197,8 +197,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else base
     out_dir.mkdir(parents=True, exist_ok=True)
     store_path = out_dir / "features.grmf"
-    write_feature_store(store_path, records, dimension=cfg.n_mfcc, front_end=cfg)
-    print(f"extracted {len(records)} x {cfg.n_mfcc} features -> {store_path}")
+    write_feature_store(store_path, records, front_end=cfg)
+    print(f"extracted {len(records)} x {N_MFCC} features -> {store_path}")
     return EXIT_OK
 
 

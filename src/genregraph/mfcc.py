@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,53 +17,35 @@ from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream, deco
 from .audio import derive_seed, random_window
 
 LOG_FLOOR = 1e-10
-_FRAME_BLOCK = 16  # frames per STFT block, about 0.8 MiB of buffers at n_fft 2048
+_FRAME_BLOCK = 16  # frames per STFT block, about 0.8 MiB of buffers
+
+# the fixed front end, librosa's defaults; the bottom mel band edge is 0 Hz
+N_MFCC = 30
+N_FFT = 2048
+HOP_LENGTH = 512
+N_MELS = 128
+FMAX = 11025.0
 
 
 @dataclass(frozen=True)
 class MfccConfig:
-    n_mfcc: int = 30
-    n_fft: int = 2048
-    hop_length: int = 512
-    n_mels: int = 128
+    """The front-end settings a feature store records; the rest are the constants above."""
+
     target_sample_rate: int = 22050
     window_seconds: float = 5.0
-    fmin: float = 0.0
-    fmax: float = 11025.0
 
     def __post_init__(self):
         if not MIN_SAMPLE_RATE <= self.target_sample_rate <= MAX_SAMPLE_RATE:
             raise ValueError(
                 f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz, got {self.target_sample_rate}"
             )
-        if self.n_mfcc <= 0 or self.n_mfcc > self.n_mels:
-            raise ValueError(f"need 0 < n_mfcc <= n_mels, got {self.n_mfcc} vs {self.n_mels}")
-        if self.hop_length <= 0 or self.hop_length > self.n_fft:
-            raise ValueError(f"need 0 < hop_length <= n_fft, got {self.hop_length} vs {self.n_fft}")
-        if self.fmax > self.target_sample_rate / 2:
+        if FMAX > self.target_sample_rate / 2:
             raise ValueError(
-                f"sample rate {self.target_sample_rate} Hz is below {2 * self.fmax:g} Hz, "
-                f"twice the {self.fmax:g} Hz top mel band edge"
+                f"sample rate {self.target_sample_rate} Hz is below {2 * FMAX:g} Hz, "
+                f"twice the {FMAX:g} Hz top mel band edge"
             )
-        if not 0 <= self.fmin < self.fmax:
-            raise ValueError(f"need 0 <= fmin < fmax, got fmin={self.fmin} fmax={self.fmax}")
         if not 0 < self.window_seconds < np.inf:
             raise ValueError(f"window_seconds must be positive and finite, got {self.window_seconds}")
-
-
-@dataclass(frozen=True)
-class MfccVector:
-    """Frame-averaged MFCC feature for one song."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("MFCC values contain non-finite entries")
 
 
 def hz_to_mel(freq_hz):
@@ -75,26 +56,26 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def power_spectrogram(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
-    """Squared-magnitude STFT, shape (frames, n_fft // 2 + 1).
+def power_spectrogram(clip: AudioClip) -> np.ndarray:
+    """Squared-magnitude STFT, shape (frames, N_FFT // 2 + 1).
 
-    Frames are n_fft samples at hop_length stride over a signal reflect-padded
-    by n_fft // 2 on both ends, each multiplied by a periodic Hann window.
+    Frames are N_FFT samples at HOP_LENGTH stride over a signal reflect-padded
+    by N_FFT // 2 on both ends, each multiplied by a periodic Hann window.
     """
-    return np.concatenate([power.copy() for power in _power_blocks(clip, cfg)])
+    return np.concatenate([power.copy() for power in _power_blocks(clip)])
 
 
-def _power_blocks(clip: AudioClip, cfg: MfccConfig):
+def _power_blocks(clip: AudioClip):
     """power_spectrogram in blocks of up to _FRAME_BLOCK frames, in order,
     each in buffers of this call that the next block overwrites."""
     if len(clip) == 0:
         raise ValueError("cannot compute a spectrogram of an empty clip")
-    n_fft, hop = cfg.n_fft, cfg.hop_length
+    n_fft, hop = N_FFT, HOP_LENGTH
     x, pad = clip.samples, n_fft // 2
     # (offset, samples) of the reflect-padded signal; a clip of <= pad samples reflects repeatedly
     pieces = [(0, x[pad:0:-1]), (pad, x), (pad + x.size, x[-2 : -pad - 2 : -1])]
     pieces = pieces if x.size > pad else [(0, np.pad(x, pad, mode="reflect"))]
-    window = _constants(cfg).window
+    window, _ = _fixed_arrays()
     chunk = np.empty((_FRAME_BLOCK - 1) * hop + n_fft)
     windowed = np.empty((_FRAME_BLOCK, n_fft))
     spectrum = np.empty((_FRAME_BLOCK, n_fft // 2 + 1), dtype=np.complex128)
@@ -119,14 +100,13 @@ def _power_blocks(clip: AudioClip, cfg: MfccConfig):
 
 
 def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
-    """Triangular mel filters, shape (n_mels, n_fft // 2 + 1).
+    """Triangular mel filters at the config's rate, shape (N_MELS, N_FFT // 2 + 1).
 
-    Peaks are equally spaced on the mel scale between fmin and fmax;
+    Peaks are equally spaced on the mel scale between 0 Hz and FMAX;
     each row is nonnegative with contiguous support and unit peak.
     """
-    n_bins = cfg.n_fft // 2 + 1
-    bin_freqs = np.arange(n_bins) * cfg.target_sample_rate / cfg.n_fft
-    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    bin_freqs = np.arange(N_FFT // 2 + 1) * cfg.target_sample_rate / N_FFT
+    mel_points = np.linspace(0.0, hz_to_mel(FMAX), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
 
     left = hz_points[:-2, None]
@@ -154,27 +134,21 @@ def _periodic_hann(n: int) -> np.ndarray:
     return window[:-1]
 
 
-class _Constants(NamedTuple):
-    """Read-only per-config arrays of the MFCC path."""
-
-    window: np.ndarray  # periodic Hann, n_fft samples
-    # per filter parity: (the weights of those filters over every bin, the
-    # first bin of each one with any weight, and which filters those are)
-    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    dct: np.ndarray  # orthonormal DCT-II basis, (n_mfcc, n_mels)
-
-
-def _dct_basis(n_out: int, n_in: int) -> np.ndarray:
-    """First n_out rows of the orthonormal DCT-II matrix of size n_in."""
-    k = np.arange(n_out)[:, None]
-    n = np.arange(n_in)[None, :]
-    basis = np.sqrt(2.0 / n_in) * np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
-    basis[0] = np.sqrt(1.0 / n_in)
-    return basis
+@functools.cache
+def _fixed_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """The periodic Hann window of N_FFT samples and the first N_MFCC rows of
+    the orthonormal DCT-II matrix of size N_MELS, read-only. Built on first
+    use, so that a verb that makes no MFCC (synth, train) builds neither."""
+    k, n = np.arange(N_MFCC)[:, None], np.arange(N_MELS)[None, :]
+    dct = np.sqrt(2.0 / N_MELS) * np.cos(np.pi * k * (2 * n + 1) / (2 * N_MELS))
+    dct[0] = np.sqrt(1.0 / N_MELS)
+    window = _periodic_hann(N_FFT)
+    window.flags.writeable = dct.flags.writeable = False
+    return window, dct
 
 
 @functools.lru_cache(maxsize=8)
-def _build_constants(cfg: MfccConfig) -> _Constants:
+def _build_filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     filterbank = mel_filterbank(cfg)
     # filters m and m + 2 meet only at the peak of m + 1, where both are 0,
     # so the filters of one parity share no bin and fit in one weight row
@@ -187,35 +161,32 @@ def _build_constants(cfg: MfccConfig) -> _Constants:
             support[nonempty].argmax(axis=1),
             2 * nonempty + parity,
         ))
-    constants = _Constants(
-        window=_periodic_hann(cfg.n_fft),
-        layers=tuple(layers),
-        dct=_dct_basis(cfg.n_mfcc, cfg.n_mels),
-    )
-    for array in [constants.window, constants.dct, *(a for layer in layers for a in layer)]:
+    for array in (a for layer in layers for a in layer):
         array.flags.writeable = False
-    return constants
+    return tuple(layers)
 
 
-_constants_lock = threading.Lock()
+_layers_lock = threading.Lock()
 
 
-def _constants(cfg: MfccConfig) -> _Constants:
-    """Hann window, mel filters as two weight rows, and DCT basis of a config.
+def _filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The mel filters of a config as two read-only layers, one per filter
+    parity: the weights of those filters over every bin, the first bin of
+    each one with any weight, and which filters those are.
 
     Built once per config and process. The lock makes threads that miss
     the cache together (extract's pool) wait for one build, not each
     make their own.
     """
-    with _constants_lock:
-        return _build_constants(cfg)
+    with _layers_lock:
+        return _build_filter_layers(cfg)
 
 
-def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
-    """Frame-averaged MFCC vector of length cfg.n_mfcc.
+def mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
+    """Frame-averaged MFCC vector of length N_MFCC, as float64.
 
     Pipeline: power spectrogram -> mel filterbank -> log with floor ->
-    orthonormal DCT-II over the mel axis -> first n_mfcc coefficients
+    orthonormal DCT-II over the mel axis -> first N_MFCC coefficients
     per frame -> arithmetic mean over frames.
 
     Each filter is a sum over its own bins and the DCT is a sum of
@@ -223,12 +194,13 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
     on its thread count. The DCT is linear, so it is applied once, to the
     frame mean of the log-mel rows.
     """
-    const = _constants(cfg)
-    weighted = np.empty((_FRAME_BLOCK, cfg.n_fft // 2 + 1))
+    layers = _filter_layers(cfg)
+    _, dct = _fixed_arrays()
+    weighted = np.empty((_FRAME_BLOCK, N_FFT // 2 + 1))
     mel_blocks = []
-    for power in _power_blocks(clip, cfg):
-        block, mel = weighted[: len(power)], np.zeros((len(power), cfg.n_mels))
-        for weights, starts, filters in const.layers:
+    for power in _power_blocks(clip):
+        block, mel = weighted[: len(power)], np.zeros((len(power), N_MELS))
+        for weights, starts, filters in layers:
             # each segment runs from a filter's first bin to the next
             # filter's, so past its support it adds exact zeros
             np.multiply(power, weights, out=block)
@@ -240,9 +212,11 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> MfccVector:
     # measured from one band's level, a flat log-mel is exactly zero past
     # coefficient 0, which carries that level alone
     level = log_mel[0]
-    cepstra = (const.dct * (log_mel - level)).sum(axis=1)
-    cepstra[0] += np.sqrt(cfg.n_mels) * level
-    return MfccVector(values=cepstra)
+    cepstra = (dct * (log_mel - level)).sum(axis=1)
+    cepstra[0] += np.sqrt(N_MELS) * level
+    if not np.all(np.isfinite(cepstra)):
+        raise ValueError("MFCC values contain non-finite entries")
+    return cepstra
 
 
 def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndarray:
@@ -252,4 +226,4 @@ def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndar
     """
     window_seed = derive_seed(seed, SeedStream.WINDOW, index)
     window = random_window(decode_wav(data), cfg.window_seconds, window_seed, cfg.target_sample_rate)
-    return mfcc(window, cfg).values
+    return mfcc(window, cfg)

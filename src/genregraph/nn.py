@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GenreGraph, draw_neighbor_positions
+from .mfcc import N_MFCC
 
-INPUT_DIM = 30
+INPUT_DIM = N_MFCC
 EMBED_DIM = 60
 MLP_HIDDEN = (128, 32)
 N_GENRES = 8

@@ -2,10 +2,12 @@
 
 GRMF: magic "GRMF", u32 LE version (3), u32 LE song count, u32 LE
 dimension, the MfccConfig that made the values (u64 target_sample_rate,
-f64 window_seconds), then three columns: count x dimension little-endian
-float64 values (row-major, 8-byte aligned at byte 32), count u8 genre
-indices, and count UTF-8 song ids, each followed by a NUL byte. A
-version-2 file, without the MfccConfig, is refused.
+f64 window_seconds; every other front-end setting is a constant of the
+mfcc module, so these 16 bytes are the whole front end), then three
+columns: count x dimension little-endian float64 values (row-major,
+8-byte aligned at byte 32), count u8 genre indices, and count UTF-8 song
+ids, each followed by a NUL byte. An id appears once. A version-2 file,
+without the MfccConfig, is refused.
 
 GRMW: magic "GRMW", u32 LE version (2), u8 variant tag, u32 LE layer
 count, then the settings the model was trained under (u64 seed, u32
@@ -18,6 +20,7 @@ the settings, is refused.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import GENRE_NAMES, row_norms
-from .mfcc import MfccConfig
+from .mfcc import N_MFCC, MfccConfig
 from .nn import EmbeddingModel, LayerParams, TrainConfig, Variant
 
 FEATURE_MAGIC = b"GRMF"
@@ -85,9 +88,10 @@ class _Reader:
 
 
 def write_feature_store(
-    path: str | Path, records: Sequence[FeatureRecord], dimension: int = 30,
-    front_end: MfccConfig = MfccConfig(),
+    path: str | Path, records: Sequence[FeatureRecord], front_end: MfccConfig = MfccConfig()
 ) -> None:
+    """Write the records, each of the first one's dimension (N_MFCC if there are none)."""
+    dimension = records[0].values.size if records else N_MFCC
     for rec in records:
         if rec.values.shape != (dimension,):
             raise ValueError(
@@ -182,6 +186,9 @@ def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTa
             f"{path}: song {ids[bad]!r} has genre index {genres[bad]} out of range "
             f"0..{len(GENRE_NAMES) - 1}"
         )
+    if len(set(ids)) < count:
+        repeated = next(i for i, n in Counter(ids).items() if n > 1)
+        raise StoreFormatError(f"{path}: song id {repeated!r} appears more than once")
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))

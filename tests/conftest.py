@@ -12,7 +12,7 @@ from hypothesis import settings
 from genregraph.audio import AudioClip, _lowpass
 from genregraph.cli import main
 from genregraph.graph import build_graph
-from genregraph.mfcc import LOG_FLOOR, _constants
+from genregraph.mfcc import HOP_LENGTH, LOG_FLOOR, N_FFT, N_MELS, _filter_layers, _fixed_arrays
 from genregraph.nn import TrainConfig, Variant
 from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import split_train_test, train_pipeline
@@ -96,32 +96,31 @@ def reference_generate_clip(recipe, seconds, sample_rate, rng):
     return AudioClip(samples=signal * (0.9 / peak), sample_rate=sample_rate)
 
 
-def reference_power_spectrogram(clip, cfg):
+def reference_power_spectrogram(clip):
     """Reference STFT: the whole clip reflect-padded, every frame windowed
     and transformed at once. The program's blocks must match it bit for bit."""
-    pad = cfg.n_fft // 2
+    pad = N_FFT // 2
     padded = np.pad(clip.samples, pad, mode="reflect")
-    n_frames = 1 + (padded.size - cfg.n_fft) // cfg.hop_length
+    n_frames = 1 + (padded.size - N_FFT) // HOP_LENGTH
     frames = np.lib.stride_tricks.as_strided(
-        padded, shape=(n_frames, cfg.n_fft),
-        strides=(cfg.hop_length * padded.strides[0], padded.strides[0]),
+        padded, shape=(n_frames, N_FFT),
+        strides=(HOP_LENGTH * padded.strides[0], padded.strides[0]),
     )
-    return np.abs(np.fft.rfft(frames * _constants(cfg).window, axis=1)) ** 2
+    return np.abs(np.fft.rfft(frames * _fixed_arrays()[0], axis=1)) ** 2
 
 
 def reference_mfcc(clip, cfg):
     """Reference MFCC on the whole reference spectrogram: each filter parity
     summed over every frame at once, then the program's log, mean and DCT
     steps. mfcc must match it bit for bit."""
-    const = _constants(cfg)
-    spec = reference_power_spectrogram(clip, cfg)
-    mel_energy = np.zeros((len(spec), cfg.n_mels))
-    for weights, starts, filters in const.layers:
+    spec = reference_power_spectrogram(clip)
+    mel_energy = np.zeros((len(spec), N_MELS))
+    for weights, starts, filters in _filter_layers(cfg):
         mel_energy[:, filters] = np.add.reduceat(spec * weights, starts, axis=1)
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR)).mean(axis=0)
     level = log_mel[0]
-    cepstra = (const.dct * (log_mel - level)).sum(axis=1)
-    cepstra[0] += np.sqrt(cfg.n_mels) * level
+    cepstra = (_fixed_arrays()[1] * (log_mel - level)).sum(axis=1)
+    cepstra[0] += np.sqrt(N_MELS) * level
     return cepstra
 
 

@@ -14,7 +14,7 @@ from scipy.spatial.distance import pdist
 
 from genregraph.cli import main
 from genregraph.graph import GenreLabel, build_graph, normalize
-from genregraph.mfcc import MfccConfig, mfcc, power_spectrogram
+from genregraph.mfcc import HOP_LENGTH, N_FFT, MfccConfig, mfcc, power_spectrogram
 from genregraph.audio import AudioClip
 from genregraph.nn import (
     Variant,
@@ -233,18 +233,17 @@ def test_criterion_06_dsp_oracles(capsys):
     sr = 22050
     t = np.arange(sr // 5) / sr
     short = 0.2 * np.sin(2 * np.pi * 440.0 * t) + 0.1 * rng.normal(size=t.size)
-    cfg = MfccConfig()
-    spec = power_spectrogram(AudioClip(samples=short, sample_rate=sr), cfg)
+    spec = power_spectrogram(AudioClip(samples=short, sample_rate=sr))
 
-    pad = cfg.n_fft // 2
+    pad = N_FFT // 2
     padded = np.pad(short, pad, mode="reflect")
-    window = np.hanning(cfg.n_fft + 1)[:-1]
-    bins = np.arange(cfg.n_fft // 2 + 1)
-    basis = np.exp(-2j * np.pi * np.outer(np.arange(cfg.n_fft), bins) / cfg.n_fft)
+    window = np.hanning(N_FFT + 1)[:-1]
+    bins = np.arange(N_FFT // 2 + 1)
+    basis = np.exp(-2j * np.pi * np.outer(np.arange(N_FFT), bins) / N_FFT)
     worst_frame = 0.0
     for frame_index in range(spec.shape[0]):
-        start = frame_index * cfg.hop_length
-        frame = padded[start : start + cfg.n_fft] * window
+        start = frame_index * HOP_LENGTH
+        frame = padded[start : start + N_FFT] * window
         naive = np.abs(frame.astype(complex) @ basis) ** 2
         rel = np.linalg.norm(spec[frame_index] - naive) / np.linalg.norm(naive)
         worst_frame = max(worst_frame, rel)
@@ -257,8 +256,8 @@ def test_criterion_06_dsp_oracles(capsys):
         + 0.2 * np.sin(2 * np.pi * 1760.0 * t5)
         + 0.1 * rng.normal(size=t5.size)
     )
-    base = mfcc(AudioClip(samples=loud, sample_rate=sr), cfg).values
-    scaled = mfcc(AudioClip(samples=2.5 * loud, sample_rate=sr), cfg).values
+    base = mfcc(AudioClip(samples=loud, sample_rate=sr), MfccConfig())
+    scaled = mfcc(AudioClip(samples=2.5 * loud, sample_rate=sr), MfccConfig())
     worst_coeff = float(np.max(np.abs(scaled[1:] - base[1:])))
 
     ok = worst_frame < 1e-6 and worst_coeff < 1e-6

@@ -3,7 +3,7 @@
 import json
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,7 +284,7 @@ class TestTrain:
             for s in range(8)
         ]
         store = tmp_path / "narrow.grmf"
-        write_feature_store(store, records, dimension=20)
+        write_feature_store(store, records)
         rc = main(["train", "--store", str(store), "--variant", variant, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
@@ -433,7 +433,7 @@ class TestEvaluate:
             for s in range(2)
         ]
         store = tmp_path / "wide.grmf"
-        write_feature_store(store, records, dimension=60)
+        write_feature_store(store, records)
         rc = main(
             [
                 "evaluate",
@@ -1340,6 +1340,29 @@ class TestPathOfTheWrongKind:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+class TestRepeatedSongId:
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "recommend"])
+    def test_store_is_refused_naming_the_file_and_the_id(self, tiny_workspace, tmp_path, capsys, verb):
+        # a second song renamed to the first's id: evaluate would score the
+        # query without the song whose id it shares, train and recommend would
+        # only say that node ids must be unique
+        raw = (tiny_workspace / "features.grmf").read_bytes()
+        first, second = b"Electronic/Electronic_000.wav\0", b"Electronic/Electronic_002.wav\0"
+        assert raw.count(first) == raw.count(second) == 1
+        store = tmp_path / "repeated.grmf"
+        store.write_bytes(raw.replace(second, first))
+        weights = ["--weights", str(tiny_workspace / "gcn.grmw")]
+        argv = {
+            "train": ["train", "--variant", "gcn", "--out", str(tmp_path)],
+            "evaluate": ["evaluate", *weights, "--out", str(tmp_path)],
+            "recommend": ["recommend", *weights, "--song-id", "Rock/Rock_000.wav"],
+        }[verb]
+        assert main([*argv, "--store", str(store)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err == f"error: {store}: song id 'Electronic/Electronic_000.wav' appears more than once\n"
+        assert out == "" and list(tmp_path.iterdir()) == [store]
+
+
 @pytest.fixture(scope="module")
 def two_genre_workspace(tmp_path_factory):
     """Rock and Folk only, 12 songs each, with GCN and SAGE weights."""
@@ -1471,3 +1494,19 @@ class TestOptionCount:
         # each config key names a flag of some verb
         dests = {a.dest for parser in verbs.values() for a in parser._actions}
         assert set(cli._CONFIG_KEYS) <= dests
+
+    def test_fields_of_the_config_types_the_verbs_fill(self):
+        # every other MFCC setting is a constant: the store records the whole front end
+        names = {
+            cls.__name__: tuple(f.name for f in fields(cls))
+            for cls in (MfccConfig, TrainConfig, ExperimentConfig, SyntheticSpec)
+        }
+        assert names == {
+            "MfccConfig": ("target_sample_rate", "window_seconds"),
+            "TrainConfig": (
+                "embed_lr", "mlp_lr", "epochs", "seed", "variant", "sage_sample_k", "self_loops",
+                "test_fraction",
+            ),
+            "ExperimentConfig": ("queries_per_genre", "attachment", "knn_k", "recommend_k"),
+            "SyntheticSpec": ("songs_per_genre", "clip_seconds", "sample_rate", "seed", "genres"),
+        }

@@ -1,5 +1,6 @@
 """Binary feature (GRMF) and weight (GRMW) store formats."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from genregraph.audio import AudioClip, encode_wav
 from genregraph.cli import EXIT_OK, EXIT_USAGE, main
-from genregraph.mfcc import MfccConfig
+from genregraph.mfcc import N_MFCC, MfccConfig
 from genregraph.nn import LayerParams, TrainConfig, Variant, build_model
 from genregraph.stores import (
     FEATURE_MAGIC,
@@ -102,9 +103,17 @@ class TestFeatureStore:
         assert a.read_bytes() == b.read_bytes()
 
     def test_dimension_mismatch_rejected_on_write(self, tmp_path):
-        bad = FeatureRecord(song_id="x", genre_index=0, values=np.zeros(29))
-        with pytest.raises(ValueError):
-            write_feature_store(tmp_path / "bad.grmf", [bad])
+        # the first record sets the store's dimension; every record must be a row of it
+        first = FeatureRecord(song_id="a", genre_index=0, values=np.zeros(30))
+        short = FeatureRecord(song_id="x", genre_index=0, values=np.zeros(29))
+        square = FeatureRecord(song_id="y", genre_index=0, values=np.zeros((2, 15)))
+        for records, message in [
+            ([first, short], r"'x' has shape \(29,\), expected \(30,\)"),
+            ([square, first], r"'y' has shape \(2, 15\), expected \(30,\)"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                write_feature_store(tmp_path / "bad.grmf", records)
+        assert not (tmp_path / "bad.grmf").exists()
 
     def test_parses_the_bytes_given_and_names_the_path(self, tmp_path):
         path, other = tmp_path / "a.grmf", tmp_path / "b.grmf"
@@ -181,6 +190,7 @@ class TestFeatureStore:
         path = tmp_path / "empty.grmf"
         write_feature_store(path, [])
         assert len(read_feature_store(path)) == 0
+        assert struct.unpack_from("<III", path.read_bytes(), 4) == (FEATURE_VERSION, 0, N_MFCC)
 
 
 # a function-scoped tmp_path is fine here: every example rewrites its files
@@ -261,6 +271,7 @@ class TestFeatureStoreRobustness:
         )
     )
     @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0]), ("\ud800", 1, [3.0, 4.0, 5.0])])
+    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0]), ("g0/s0", 1, [3.0, 4.0, 5.0])])
     def test_write_read_write_is_byte_identical(self, tmp_path, rows):
         records = [FeatureRecord(song_id=i, genre_index=g, values=np.array(v)) for i, g, v in rows]
         first, second = tmp_path / "a.grmf", tmp_path / "b.grmf"
@@ -270,12 +281,20 @@ class TestFeatureStoreRobustness:
         unencodable = [i for i, _, _ in rows if any("\ud800" <= c <= "\udfff" for c in i)]
         if unencodable:
             with pytest.raises(ValueError, match="UTF-8 cannot encode") as refused:
-                write_feature_store(first, records, dimension=3)
+                write_feature_store(first, records)
             assert str(refused.value).startswith(f"record {unencodable[0]!r} ")
             assert "\n" not in str(refused.value) and not first.exists()
             return
-        write_feature_store(first, records, dimension=3)
-        write_feature_store(second, read_feature_store(first), dimension=3)
+        write_feature_store(first, records)
+        # an id given twice reads as a refusal that names it
+        ids = [i for i, _, _ in rows]
+        repeated = [i for i in ids if ids.count(i) > 1]
+        if repeated:
+            message = f"{first}: song id {repeated[0]!r} appears more than once"
+            with pytest.raises(StoreFormatError, match=f"^{re.escape(message)}$"):
+                read_feature_store(first)
+            return
+        write_feature_store(second, read_feature_store(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_bad_utf8_id_is_a_format_error(self, tmp_path):

@@ -197,7 +197,7 @@ class TestSynthesizeFeatures:
             window = random_window(
                 clip, cfg.window_seconds, seed=derive_seed(spec.seed, SeedStream.WINDOW, index)
             )
-            from_disk.append(mfcc(window, cfg).values)
+            from_disk.append(mfcc(window, cfg))
 
         in_memory = synthesize_features(spec)
         assert len(in_memory) == len(from_disk)
