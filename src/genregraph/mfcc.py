@@ -194,6 +194,8 @@ def mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:
     on its thread count. The DCT is linear, so it is applied once, to the
     frame mean of the log-mel rows.
     """
+    if clip.sample_rate != cfg.target_sample_rate:
+        raise ValueError(f"clip is at {clip.sample_rate} Hz, the front end at {cfg.target_sample_rate} Hz")
     layers = _filter_layers(cfg)
     _, dct = _fixed_arrays()
     weighted = np.empty((_FRAME_BLOCK, N_FFT // 2 + 1))

@@ -105,6 +105,9 @@ def write_feature_store(
     except UnicodeEncodeError as exc:  # a lone surrogate; the NULs before it count the records
         bad = records[ids.count("\0", 0, exc.start)].song_id
         raise ValueError(f"record {bad!r} has an id UTF-8 cannot encode") from None
+    if len(set(rec.song_id for rec in records)) < len(records):
+        repeated = next(i for i, n in Counter(rec.song_id for rec in records).items() if n > 1)
+        raise ValueError(f"record {repeated!r} appears more than once")
     parts = [
         FEATURE_MAGIC,
         struct.pack("<III", FEATURE_VERSION, len(records), dimension),

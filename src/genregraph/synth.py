@@ -24,6 +24,7 @@ from .mfcc import MfccConfig, wav_mfcc
 from .stores import FeatureRecord
 
 WINDOW_SECONDS = 5.0
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,19 @@ class SyntheticSpec:
             raise ValueError(f"genre {repeated[0]} is given more than once")
 
 
+def _sines(freqs, amps, phases, sample_rate: int, out: np.ndarray) -> np.ndarray:
+    """out[j, i] = sum_k amps[k] sin(2 pi freqs[k] (_BLOCK j + i) / rate + phases[k]), by angle
+    addition: sines only at each block's start and at each offset in a block. einsum at its
+    default optimize=False calls no BLAS, so the bytes do not depend on the BLAS thread count."""
+    omega = np.multiply(2.0 * np.pi, freqs) / sample_rate
+    a = np.multiply.outer(omega, _BLOCK * np.arange(len(out))) + np.reshape(phases, (-1, 1))
+    b = np.multiply.outer(omega, np.arange(_BLOCK))
+    amps = np.reshape(amps, (-1, 1))
+    left = np.concatenate([amps * np.sin(a), amps * np.cos(a)])
+    right = np.concatenate([np.cos(b), np.sin(b)])
+    return np.einsum("kj,ki->ji", left, right, out=out)
+
+
 def generate_clip(
     recipe: TimbreRecipe,
     seconds: float,
@@ -142,33 +156,28 @@ def generate_clip(
 ) -> AudioClip:
     """Synthesize one song: jittered partials, tremolo, noise, peak 0.9."""
     n = int(round(seconds * sample_rate))
-    # t and the scratch row in one block: glibc then keeps a clip's memory for
-    # its thread's next clip rather than faulting in fresh pages for each
-    t, row = np.empty((2, n))
-    np.divide(np.arange(n), sample_rate, out=t)
-
-    def sine(freq, phase):
-        """sin(2 pi freq t + phase) in the scratch row, in that operation order."""
-        np.multiply(2.0 * np.pi * freq, t, out=row)
-        return np.sin(np.add(row, phase, out=row), out=row)
-
     # wide per-song jitter confuses per-song raw MFCCs across genres while
     # leaving the per-genre mean envelope distinct (the jitters average out)
     detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)
     tilt = rng.uniform(-0.9, 0.9)
-    signal = np.zeros(n)
+    freqs, amps, phases = [], [], []
     for ratio, weight in zip(recipe.ratios, recipe.weights):
         freq = recipe.base_hz * detune * ratio
         if freq >= sample_rate / 2:
             continue
-        jitter = np.exp(rng.normal(0.0, 0.5)) * ratio**tilt
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        signal += np.multiply(sine(freq, phase), weight * jitter, out=row)
-    if recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0:
-        trem_phase = rng.uniform(0.0, 2.0 * np.pi)
-        np.multiply(sine(recipe.tremolo_hz, trem_phase), recipe.tremolo_depth, out=row)
-        signal *= np.add(row, 1.0, out=row)
+        freqs.append(freq)
+        amps.append(weight * (np.exp(rng.normal(0.0, 0.5)) * ratio**tilt))
+        phases.append(rng.uniform(0.0, 2.0 * np.pi))
+    tremolo = recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0
+    trem_phase = rng.uniform(0.0, 2.0 * np.pi) if tremolo else 0.0
     noise = recipe.noise_level * np.exp(rng.normal(0.0, 0.8))
+    # two arrays, not one block, so that the returned clip keeps only the signal's alive
+    grid, scratch = np.empty((-(-n // _BLOCK), _BLOCK)), np.empty((-(-n // _BLOCK), _BLOCK))
+    signal, row = grid.reshape(-1)[:n], scratch.reshape(-1)[:n]
+    _sines(freqs, amps, phases, sample_rate, out=grid)
+    if tremolo:
+        _sines([recipe.tremolo_hz], [recipe.tremolo_depth], [trem_phase], sample_rate, out=scratch)
+        signal *= np.add(row, 1.0, out=row)
     signal += np.multiply(rng.standard_normal(out=row), noise, out=row)
     signal *= 0.9 / np.max(np.abs(signal, out=row))
     return AudioClip(samples=signal, sample_rate=sample_rate)

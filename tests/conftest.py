@@ -69,10 +69,47 @@ def train_models(ids, labels, features, variants=tuple(Variant), **settings):
     ]
 
 
+def longdouble_generate_clip(recipe, seconds, sample_rate, rng):
+    """Oracle synthesis in long double: the same draws in the same order, each
+    partial's float64 frequency, amplitude and phase formed as the program
+    forms them, then every sample computed in np.longdouble, one full-length
+    sine per partial. Returns the samples and x_max, the largest phase
+    argument, in radians, of any sine in the clip."""
+    n = int(round(seconds * sample_rate))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    t = np.arange(n, dtype=np.longdouble) / sample_rate
+    signal, x = np.zeros(n, dtype=np.longdouble), np.empty(n, dtype=np.longdouble)
+    x_max = 0.0
+
+    def sine(freq, phase):
+        nonlocal x_max
+        np.add(np.multiply(two_pi * np.longdouble(freq), t, out=x), np.longdouble(phase), out=x)
+        x_max = max(x_max, float(x[-1]))
+        return np.sin(x, out=x)
+
+    detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)
+    tilt = rng.uniform(-0.9, 0.9)
+    for ratio, weight in zip(recipe.ratios, recipe.weights):
+        freq = recipe.base_hz * detune * ratio
+        if freq >= sample_rate / 2:
+            continue
+        amp = weight * (np.exp(rng.normal(0.0, 0.5)) * ratio**tilt)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        signal += np.multiply(sine(freq, phase), np.longdouble(amp), out=x)
+    if recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0:
+        trem_phase = rng.uniform(0.0, 2.0 * np.pi)
+        signal *= 1 + np.longdouble(recipe.tremolo_depth) * sine(recipe.tremolo_hz, trem_phase)
+    noise = recipe.noise_level * np.exp(rng.normal(0.0, 0.8))
+    signal += np.longdouble(noise) * rng.standard_normal(n).astype(np.longdouble)
+    signal *= np.longdouble(0.9) / np.max(np.abs(signal))
+    return signal, x_max
+
+
 def reference_generate_clip(recipe, seconds, sample_rate, rng):
-    """Reference synthesis: each term as one whole-array expression. The
-    program's in-place version must match it bit for bit, and leave rng in
-    the same state."""
+    """Whole-array synthesis: one float64 np.sin over the clip per partial
+    and one for the tremolo, as the program rendered before its block
+    render. Held to the same bound against the long-double oracle as the
+    program, so that the bound is not fitted to the program."""
     n = int(round(seconds * sample_rate))
     t = np.arange(n) / sample_rate
     detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)

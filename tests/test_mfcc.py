@@ -310,16 +310,26 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("cfg", FRONT_ENDS, ids=FRONT_END_IDS)
     @pytest.mark.parametrize(
-        "clip",
+        "make_clip",
+        # one second of each, at the front end's rate
         [
-            AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, 22050), 22050),
-            _tone(1.0, 440.0, 1e-4),  # sidelobes sink to the floor far from 440 Hz
-            _tone(0.5, 2000.0, 0.9, silent_seconds=0.5),  # silent frames: every band on the floor
+            lambda sr: AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, sr), sr),
+            lambda sr: _tone(1.0, 440.0, 1e-4, sr=sr),  # sidelobes sink to the floor far from 440 Hz
+            # silent frames: every band on the floor
+            lambda sr: _tone(0.5, 2000.0, 0.9, silent_seconds=0.5, sr=sr),
         ],
         ids=["noise", "quiet-sine", "half-silent"],
     )
-    def test_agrees_with_the_dense_form(self, cfg, clip):
+    def test_agrees_with_the_dense_form(self, cfg, make_clip):
+        clip = make_clip(cfg.target_sample_rate)
         np.testing.assert_allclose(mfcc(clip, cfg), dense_mfcc(clip, cfg), rtol=0, atol=1e-12)
+
+    def test_a_clip_at_another_rate_is_refused(self):
+        # the mel filters sit at the front end's rate, so a clip at any other
+        # rate would give a vector of the wrong bands
+        clip = _tone(1.0, 440.0, 0.5)
+        with pytest.raises(ValueError, match="^clip is at 22050 Hz, the front end at 96000 Hz$"):
+            mfcc(clip, MfccConfig(target_sample_rate=96000))
 
     def test_cases_reach_the_floor_and_empty_filters(self):
         energy = power_spectrogram(_tone(1.0, 440.0, 1e-4)) @ mel_filterbank(CFG).T

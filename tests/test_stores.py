@@ -285,15 +285,16 @@ class TestFeatureStoreRobustness:
             assert str(refused.value).startswith(f"record {unencodable[0]!r} ")
             assert "\n" not in str(refused.value) and not first.exists()
             return
-        write_feature_store(first, records)
-        # an id given twice reads as a refusal that names it
+        # an id given twice is refused by name, as the reader would refuse it
         ids = [i for i, _, _ in rows]
         repeated = [i for i in ids if ids.count(i) > 1]
         if repeated:
-            message = f"{first}: song id {repeated[0]!r} appears more than once"
-            with pytest.raises(StoreFormatError, match=f"^{re.escape(message)}$"):
-                read_feature_store(first)
+            message = f"record {repeated[0]!r} appears more than once"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write_feature_store(first, records)
+            assert not first.exists()
             return
+        write_feature_store(first, records)
         write_feature_store(second, read_feature_store(first))
         assert first.read_bytes() == second.read_bytes()
 
@@ -312,6 +313,15 @@ class TestFeatureStoreRobustness:
         with pytest.raises(ValueError, match="NUL"):
             write_feature_store(tmp_path / "nul.grmf", [rec])
         assert not (tmp_path / "nul.grmf").exists()
+
+    def test_repeated_id_is_refused_on_write(self, tmp_path):
+        # read_feature_store refuses a store that holds an id twice, so the
+        # writer does not write one
+        records = sample_records(n=3)
+        records[2] = FeatureRecord(records[0].song_id, 1, records[2].values)
+        with pytest.raises(ValueError, match="^record 'Genre/Song_000.wav' appears more than once$"):
+            write_feature_store(tmp_path / "twice.grmf", records)
+        assert not (tmp_path / "twice.grmf").exists()
 
     def test_every_strict_prefix_is_truncated(self, tmp_path):
         path = tmp_path / "p.grmf"
