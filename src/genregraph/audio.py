@@ -7,11 +7,9 @@ surface as distinct exception types.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
-import wave
 from dataclasses import dataclass
 from enum import IntEnum, unique
 
@@ -151,17 +149,25 @@ def decode_wav(data: bytes) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=sample_rate)
 
 
+# the wave module's 44-byte header: RIFF, a 16-byte PCM fmt chunk, data's id and size
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+_QUANTIZE_BLOCK = 1 << 15  # samples scaled per step, 256 KiB of float64
+
+
 def encode_wav(clip: AudioClip) -> bytes:
-    """Encode a clip as 16-bit mono PCM WAV bytes (deterministic)."""
-    quantized = clip.samples * 32767.0
-    np.clip(np.round(quantized, out=quantized), -32768, 32767, out=quantized)
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(clip.sample_rate)
-        wav.writeframes(quantized.astype("<i2").tobytes())
-    return buf.getvalue()
+    """Encode a clip as 16-bit mono PCM WAV bytes (deterministic): each
+    sample times 32767, rounded half to even and clipped to int16, written
+    a block at a time into the file's buffer behind its 44-byte header."""
+    n, rate = len(clip), clip.sample_rate
+    wav = bytearray(_WAV_HEADER.size + 2 * n)
+    _WAV_HEADER.pack_into(wav, 0, b"RIFF", 36 + 2 * n, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", 2 * n)
+    pcm = np.frombuffer(wav, dtype="<i2", offset=_WAV_HEADER.size)
+    scaled = np.empty(min(n, _QUANTIZE_BLOCK))
+    for lo in range(0, n, _QUANTIZE_BLOCK):
+        block = scaled[: n - lo]  # the last block is shorter
+        np.multiply(clip.samples[lo : lo + block.size], 32767.0, out=block)
+        pcm[lo : lo + block.size] = np.clip(np.round(block, out=block), -32768, 32767, out=block)
+    return bytes(wav)
 
 
 def resample(clip: AudioClip, target_sample_rate: int, start: int = 0, stop: int | None = None) -> AudioClip:

@@ -25,7 +25,7 @@ from .audio import ClipTooShortError, SeedStream, WavDecodeError, clip_workers, 
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import N_MFCC, MfccConfig, wav_mfcc
-from .nn import INPUT_DIM, EmbeddingModel, Variant
+from .nn import EmbeddingModel, Variant
 from .recommend import (
     Catalog,
     ExperimentConfig,
@@ -138,16 +138,6 @@ def _given(args: argparse.Namespace, config: dict, *keys: str) -> dict:
     return given
 
 
-def _check_model_dim(model, feature_dim: int, path: str) -> None:
-    expected = (model.mlp[0] if model.graph_layer is None else model.graph_layer).in_dim
-    actual = 2 * feature_dim if model.variant is Variant.SAGE else feature_dim
-    if expected != actual:
-        raise UsageError(
-            f"{path}: {model.variant.value} weights expect input dim {expected}, "
-            f"store provides {actual}"
-        )
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     keys = ("genres", "songs_per_genre", "clip_seconds", "sample_rate", "seed")
@@ -208,10 +198,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(variant=Variant(args.variant), **_given(args, config, *keys))
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
-    if features.shape[1] != INPUT_DIM:
-        raise UsageError(
-            f"{args.store}: store has {features.shape[1]}-dim features, the model takes {INPUT_DIM}"
-        )
     train_idx, _ = split_train_test(labels, test_fraction=cfg.test_fraction, seed=cfg.seed)
 
     graph = None
@@ -242,12 +228,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
 
-    models, paths = [], {}
-    for weights_path in args.weights:
-        model = read_model(weights_path)
-        _check_model_dim(model, features.shape[1], weights_path)
-        models.append(model)
-        paths[model.variant.value] = weights_path
+    models = [read_model(weights_path) for weights_path in args.weights]
+    paths = {model.variant.value: weights_path for model, weights_path in zip(models, args.weights)}
     trained = models[0].cfg.seed  # run_experiment holds every file to the first one's split
     seed = _given(args, config, "seed").get("seed", trained)
     if seed != trained:
@@ -333,7 +315,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     # the variant tag is in the bytes, so at most one kept entry matches
     model, catalog = next(((m, c) for w, m, c in catalogs.values() if w == weights), (None, None))
     model = read_model(args.weights, weights) if model is None else model
-    _check_model_dim(model, features.shape[1], args.weights)
     cfg = model.cfg
 
     if graph is None:

@@ -112,9 +112,11 @@ def mel_filterbank(cfg: MfccConfig) -> np.ndarray:
     left = hz_points[:-2, None]
     center = hz_points[1:-1, None]
     right = hz_points[2:, None]
-    rising = (bin_freqs - left) / (center - left)
-    falling = (right - bin_freqs) / (right - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    rising = bin_freqs - left  # in place: one temporary the size of the result
+    rising /= center - left
+    falling = right - bin_freqs
+    falling /= right - center
+    return np.maximum(0.0, np.minimum(rising, falling, out=rising), out=rising)
 
 
 def _periodic_hann(n: int) -> np.ndarray:
@@ -148,8 +150,8 @@ def _fixed_arrays() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _build_filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    filterbank = mel_filterbank(cfg)
+def _build_filter_layers(rate: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    filterbank = mel_filterbank(MfccConfig(target_sample_rate=rate))
     # filters m and m + 2 meet only at the peak of m + 1, where both are 0,
     # so the filters of one parity share no bin and fit in one weight row
     layers = []
@@ -174,12 +176,12 @@ def _filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     parity: the weights of those filters over every bin, the first bin of
     each one with any weight, and which filters those are.
 
-    Built once per config and process. The lock makes threads that miss
-    the cache together (extract's pool) wait for one build, not each
-    make their own.
+    Built once per sample rate and process: the filters do not depend on
+    the window. The lock makes threads that miss the cache together
+    (extract's pool) wait for one build, not each make their own.
     """
     with _layers_lock:
-        return _build_filter_layers(cfg)
+        return _build_filter_layers(cfg.target_sample_rate)
 
 
 def mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:

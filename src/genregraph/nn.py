@@ -40,6 +40,16 @@ class Variant(enum.Enum):
     SAGE = "sage"
 
 
+# each variant's layers as (in_dim, out_dim): the graph layer and its embed
+# head (None for PLAIN), then the three-layer genre classifier
+_CLASSIFIER = ((MLP_HIDDEN[0], MLP_HIDDEN[1]), (MLP_HIDDEN[1], N_GENRES))
+ARCHITECTURE = {
+    Variant.PLAIN: (None, None, (INPUT_DIM, MLP_HIDDEN[0]), *_CLASSIFIER),
+    Variant.GCN: ((INPUT_DIM, EMBED_DIM), (EMBED_DIM, N_GENRES), (EMBED_DIM, MLP_HIDDEN[0]), *_CLASSIFIER),
+    Variant.SAGE: ((2 * INPUT_DIM, EMBED_DIM), (EMBED_DIM, N_GENRES), (EMBED_DIM, MLP_HIDDEN[0]), *_CLASSIFIER),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The settings a model is trained under, which its weight file records."""
@@ -130,20 +140,13 @@ class EmbeddingModel:
         return self.cfg.variant
 
     def __post_init__(self):
-        if self.variant is Variant.PLAIN:
-            if self.graph_layer is not None or self.embed_head is not None:
-                raise ValueError("PLAIN variant has no graph layer")
-            if sum(l.param_count for l in self.mlp) != PLAIN_MLP_PARAM_COUNT:
-                raise ValueError(
-                    f"PLAIN classifier must have {PLAIN_MLP_PARAM_COUNT} parameters, "
-                    f"got {sum(l.param_count for l in self.mlp)}"
-                )
-        elif self.variant is Variant.GCN:
-            if self.graph_layer is None or self.graph_layer.param_count != GCN_GRAPH_PARAM_COUNT:
-                raise ValueError(f"GCN graph layer must have {GCN_GRAPH_PARAM_COUNT} parameters")
-        elif self.variant is Variant.SAGE:
-            if self.graph_layer is None or self.graph_layer.param_count != SAGE_GRAPH_PARAM_COUNT:
-                raise ValueError(f"SAGE graph layer must have {SAGE_GRAPH_PARAM_COUNT} parameters")
+        shapes = tuple(
+            layer and (layer.in_dim, layer.out_dim) for layer in (self.graph_layer, self.embed_head, *self.mlp)
+        )
+        expected = ARCHITECTURE[self.variant]
+        if shapes != expected:
+            shown = [", ".join(f"{i}x{o}" for i, o in filter(None, s)) for s in (expected, shapes)]
+            raise ValueError(f"{self.variant.value} layers must be {shown[0]}, not {shown[1]}")
 
 
 def build_model(variant: Variant, seed: int) -> EmbeddingModel:
@@ -154,20 +157,9 @@ def build_model(variant: Variant, seed: int) -> EmbeddingModel:
     softmax is uniform over genres.
     """
     rng = np.random.default_rng(seed)
-    if variant is Variant.PLAIN:
-        graph_layer = None
-        embed_head = None
-        mlp_in = INPUT_DIM
-    else:
-        graph_in = INPUT_DIM if variant is Variant.GCN else 2 * INPUT_DIM
-        graph_layer = init_layer(graph_in, EMBED_DIM, rng)
-        embed_head = init_layer(EMBED_DIM, N_GENRES, rng, zero=True)
-        mlp_in = EMBED_DIM
-    mlp = [
-        init_layer(mlp_in, MLP_HIDDEN[0], rng),
-        init_layer(MLP_HIDDEN[0], MLP_HIDDEN[1], rng),
-        init_layer(MLP_HIDDEN[1], N_GENRES, rng, zero=True),
-    ]
+    graph_layer, embed_head, *mlp = (
+        shape and init_layer(*shape, rng, zero=shape[1] == N_GENRES) for shape in ARCHITECTURE[variant]
+    )
     return EmbeddingModel(TrainConfig(seed=seed, variant=variant), graph_layer, embed_head, mlp)
 
 

@@ -1,20 +1,22 @@
 """Binary stores for extracted features (GRMF) and model weights (GRMW).
 
 GRMF: magic "GRMF", u32 LE version (3), u32 LE song count, u32 LE
-dimension, the MfccConfig that made the values (u64 target_sample_rate,
-f64 window_seconds; every other front-end setting is a constant of the
-mfcc module, so these 16 bytes are the whole front end), then three
-columns: count x dimension little-endian float64 values (row-major,
-8-byte aligned at byte 32), count u8 genre indices, and count UTF-8 song
-ids, each followed by a NUL byte. An id appears once. A version-2 file,
-without the MfccConfig, is refused.
+dimension (N_MFCC, 30, the models' input width; no other is read), the
+MfccConfig that made the values (u64 target_sample_rate, f64
+window_seconds; every other front-end setting is a constant of the mfcc
+module, so these 16 bytes are the whole front end), then three columns:
+count x 30 little-endian float64 values (row-major, 8-byte aligned at
+byte 32), count u8 genre indices, and count UTF-8 song ids, each
+followed by a NUL byte. An id appears once. A version-2 file, without
+the MfccConfig, is refused.
 
 GRMW: magic "GRMW", u32 LE version (2), u8 variant tag, u32 LE layer
 count, then the settings the model was trained under (u64 seed, u32
 epochs, f64 embed_lr, f64 mlp_lr, u32 sage_sample_k, u8 self_loops 0 or
 1, f64 test_fraction), then per layer u32 in_dim, u32 out_dim, weights
-(row-major) and bias as little-endian float64. A version-1 file, without
-the settings, is refused.
+(row-major) and bias as little-endian float64. The layers are the
+variant's nn.ARCHITECTURE, in its order; a file whose layers have other
+shapes is refused, and so is a version-1 file, without the settings.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .graph import GENRE_NAMES, row_norms
 from .mfcc import N_MFCC, MfccConfig
-from .nn import EmbeddingModel, LayerParams, TrainConfig, Variant
+from .nn import ARCHITECTURE, EmbeddingModel, LayerParams, TrainConfig, Variant
 
 FEATURE_MAGIC = b"GRMF"
 WEIGHT_MAGIC = b"GRMW"
@@ -90,13 +92,10 @@ class _Reader:
 def write_feature_store(
     path: str | Path, records: Sequence[FeatureRecord], front_end: MfccConfig = MfccConfig()
 ) -> None:
-    """Write the records, each of the first one's dimension (N_MFCC if there are none)."""
-    dimension = records[0].values.size if records else N_MFCC
+    """Write the records, each an N_MFCC-wide row."""
     for rec in records:
-        if rec.values.shape != (dimension,):
-            raise ValueError(
-                f"record {rec.song_id!r} has shape {rec.values.shape}, expected ({dimension},)"
-            )
+        if rec.values.shape != (N_MFCC,):
+            raise ValueError(f"record {rec.song_id!r} has shape {rec.values.shape}, expected ({N_MFCC},)")
         if "\0" in rec.song_id:
             raise ValueError(f"record {rec.song_id!r} has a NUL in its id")
     ids = "".join(f"{rec.song_id}\0" for rec in records)
@@ -110,7 +109,7 @@ def write_feature_store(
         raise ValueError(f"record {repeated!r} appears more than once")
     parts = [
         FEATURE_MAGIC,
-        struct.pack("<III", FEATURE_VERSION, len(records), dimension),
+        struct.pack("<III", FEATURE_VERSION, len(records), N_MFCC),
         _FRONT_END_LAYOUT.pack(*(getattr(front_end, name) for name in _FRONT_END)),
         *(rec.values.astype("<f8").tobytes() for rec in records),
         bytes(rec.genre_index for rec in records),
@@ -161,12 +160,14 @@ def read_feature_store(path: str | Path, data: bytes | None = None) -> FeatureTa
     version, count, dimension = struct.unpack("<III", reader.take(12))
     if version != FEATURE_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}; re-run extract")
+    if dimension != N_MFCC:
+        raise StoreFormatError(f"{path}: store has {dimension}-dim features, the model takes {N_MFCC}")
     recorded = _FRONT_END_LAYOUT.unpack(reader.take(_FRONT_END_LAYOUT.size))
     try:
         front_end = MfccConfig(**dict(zip(_FRONT_END, recorded)))
     except ValueError as exc:
         raise StoreFormatError(f"{path}: {exc}") from None
-    values = np.frombuffer(reader.take(8 * count * dimension), "<f8").reshape(count, dimension)
+    values = np.frombuffer(reader.take(8 * count * N_MFCC), "<f8").reshape(count, N_MFCC)
     genres = np.frombuffer(reader.take(count), dtype=np.uint8).astype(np.int64)
 
     # the id column runs to the count-th NUL, which ends the file
@@ -224,7 +225,7 @@ def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
     if tag not in _TAG_VARIANTS:
         raise StoreFormatError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
-    expected = 3 if variant is Variant.PLAIN else 5
+    expected = sum(shape is not None for shape in ARCHITECTURE[variant])
     if layer_count != expected:
         raise StoreFormatError(f"{path}: {variant.value} model must have {expected} layers, got {layer_count}")
     settings = _SETTINGS_LAYOUT.unpack(reader.take(_SETTINGS_LAYOUT.size))
@@ -245,9 +246,8 @@ def read_model(path: str | Path, data: bytes | None = None) -> EmbeddingModel:
     if reader.pos != len(reader.data):
         raise StoreFormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
 
-    try:  # EmbeddingModel refuses a layer of the wrong size for the variant
-        if variant is Variant.PLAIN:
-            return EmbeddingModel(cfg=cfg, graph_layer=None, embed_head=None, mlp=layers)
-        return EmbeddingModel(cfg=cfg, graph_layer=layers[0], embed_head=layers[1], mlp=layers[2:])
+    try:  # EmbeddingModel refuses a layer of a shape other than ARCHITECTURE's
+        graph_layer, embed_head, *mlp = [None, None, *layers] if variant is Variant.PLAIN else layers
+        return EmbeddingModel(cfg, graph_layer, embed_head, mlp)
     except ValueError as exc:
         raise StoreFormatError(f"{path}: {exc}") from None

@@ -239,9 +239,6 @@ def train_classifier(
     (raw MFCC or embeddings), updating its layers in place."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    if mlp[0].in_dim != inputs.shape[1]:
-        raise ValueError(f"classifier expects {mlp[0].in_dim}-dim inputs, got {inputs.shape[1]}")
-
     batches = itertools.repeat(inputs, cfg.epochs)
     with np.errstate(over="ignore", invalid="ignore"):
         curve = _fit(mlp, batches, targets, cfg.mlp_lr, cfg.variant, inputs)

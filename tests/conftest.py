@@ -1,8 +1,11 @@
+import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,32 @@ from genregraph.train import split_train_test, train_pipeline
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def wav_bytes(samples_int16, sample_rate=22050, channels=1):
+    """Independent WAV writer (stdlib wave), oracle for the hand-rolled
+    parser and for encode_wav's header."""
+    arr = np.asarray(samples_int16, dtype="<i2")
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(2)
+        w.setframerate(sample_rate)
+        w.writeframes(arr.tobytes())
+    return buf.getvalue()
+
+
+def raw_feature_store(path, width, per_genre=2):
+    """A version-3 feature store of per_genre songs g<genre>/s<i> in each of
+    the 8 genres, rows `width` wide, at the default front end, written byte
+    by byte: write_feature_store writes 30-wide rows only."""
+    count = 8 * per_genre
+    values = np.random.default_rng(width).normal(size=(count, width))
+    header = b"GRMF" + struct.pack("<III", 3, count, width) + struct.pack("<Qd", 22050, 5.0)
+    genres = bytes(g for g in range(8) for _ in range(per_genre))
+    ids = "".join(f"g{g}/s{i}\0" for g in range(8) for i in range(per_genre)).encode()
+    path.write_bytes(header + values.astype("<f8").tobytes() + genres + ids)
+    return values
 
 
 def clique_neighbors(graph, node):

@@ -1,14 +1,18 @@
 """WAV decode/encode, random windowing, resampling."""
 
-import io
 import struct
-import wave
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from genregraph.audio import (
+    MAX_SAMPLE_RATE,
+    MIN_SAMPLE_RATE,
     AudioClip,
     ClipTooShortError,
     EmptyWavError,
@@ -24,19 +28,7 @@ from genregraph.audio import (
     resample,
 )
 
-from conftest import reference_resample
-
-
-def wav_bytes(samples_int16, sample_rate=22050, channels=1):
-    """Independent WAV writer (stdlib wave), oracle for the hand-rolled parser."""
-    arr = np.asarray(samples_int16, dtype="<i2")
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(channels)
-        w.setsampwidth(2)
-        w.setframerate(sample_rate)
-        w.writeframes(arr.tobytes())
-    return buf.getvalue()
+from conftest import reference_resample, wav_bytes
 
 
 class TestAudioClip:
@@ -157,6 +149,40 @@ def _raw_wav(bits, channels, payload, fmt_tag=1, sample_rate=22050):
     if len(payload) % 2:
         chunks += b"\x00"
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+QUANTIZE_BLOCK = sys.modules["genregraph.audio"]._QUANTIZE_BLOCK
+
+
+class TestEncodeWav:
+    """encode_wav writes what the wave module writes for the clip's samples
+    times 32767, rounded half to even and clipped to int16."""
+
+    @given(
+        rate=st.integers(MIN_SAMPLE_RATE, MAX_SAMPLE_RATE),
+        n=st.integers(0, 2 * QUANTIZE_BLOCK + 3) | st.sampled_from([0, 1, 7, QUANTIZE_BLOCK, QUANTIZE_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        # the ends of the range and the halfway points of rounding
+        edges=st.lists(st.sampled_from([-1.0, 1.0, 0.0, 0.5 / 32767, -0.5 / 32767, 1.5 / 32767]), max_size=8),
+    )
+    def test_bytes_equal_the_wave_module(self, rate, n, seed, edges):
+        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        samples[: len(edges)] = edges[:n]
+        quantized = np.clip(np.round(samples * 32767.0), -32768, 32767)
+        assert encode_wav(AudioClip(samples, rate)) == wav_bytes(quantized, rate)
+
+    def test_peak_stays_under_one_clip_row(self):
+        # a 6 s clip at 22,050 Hz: the file's buffer, its bytes and one block
+        # of scaled samples, not a scaled copy of the clip
+        clip = AudioClip(np.random.default_rng(0).uniform(-1.0, 1.0, 6 * 22050), 22050)
+        tracemalloc.start()
+        try:
+            wav = encode_wav(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(wav) == 44 + 2 * len(clip)
+        assert peak < clip.samples.nbytes
 
 
 class TestRandomWindow:

@@ -27,6 +27,8 @@ from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import TrainConfig, compute_embeddings, infer_embedding
 from genregraph.graph import build_graph
 
+from conftest import raw_feature_store
+
 
 @pytest.fixture(scope="module")
 def tiny_workspace(tmp_path_factory):
@@ -277,19 +279,20 @@ class TestTrain:
 
     @pytest.mark.parametrize("variant", ["plain", "gcn", "sage"])
     def test_store_of_another_dimension_is_named(self, tmp_path, capsys, variant):
-        rng = np.random.default_rng(2)
-        records = [
-            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=rng.normal(size=20))
-            for g in range(8)
-            for s in range(8)
-        ]
-        store = tmp_path / "narrow.grmf"
-        write_feature_store(store, records)
-        rc = main(["train", "--store", str(store), "--variant", variant, "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == f"error: {store}: store has 20-dim features, the model takes 30\n"
-        assert not (tmp_path / f"{variant}.grmw").exists()
+        # every verb that reads a store refuses a width other than the models' 30
+        store, weights, out = tmp_path / "narrow.grmf", tmp_path / f"{variant}.grmw", tmp_path / "out"
+        raw_feature_store(store, width=20, per_genre=8)
+        write_model(weights, build_model(Variant(variant), seed=0))
+        for argv in (
+            ["train", "--store", str(store), "--variant", variant, "--out", str(out)],
+            ["evaluate", "--store", str(store), "--weights", str(weights), "--out", str(out)],
+            ["recommend", "--store", str(store), "--weights", str(weights), "--song-id", "g0/s0"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == EXIT_USAGE
+            err = f"error: {store}: store has 20-dim features, the model takes 30\n"
+            assert capsys.readouterr() == ("", err)
+        assert not out.exists()
 
     def test_loss_that_reaches_zero_is_not_negative_zero(self, tmp_path, capsys):
         # at lr 1 four 5-song training cliques are fitted exactly within 20 epochs
@@ -427,13 +430,9 @@ class TestEvaluate:
         assert 0.0 <= doc["plain"]["gamma_percent"]["average"] <= 100.0
 
     def test_store_weights_dimension_mismatch(self, tiny_workspace, tmp_path, capsys):
-        records = [
-            FeatureRecord(song_id=f"g{g}/s{s}", genre_index=g, values=np.zeros(60))
-            for g in range(8)
-            for s in range(2)
-        ]
+        # a 60-wide store is refused as it is read, before the weights are
         store = tmp_path / "wide.grmf"
-        write_feature_store(store, records)
+        raw_feature_store(store, width=60)
         rc = main(
             [
                 "evaluate",
@@ -442,7 +441,8 @@ class TestEvaluate:
             ]
         )
         assert rc == EXIT_USAGE
-        assert "dim" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {store}: store has 60-dim features, the model takes 30\n"
 
     def test_store_with_no_songs_says_so(self, tiny_workspace, tmp_path, capsys):
         store = tmp_path / "empty.grmf"

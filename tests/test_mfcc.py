@@ -187,6 +187,26 @@ class TestMelFilterbank:
         np.testing.assert_allclose(filter_peak_frequencies(), expected, rtol=1e-12)
         assert np.all(np.diff(expected) > 0)
 
+    @pytest.mark.parametrize("rate", [22050, 44100, 384000])
+    def test_bits_equal_the_triangle_formula(self, rate):
+        hz = mel_to_hz(np.linspace(0.0, hz_to_mel(FMAX), N_MELS + 2))[:, None]
+        bins = np.arange(N_FFT // 2 + 1) * rate / N_FFT
+        rising, falling = (bins - hz[:-2]) / (hz[1:-1] - hz[:-2]), (hz[2:] - bins) / (hz[2:] - hz[1:-1])
+        expected = np.maximum(0.0, np.minimum(rising, falling))
+        assert np.array_equal(mel_filterbank(MfccConfig(target_sample_rate=rate)), expected)
+
+    @pytest.mark.parametrize("rate", [22050, 44100, 384000])
+    def test_peak_is_near_the_result(self, rate):
+        # built in place: the result and one temporary of its size
+        cfg = MfccConfig(target_sample_rate=rate)
+        tracemalloc.start()
+        try:
+            fb = mel_filterbank(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * fb.nbytes
+
     def test_row_argmax_tracks_peak_frequency(self):
         fb = mel_filterbank(CFG)
         bin_freqs = np.arange(1025) * 22050 / 2048
@@ -278,6 +298,19 @@ class TestMfcc:
         finally:
             sys.setswitchinterval(interval)
             module._build_filter_layers.cache_clear()
+
+    def test_filter_layers_are_built_once_per_rate(self, monkeypatch):
+        # the filters do not depend on the window, so windows at one rate share one build
+        module = sys.modules["genregraph.mfcc"]
+        rates, original = [], module.mel_filterbank
+        monkeypatch.setattr(module, "mel_filterbank", lambda cfg: rates.append(cfg.target_sample_rate) or original(cfg))
+        module._build_filter_layers.cache_clear()
+        try:
+            for cfg in (MfccConfig(window_seconds=0.5), MfccConfig(), MfccConfig(target_sample_rate=44100)):
+                module._filter_layers(cfg)
+        finally:
+            module._build_filter_layers.cache_clear()
+        assert rates == [22050, 44100]
 
     def test_cached_filterbank_is_read_only_and_public_one_is_fresh(self):
         module = sys.modules["genregraph.mfcc"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from genregraph.graph import GenreLabel, build_graph, normalize
 from genregraph.nn import (
+    ARCHITECTURE,
     EMBED_DIM,
     GCN_GRAPH_PARAM_COUNT,
     INPUT_DIM,
@@ -508,11 +509,46 @@ class TestParameterCounts:
             assert sum(l.param_count for l in model.mlp) == 12200
             assert model.graph_layer.out_dim == EMBED_DIM
 
+    def test_architecture_table_holds_the_pinned_counts(self):
+        def count(shape):
+            return shape[0] * shape[1] + shape[1]
+
+        assert count(ARCHITECTURE[Variant.GCN][0]) == GCN_GRAPH_PARAM_COUNT
+        assert count(ARCHITECTURE[Variant.SAGE][0]) == SAGE_GRAPH_PARAM_COUNT
+        assert sum(map(count, ARCHITECTURE[Variant.PLAIN][2:])) == PLAIN_MLP_PARAM_COUNT
+        for variant in Variant:
+            model = build_model(variant, seed=0)
+            layers = (model.graph_layer, model.embed_head, *model.mlp)
+            assert tuple(layer and layer.weight.shape for layer in layers) == ARCHITECTURE[variant]
+
     def test_wrong_graph_layer_size_is_rejected(self):
-        rng = np.random.default_rng(0)
-        bad = random_layer(INPUT_DIM + 1, EMBED_DIM, rng)
-        with pytest.raises(ValueError):
-            EmbeddingModel(TrainConfig(variant=Variant.GCN), graph_layer=bad, embed_head=None, mlp=[])
+        # 61 x 30 + 30 parameters: the GCN graph layer's count in another shape
+        model = build_model(Variant.GCN, seed=0)
+        bad = random_layer(INPUT_DIM + 31, INPUT_DIM, np.random.default_rng(0))
+        assert bad.param_count == GCN_GRAPH_PARAM_COUNT
+        message = "gcn layers must be 30x60, 60x8, 60x128, 128x32, 32x8, not 61x30, 60x8, 60x128, 128x32, 32x8"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingModel(model.cfg, graph_layer=bad, embed_head=model.embed_head, mlp=model.mlp)
+        with pytest.raises(ValueError, match="^gcn layers must be"):
+            EmbeddingModel(model.cfg, graph_layer=bad, embed_head=None, mlp=[])
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_every_layer_has_its_architecture_shape(self, variant):
+        # each layer in turn one input wider, a classifier layer short, and
+        # the graph layer and head of a PLAIN model given to a graph variant
+        # or the other way round
+        model, rng = build_model(variant, seed=0), np.random.default_rng(0)
+        layers = [model.graph_layer, model.embed_head, *model.mlp]
+        wrong = [
+            [*layers[:i], random_layer(layer.in_dim + 1, layer.out_dim, rng), *layers[i + 1 :]]
+            for i, layer in enumerate(layers)
+            if layer is not None
+        ]
+        other = build_model(Variant.GCN if variant is Variant.PLAIN else Variant.PLAIN, seed=0)
+        wrong += [layers[:-1], [other.graph_layer, other.embed_head, *model.mlp]]
+        for graph_layer, embed_head, *mlp in wrong:
+            with pytest.raises(ValueError, match=f"^{variant.value} layers must be "):
+                EmbeddingModel(model.cfg, graph_layer, embed_head, mlp)
 
     def test_final_layers_start_at_zero(self):
         for variant in Variant:

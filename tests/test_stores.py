@@ -26,6 +26,8 @@ from genregraph.stores import (
     write_model,
 )
 
+from conftest import raw_feature_store
+
 
 # a weight file's settings follow its 13-byte header: field -> (offset, struct format)
 SETTING_AT = {
@@ -44,13 +46,13 @@ FRONT_END_AT = {"target_sample_rate": (16, "<Q"), "window_seconds": (24, "<d")}
 VALUES_AT = 32
 
 
-def sample_records(n=6, dim=30, seed=0):
+def sample_records(n=6, seed=0):
     rng = np.random.default_rng(seed)
     return [
         FeatureRecord(
             song_id=f"Genre/Song_{i:03d}.wav",
             genre_index=i % 8,
-            values=rng.normal(size=dim),
+            values=rng.normal(size=N_MFCC),
         )
         for i in range(n)
     ]
@@ -103,17 +105,37 @@ class TestFeatureStore:
         assert a.read_bytes() == b.read_bytes()
 
     def test_dimension_mismatch_rejected_on_write(self, tmp_path):
-        # the first record sets the store's dimension; every record must be a row of it
+        # every record is a 30-wide row, the first and a lone one too
         first = FeatureRecord(song_id="a", genre_index=0, values=np.zeros(30))
         short = FeatureRecord(song_id="x", genre_index=0, values=np.zeros(29))
         square = FeatureRecord(song_id="y", genre_index=0, values=np.zeros((2, 15)))
+        narrow = FeatureRecord(song_id="n", genre_index=0, values=np.zeros(20))
+        wide = FeatureRecord(song_id="w", genre_index=0, values=np.zeros(60))
         for records, message in [
             ([first, short], r"'x' has shape \(29,\), expected \(30,\)"),
             ([square, first], r"'y' has shape \(2, 15\), expected \(30,\)"),
+            ([narrow, narrow], r"'n' has shape \(20,\), expected \(30,\)"),
+            ([wide], r"'w' has shape \(60,\), expected \(30,\)"),
         ]:
             with pytest.raises(ValueError, match=message):
                 write_feature_store(tmp_path / "bad.grmf", records)
         assert not (tmp_path / "bad.grmf").exists()
+
+    def test_raw_store_helper_writes_the_writers_bytes(self, tmp_path):
+        # raw_feature_store builds the stores of other widths the writer refuses
+        values = raw_feature_store(tmp_path / "raw.grmf", width=N_MFCC)
+        ids = [f"g{g}/s{i}" for g in range(8) for i in range(2)]
+        records = [FeatureRecord(i, int(i[1]), row) for i, row in zip(ids, values)]
+        write_feature_store(tmp_path / "written.grmf", records)
+        assert (tmp_path / "raw.grmf").read_bytes() == (tmp_path / "written.grmf").read_bytes()
+
+    @pytest.mark.parametrize("width", [0, 1, 20, 29, 31, 60])
+    def test_store_of_another_width_is_refused(self, tmp_path, width):
+        path = tmp_path / "other.grmf"
+        raw_feature_store(path, width)
+        message = f"{path}: store has {width}-dim features, the model takes {N_MFCC}"
+        with pytest.raises(StoreFormatError, match=f"^{re.escape(message)}$"):
+            read_feature_store(path)
 
     def test_parses_the_bytes_given_and_names_the_path(self, tmp_path):
         path, other = tmp_path / "a.grmf", tmp_path / "b.grmf"
@@ -265,13 +287,13 @@ class TestFeatureStoreRobustness:
             st.tuples(
                 st.text(st.characters(exclude_characters="\0"), max_size=6),
                 st.integers(0, 7),
-                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=N_MFCC, max_size=N_MFCC),
             ),
             max_size=6,
         )
     )
-    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0]), ("\ud800", 1, [3.0, 4.0, 5.0])])
-    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0]), ("g0/s0", 1, [3.0, 4.0, 5.0])])
+    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0] * 10), ("\ud800", 1, [3.0, 4.0, 5.0] * 10)])
+    @example(rows=[("g0/s0", 0, [0.0, 1.0, 2.0] * 10), ("g0/s0", 1, [3.0, 4.0, 5.0] * 10)])
     def test_write_read_write_is_byte_identical(self, tmp_path, rows):
         records = [FeatureRecord(song_id=i, genre_index=g, values=np.array(v)) for i, g, v in rows]
         first, second = tmp_path / "a.grmf", tmp_path / "b.grmf"
@@ -605,20 +627,49 @@ class TestWeightStore:
             read_model(path)
 
     @pytest.mark.parametrize(
-        "variant, shape, words",
+        "variant, shapes, words",
         [
-            (Variant.GCN, (60, 30), "GCN graph layer must have 1860 parameters"),
-            (Variant.GCN, (30, 59), "GCN graph layer must have 1860 parameters"),
-            (Variant.SAGE, (60, 59), "SAGE graph layer must have 3660 parameters"),
+            # 61 x 30 + 30 = 1,860 parameters, as many as the GCN graph layer
+            (Variant.GCN, {"graph_layer": (61, 30)}, "gcn layers must be 30x60, 60x8, 60x128, 128x32, 32x8, not 61x30, 60x8, 60x128, 128x32, 32x8"),
+            (Variant.GCN, {"graph_layer": (30, 59)}, "gcn layers must be 30x60, 60x8, 60x128, 128x32, 32x8, not 30x59, 60x8, 60x128, 128x32, 32x8"),
+            (
+                Variant.GCN,
+                {"embed_head": (2, 2), "mlp": [(5, 3), (3, 3), (3, 2)]},
+                "gcn layers must be 30x60, 60x8, 60x128, 128x32, 32x8, not 30x60, 2x2, 5x3, 3x3, 3x2",
+            ),
+            (
+                Variant.SAGE,
+                {"graph_layer": (60, 59)},
+                "sage layers must be 60x60, 60x8, 60x128, 128x32, 32x8, not 60x59, 60x8, 60x128, 128x32, 32x8",
+            ),
+            (
+                Variant.SAGE,
+                {"mlp": [(60, 128), (128, 32), (32, 7)]},
+                "sage layers must be 60x60, 60x8, 60x128, 128x32, 32x8, not 60x60, 60x8, 60x128, 128x32, 32x7",
+            ),
+            # a graph variant's classifier under PLAIN's tag
+            (
+                Variant.PLAIN,
+                {"mlp": [(60, 128), (128, 32), (32, 8)]},
+                "plain layers must be 30x128, 128x32, 32x8, not 60x128, 128x32, 32x8",
+            ),
         ],
+        ids=["gcn-graph-layer-of-equal-count", "gcn-graph-layer", "gcn-head-and-classifier",
+             "sage-graph-layer", "sage-classifier", "plain-classifier"],
     )
-    def test_loaded_model_enforces_architecture(self, tmp_path, capsys, variant, shape, words):
-        # a graph layer of the wrong size fails the construction-time
-        # parameter count rather than loading, with one line naming the file
+    def test_loaded_model_enforces_architecture(self, tmp_path, capsys, variant, shapes, words):
+        # a weight file with the variant's layer count but a layer of
+        # another shape fails EmbeddingModel's check rather than loading,
+        # with one line naming the file
         store, weights = tmp_path / "c.grmf", tmp_path / "w.grmw"
         _sixteen_song_store(store)
         model = build_model(variant, seed=0)
-        model.graph_layer = LayerParams(np.zeros(shape), np.zeros(shape[1]))  # after the check
+
+        def zeros(in_dim, out_dim):
+            return LayerParams(np.zeros((in_dim, out_dim)), np.zeros(out_dim))
+
+        for role, shape in shapes.items():  # after the check
+            setattr(model, role, [zeros(*s) for s in shape] if role == "mlp" else zeros(*shape))
         write_model(weights, model)
         with pytest.raises(StoreFormatError, match=f"^{weights}: {words}$"):
             read_model(weights)
