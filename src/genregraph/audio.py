@@ -264,11 +264,12 @@ def derive_seed(*parts: int) -> int:
 
 
 def clip_workers(n_clips: int) -> int:
-    """Thread-pool size for per-clip work (synth, extract): min(8, usable
-    cores, n_clips).
+    """Pool size for per-clip work: min(8, usable cores, n_clips).
 
-    The clip work is numpy that releases the GIL, so a thread past the
-    cores this process may run on adds memory and no speed.
+    synth renders its clips on threads, because its draws and einsum
+    release the GIL; extract's mel step holds it, so extract runs its clips
+    in worker processes. Either way the work is CPU-bound, so a worker past
+    the cores this process may run on adds memory and no speed.
     """
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

@@ -14,8 +14,8 @@ import argparse
 import functools
 import json
 import sys
+import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,6 +149,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extract_clip(cfg: MfccConfig, seed: int, item: tuple[int, Path, str, str]):
+    """(index, FeatureRecord, None) for one manifest clip (index, path, song
+    id, genre), or (index, None, message) if its file cannot be read or
+    transformed; extract's worker processes run it."""
+    index, path, song_id, genre = item
+    try:
+        values = wav_mfcc(path.read_bytes(), cfg, seed, index)
+    except (WavDecodeError, ClipTooShortError, OSError, ValueError) as exc:
+        return index, None, f"{path}: {exc}"
+    return index, FeatureRecord(song_id, GenreLabel.from_name(genre).index, values), None
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     manifest_path = Path(args.manifest)
@@ -160,22 +172,22 @@ def cmd_extract(args: argparse.Namespace) -> int:
         front_end["target_sample_rate"] = front_end.pop("sample_rate")
     cfg = MfccConfig(**front_end)
 
-    def extract_one(item: tuple[int, object]):
-        index, entry = item
-        path = manifest.resolve(entry, base)
-        try:
-            values = wav_mfcc(path.read_bytes(), cfg, seed, index)
-        except (WavDecodeError, ClipTooShortError, OSError, ValueError) as exc:
-            return index, None, f"{path}: {exc}"
-        record = FeatureRecord(
-            song_id=entry.path,
-            genre_index=GenreLabel.from_name(entry.genre).index,
-            values=values,
-        )
-        return index, record, None
+    # the mel step's segment sums hold the GIL, so the clips go to worker
+    # processes. Forking is safe while this is the process's one thread: the
+    # pool forks every worker before it starts threads of its own, numpy
+    # starts none at the default of one BLAS thread, and the MFCC path calls
+    # no BLAS. A process with other threads spawns its workers instead.
+    # Imported here, so the other verbs do not pay for the imports
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=clip_workers(len(manifest))) as pool:
-        results = list(pool.map(extract_one, enumerate(manifest.entries)))
+    items = [(i, manifest.resolve(e, base), e.path, e.genre) for i, e in enumerate(manifest.entries)]
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    with ProcessPoolExecutor(clip_workers(len(items)), mp_context=context) as pool:
+        # 8 clips, about 40 ms of work, per trip to a worker: their pickling
+        # takes well under 1 ms, and the last trips end close together
+        results = list(pool.map(functools.partial(_extract_clip, cfg, seed), items, chunksize=8))
 
     failures = [msg for _, rec, msg in results if rec is None]
     for msg in failures:

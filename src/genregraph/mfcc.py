@@ -178,7 +178,7 @@ def _filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
 
     Built once per sample rate and process: the filters do not depend on
     the window. The lock makes threads that miss the cache together
-    (extract's pool) wait for one build, not each make their own.
+    (synthesize_features' pool) wait for one build, not each make their own.
     """
     with _layers_lock:
         return _build_filter_layers(cfg.target_sample_rate)

@@ -192,8 +192,8 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
     corpus (genre-major) order.
 
     Each song's clip comes from its own seeded rng, so the songs run on a
-    thread pool of clip_workers(songs) threads, like extract's, and the
-    bytes do not depend on it.
+    thread pool of clip_workers(songs) threads, whose draws and einsum
+    release the GIL, and the bytes do not depend on it.
     """
     per_genre = range(spec.songs_per_genre)
     songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in per_genre]

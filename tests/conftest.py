@@ -223,14 +223,14 @@ def fresh_python(tmp_path):
     """Run a Python snippet in a new interpreter, as each CLI verb runs;
     genregraph imports from this checkout's src/."""
 
-    def run(code: str) -> subprocess.CompletedProcess:
+    def run(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         return subprocess.run(
             [sys.executable, "-c", code], cwd=tmp_path, env=env,
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=timeout,
         )
 
     return run

@@ -1,7 +1,10 @@
 """End-to-end command-line pipeline: verbs, exit codes, and artifacts."""
 
 import json
+import multiprocessing
+import shutil
 import struct
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genregraph.audio import SeedStream, derive_seed, encode_wav, AudioClip
+from genregraph.audio import SeedStream, derive_seed, encode_wav, AudioClip, ClipTooShortError, WavDecodeError
 from genregraph import cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from genregraph.graph import GENRE_NAMES, AttachmentMode
@@ -186,6 +189,77 @@ class TestExtract:
         assert main(["extract", "--manifest", str(tmp_path / "manifest.csv")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "low.wav: sample rate 4000 Hz is below 8000 Hz" in err
+        assert not (tmp_path / "features.grmf").exists()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_store_bytes_do_not_depend_on_the_pool(self, tiny_workspace, tmp_path, fresh_python, workers):
+        # a fresh interpreter has one thread, so it forks its workers; three
+        # are more than a two-core runner has, and the pool must still finish
+        # well inside the timeout with the default pool's bytes
+        argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--seed", "0", "--out", str(tmp_path)]
+        done = fresh_python(
+            "import multiprocessing, sys\n"
+            "from genregraph import cli\n"
+            "methods, get_context = [], multiprocessing.get_context\n"
+            "multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)\n"
+            f"cli.clip_workers = lambda n: {workers}\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(methods)",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        assert done.stdout.splitlines()[-1] == ("['fork']" if forks else "['spawn']")
+        store = (tmp_path / "features.grmf").read_bytes()
+        assert store == (tiny_workspace / "features.grmf").read_bytes()
+        mirror = tmp_path / "mirror.grmf"
+        write_feature_store(mirror, synthesize_features(SyntheticSpec(songs_per_genre=4, seed=0)))
+        assert store == mirror.read_bytes()
+
+    def test_a_second_thread_spawns_the_workers(self, tiny_workspace, tmp_path, monkeypatch):
+        # forking a process with other threads can copy a held lock into the
+        # workers, so extract spawns them then, to the same bytes
+        methods, get_context = [], multiprocessing.get_context
+        spy = lambda method=None: methods.append(method) or get_context(method)
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(120,))
+        waiter.start()
+        try:
+            rc = main(["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--out", str(tmp_path)])
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert rc == EXIT_OK
+        assert methods == ["spawn"]
+        assert (tmp_path / "features.grmf").read_bytes() == (tiny_workspace / "features.grmf").read_bytes()
+
+    def test_worker_failures_are_named_in_manifest_order(self, tiny_workspace, tmp_path, capsys, monkeypatch):
+        # the messages cross from the worker processes; each keeps its file's
+        # place in the manifest, whichever worker read it
+        monkeypatch.setattr(cli, "clip_workers", lambda n: 2)
+        rows = (tiny_workspace / "manifest.csv").read_text().splitlines()[1:]
+        good = [row.split(",") for row in rows[::8]]
+        for path, _ in good:
+            (tmp_path / path).parent.mkdir(exist_ok=True)
+            shutil.copy(tiny_workspace / path, tmp_path / path)
+        noise = np.random.default_rng(0).uniform(-0.5, 0.5, 3 * 22050)
+        (tmp_path / "short.wav").write_bytes(encode_wav(AudioClip(noise, 22050)))
+        (tmp_path / "low.wav").write_bytes(encode_wav(AudioClip(np.zeros(6 * 4000), 4000)))
+        entries = [good[0], ["short.wav", "Folk"], *good[1:3], ["low.wav", "Rock"], good[3]]
+        (tmp_path / "manifest.csv").write_text("path,genre\n" + "".join(f"{p},{g}\n" for p, g in entries))
+
+        expected = []
+        for index, name in ((1, "short.wav"), (4, "low.wav")):
+            with pytest.raises((ClipTooShortError, WavDecodeError)) as exc:
+                wav_mfcc((tmp_path / name).read_bytes(), MfccConfig(), 0, index)
+            expected.append(f"error: {tmp_path / name}: {exc.value}")
+        assert main(["extract", "--manifest", str(tmp_path / "manifest.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [*expected, "error: 2 of 6 files failed extraction"]
+        assert "clip is 3.000s, need at least 5.000s" in err[0]
+        assert "sample rate 4000 Hz is below 8000 Hz" in err[1]
         assert not (tmp_path / "features.grmf").exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path):

@@ -272,7 +272,7 @@ class TestMfcc:
             mfcc(clip, CFG)
 
     def test_cached_constants_are_built_once_under_threads(self, monkeypatch):
-        # extract runs mfcc on a thread pool; threads that miss the cache
+        # synthesize_features runs mfcc on a thread pool; threads that miss the cache
         # together must share one filterbank build, so call counts repeat
         module = sys.modules["genregraph.mfcc"]
         built = []
