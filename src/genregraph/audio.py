@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from enum import IntEnum, unique
 
@@ -264,18 +265,30 @@ def derive_seed(*parts: int) -> int:
 
 
 def clip_workers(n_clips: int) -> int:
-    """Pool size for per-clip work: min(8, usable cores, n_clips).
-
-    synth renders its clips on threads, because its draws and einsum
-    release the GIL; extract's mel step holds it, so extract runs its clips
-    in worker processes. Either way the work is CPU-bound, so a worker past
-    the cores this process may run on adds memory and no speed.
-    """
+    """Worker processes of map_clips: min(8, usable cores, n_clips). The
+    work is CPU-bound, so a worker past the cores this process may run on
+    adds memory and no speed."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
     return min(8, cores, n_clips)
+
+
+def map_clips(fn, items: list) -> list:
+    """[fn(item) for item in items] on clip_workers(len(items)) worker processes;
+    fn must pickle. They fork while this is the process's one thread: the pool
+    forks them before it starts threads, and numpy starts none at one BLAS
+    thread. With other threads a fork could copy a held lock, so they spawn,
+    each re-importing numpy and genregraph. Lazy imports: most verbs map no clips."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    with ProcessPoolExecutor(clip_workers(len(items)), mp_context=context) as pool:
+        # 8 clips, some 40 ms of work, per trip: pickling them takes well under 1 ms
+        return list(pool.map(fn, items, chunksize=8))
 
 
 def random_window(clip: AudioClip, seconds: float, seed: int, sample_rate: int | None = None) -> AudioClip:

@@ -14,17 +14,16 @@ import argparse
 import functools
 import json
 import sys
-import threading
 import traceback
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .audio import ClipTooShortError, SeedStream, WavDecodeError, clip_workers, derive_seed
+from .audio import ClipTooShortError, SeedStream, WavDecodeError, derive_seed, map_clips
 from .dataset import DatasetManifest, ManifestError
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
-from .mfcc import N_MFCC, MfccConfig, wav_mfcc
+from .mfcc import N_MFCC, MfccConfig, build_constants, wav_mfcc
 from .nn import EmbeddingModel, Variant
 from .recommend import (
     Catalog,
@@ -173,21 +172,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = MfccConfig(**front_end)
 
     # the mel step's segment sums hold the GIL, so the clips go to worker
-    # processes. Forking is safe while this is the process's one thread: the
-    # pool forks every worker before it starts threads of its own, numpy
-    # starts none at the default of one BLAS thread, and the MFCC path calls
-    # no BLAS. A process with other threads spawns its workers instead.
-    # Imported here, so the other verbs do not pay for the imports
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
+    # processes, which share the MFCC constants built before they fork
+    build_constants(cfg)
     items = [(i, manifest.resolve(e, base), e.path, e.genre) for i, e in enumerate(manifest.entries)]
-    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
-    context = multiprocessing.get_context("fork" if fork else "spawn")
-    with ProcessPoolExecutor(clip_workers(len(items)), mp_context=context) as pool:
-        # 8 clips, about 40 ms of work, per trip to a worker: their pickling
-        # takes well under 1 ms, and the last trips end close together
-        results = list(pool.map(functools.partial(_extract_clip, cfg, seed), items, chunksize=8))
+    results = map_clips(functools.partial(_extract_clip, cfg, seed), items)
 
     failures = [msg for _, rec, msg in results if rec is None]
     for msg in failures:

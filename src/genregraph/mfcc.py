@@ -177,11 +177,16 @@ def _filter_layers(cfg: MfccConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     each one with any weight, and which filters those are.
 
     Built once per sample rate and process: the filters do not depend on
-    the window. The lock makes threads that miss the cache together
-    (synthesize_features' pool) wait for one build, not each make their own.
+    the window. The lock makes threads that miss the cache together (mfcc
+    on a library caller's threads) wait for one build, not each their own.
     """
     with _layers_lock:
         return _build_filter_layers(cfg.target_sample_rate)
+
+
+def build_constants(cfg: MfccConfig) -> None:
+    """Build the filter layers, Hann window and DCT basis now, so workers forked later share them."""
+    _filter_layers(cfg), _fixed_arrays()
 
 
 def mfcc(clip: AudioClip, cfg: MfccConfig) -> np.ndarray:

@@ -9,18 +9,18 @@ Experimental share a 110 Hz base, Folk and International share 196 Hz.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream, clip_workers
-from .audio import derive_seed, encode_wav
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream
+from .audio import derive_seed, encode_wav, map_clips
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
-from .mfcc import MfccConfig, wav_mfcc
+from .mfcc import MfccConfig, build_constants, wav_mfcc
 from .stores import FeatureRecord
 
 WINDOW_SECONDS = 5.0
@@ -187,25 +187,29 @@ def song_seed(spec: SyntheticSpec, genre_index: int, song_index: int) -> int:
     return derive_seed(spec.seed, SeedStream.CLIP, genre_index, song_index)
 
 
+def _render_song(spec: SyntheticSpec, finish: Callable, item: tuple[int, tuple[int, str, int]]):
+    index, (gi, genre, si) = item
+    rng = np.random.default_rng(song_seed(spec, gi, si))
+    clip = generate_clip(DEFAULT_RECIPES[genre], spec.clip_seconds, spec.sample_rate, rng)
+    return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
+
+
 def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes], object]) -> list:
     """finish(corpus index, genre, song id, WAV bytes) for every song, in
-    corpus (genre-major) order.
+    corpus (genre-major) order, on map_clips' worker processes, so finish
+    must pickle: a functools.partial of a module-level function.
 
-    Each song's clip comes from its own seeded rng, so the songs run on a
-    thread pool of clip_workers(songs) threads, whose draws and einsum
-    release the GIL, and the bytes do not depend on it.
+    Each song's clip comes from its own seeded rng, so the bytes do not
+    depend on the workers. Processes, though the draws and einsum release
+    the GIL: each worker reuses its own heap, and synth peaks 8 MiB lower.
     """
-    per_genre = range(spec.songs_per_genre)
-    songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in per_genre]
+    songs = [(gi, genre, si) for gi, genre in enumerate(spec.genres) for si in range(spec.songs_per_genre)]
+    return map_clips(functools.partial(_render_song, spec, finish), list(enumerate(songs)))
 
-    def one(item: tuple[int, tuple[int, str, int]]):
-        index, (gi, genre, si) = item
-        rng = np.random.default_rng(song_seed(spec, gi, si))
-        clip = generate_clip(DEFAULT_RECIPES[genre], spec.clip_seconds, spec.sample_rate, rng)
-        return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
 
-    with ThreadPoolExecutor(max_workers=clip_workers(len(songs))) as pool:
-        return list(pool.map(one, enumerate(songs)))
+def _write_song(out_dir: Path, index: int, genre: str, rel: str, wav: bytes) -> ManifestEntry:
+    (out_dir / rel).write_bytes(wav)
+    return ManifestEntry(path=rel, genre=genre)
 
 
 def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
@@ -215,14 +219,13 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifes
     out_dir.mkdir(parents=True, exist_ok=True)
     for genre in spec.genres:
         (out_dir / genre).mkdir(exist_ok=True)
-
-    def write(index: int, genre: str, rel: str, wav: bytes) -> ManifestEntry:
-        (out_dir / rel).write_bytes(wav)
-        return ManifestEntry(path=rel, genre=genre)
-
-    manifest = DatasetManifest(entries=tuple(_for_each_song(spec, write)))
+    manifest = DatasetManifest(entries=tuple(_for_each_song(spec, functools.partial(_write_song, out_dir))))
     manifest.save(out_dir / "manifest.csv")
     return manifest
+
+
+def _song_features(cfg: MfccConfig, seed: int, index: int, genre: str, song_id: str, wav: bytes) -> FeatureRecord:
+    return FeatureRecord(song_id, GenreLabel.from_name(genre).index, wav_mfcc(wav, cfg, seed, index))
 
 
 def synthesize_features(
@@ -238,9 +241,5 @@ def synthesize_features(
     """
     cfg = cfg or MfccConfig()
     seed = spec.seed if extract_seed is None else extract_seed
-
-    def features(index: int, genre: str, song_id: str, wav: bytes) -> FeatureRecord:
-        genre_index = GenreLabel.from_name(genre).index
-        return FeatureRecord(song_id, genre_index, wav_mfcc(wav, cfg, seed, index))
-
-    return _for_each_song(spec, features)
+    build_constants(cfg)
+    return _for_each_song(spec, functools.partial(_song_features, cfg, seed))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from genregraph.audio import SeedStream, derive_seed, encode_wav, AudioClip, ClipTooShortError, WavDecodeError
-from genregraph import cli
+from genregraph import audio, cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from genregraph.graph import GENRE_NAMES, AttachmentMode
 from genregraph.mfcc import MfccConfig, wav_mfcc
@@ -114,6 +114,30 @@ class TestSynth:
         for rel in rels:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("blocked", ["Rock", "Rock/Rock_001.wav"])
+    def test_a_path_it_cannot_write_is_one_line(self, tmp_path, fresh_python, blocked):
+        # a genre path that is a file stops synth before its pool starts; a
+        # song path that is a directory stops the worker that writes it, and
+        # its OSError reaches the verb. Either way every worker has exited
+        out = tmp_path / "out"
+        if blocked == "Rock":
+            out.mkdir()
+            (out / blocked).write_bytes(b"")
+        else:
+            (out / blocked).mkdir(parents=True)
+        argv = ["synth", "--out", str(out), "--songs-per-genre", "2"]
+        done = fresh_python(
+            "import multiprocessing\n"
+            "from genregraph.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, multiprocessing.active_children())",
+            timeout=60,
+        )
+        assert done.stdout.splitlines() == ["2 []"], done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out / blocked) in err[0], err
+        assert not (out / "manifest.csv").exists()
+
     def test_unknown_genre_is_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path), "--genres", "Polka"])
         assert rc == EXIT_USAGE
@@ -199,10 +223,10 @@ class TestExtract:
         argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--seed", "0", "--out", str(tmp_path)]
         done = fresh_python(
             "import multiprocessing, sys\n"
-            "from genregraph import cli\n"
+            "from genregraph import audio, cli\n"
             "methods, get_context = [], multiprocessing.get_context\n"
             "multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)\n"
-            f"cli.clip_workers = lambda n: {workers}\n"
+            f"audio.clip_workers = lambda n: {workers}\n"
             f"assert cli.main({argv!r}) == 0\n"
             "print(methods)",
             timeout=60,
@@ -235,10 +259,32 @@ class TestExtract:
         assert methods == ["spawn"]
         assert (tmp_path / "features.grmf").read_bytes() == (tiny_workspace / "features.grmf").read_bytes()
 
+    def test_the_mfcc_constants_are_built_once_before_the_workers_fork(self, tiny_workspace, tmp_path, fresh_python):
+        # two forked workers share the filter layers extract builds first;
+        # each build appends a line, so a worker that built its own adds one
+        log = tmp_path / "builds.txt"
+        argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--out", str(tmp_path)]
+        done = fresh_python(
+            "import sys\n"
+            "from genregraph import audio, cli\n"
+            "mfcc = sys.modules['genregraph.mfcc']  # the package's mfcc is the function\n"
+            "build = mfcc.mel_filterbank\n"
+            "def logged(cfg):\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        fh.write('built\\n')\n"
+            "    return build(cfg)\n"
+            "mfcc.mel_filterbank = logged\n"
+            "audio.clip_workers = lambda n: 2\n"
+            f"assert cli.main({argv!r}) == 0\n",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert log.read_text() == "built\n"
+
     def test_worker_failures_are_named_in_manifest_order(self, tiny_workspace, tmp_path, capsys, monkeypatch):
         # the messages cross from the worker processes; each keeps its file's
         # place in the manifest, whichever worker read it
-        monkeypatch.setattr(cli, "clip_workers", lambda n: 2)
+        monkeypatch.setattr(audio, "clip_workers", lambda n: 2)
         rows = (tiny_workspace / "manifest.csv").read_text().splitlines()[1:]
         good = [row.split(",") for row in rows[::8]]
         for path, _ in good:

@@ -1,5 +1,7 @@
 """Synthetic corpus generation and its in-memory feature mirror."""
 
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -176,13 +178,59 @@ def sequential_corpus(spec):
     return songs
 
 
-class TestThreadPoolMatchesSequentialOracle:
+def assert_is_the_sequential_corpus(spec, out):
+    oracle = sequential_corpus(spec)
+    manifest = DatasetManifest.load(out / "manifest.csv")
+    assert [(e.path, e.genre) for e in manifest.entries] == [(i, g) for i, g, _ in oracle]
+    assert len([p for p in out.rglob("*") if p.is_file()]) == 1 + len(oracle)
+    for song_id, _, wav in oracle:
+        assert (out / song_id).read_bytes() == wav, song_id
+
+
+class TestWorkerPoolMatchesSequentialOracle:
     def test_generate_dataset_writes_each_songs_own_clip_in_genre_major_order(self, tiny_dataset):
-        spec, out, manifest = tiny_dataset
-        oracle = sequential_corpus(spec)
-        assert [(e.path, e.genre) for e in manifest.entries] == [(i, g) for i, g, _ in oracle]
-        for song_id, _, wav in oracle:
-            assert (out / song_id).read_bytes() == wav, song_id
+        spec, out, _ = tiny_dataset
+        assert_is_the_sequential_corpus(spec, out)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_synth_in_a_one_thread_process_forks(self, tmp_path, fresh_python, workers):
+        # a fresh interpreter has one thread, so synth forks its workers;
+        # three are more than a two-core runner has
+        spec = SyntheticSpec(songs_per_genre=3, seed=1)
+        argv = ["synth", "--out", str(tmp_path / "out"), "--seed", "1", "--songs-per-genre", "3"]
+        done = fresh_python(
+            "import multiprocessing\n"
+            "from genregraph import audio, cli\n"
+            "methods, get_context = [], multiprocessing.get_context\n"
+            "multiprocessing.get_context = lambda method=None: methods.append(method) or get_context(method)\n"
+            f"audio.clip_workers = lambda n: {workers}\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(methods)",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        assert done.stdout.splitlines()[-1] == ("['fork']" if forks else "['spawn']")
+        assert_is_the_sequential_corpus(spec, tmp_path / "out")
+
+    def test_a_second_thread_spawns_the_workers(self, tmp_path, monkeypatch):
+        # forking a process with other threads can copy a held lock into the
+        # workers, so generate_dataset spawns them then, to the same bytes
+        methods, get_context = [], multiprocessing.get_context
+        spy = lambda method=None: methods.append(method) or get_context(method)
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        spec = SyntheticSpec(songs_per_genre=2, seed=3)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(120,))
+        waiter.start()
+        try:
+            generate_dataset(spec, tmp_path)
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert methods == ["spawn"]
+        assert_is_the_sequential_corpus(spec, tmp_path)
 
     def test_synthesize_features_matches_the_oracle(self, tiny_dataset):
         spec = tiny_dataset[0]
