@@ -83,6 +83,15 @@ class GenreLabel:
 _LABELS = tuple(GenreLabel(index=i, name=name) for i, name in enumerate(GENRE_NAMES))
 
 
+def distinct_genres(genres: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D int array, by a sort and a boundary mask: numpy's
+    own imports numpy.ma, which is otherwise never loaded."""
+    ordered = np.sort(genres)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 class GenreGraph:
     """Union-of-cliques graph over songs, each given by its genre index."""
 
@@ -102,7 +111,7 @@ class GenreGraph:
         if len(self.node_index) != len(self.node_ids):
             raise ValueError("node ids must be unique")
         # sorted member indices per genre index present in the graph
-        self._members = {int(g): np.flatnonzero(genres == g) for g in np.unique(genres)}
+        self._members = {int(g): np.flatnonzero(genres == g) for g in distinct_genres(genres)}
 
     @property
     def n_nodes(self) -> int:
@@ -170,7 +179,7 @@ def build_graph(genres: Sequence[int], node_ids: Sequence[str] | None = None) ->
 
 def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdjacency:
     """Normalized adjacency of the graph, optionally after adding self-loops."""
-    cliques = tuple(graph.genre_members(g) for g in np.unique(graph.label_indices))
+    cliques = tuple(graph.genre_members(g) for g in distinct_genres(graph.label_indices))
     for members in cliques:
         if len(members) == 1 and not add_self_loops:
             node = int(members[0])

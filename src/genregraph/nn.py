@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GenreGraph, draw_neighbor_positions
+from .graph import GenreGraph, distinct_genres, draw_neighbor_positions
 from .mfcc import N_MFCC
 
 INPUT_DIM = N_MFCC
@@ -163,8 +163,11 @@ def build_model(variant: Variant, seed: int) -> EmbeddingModel:
     return EmbeddingModel(TrainConfig(seed=seed, variant=variant), graph_layer, embed_head, mlp)
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def _dense_relu(hidden: np.ndarray, layer: LayerParams) -> np.ndarray:
+    """ReLU(hidden W + b) in the product's own array, by the same operations."""
+    z = hidden @ layer.weight
+    z += layer.bias
+    return np.maximum(z, 0.0, out=z)
 
 
 def _check_affine_shapes(features: np.ndarray, layer: LayerParams, name: str) -> None:
@@ -199,7 +202,7 @@ def sampled_neighbor_means(
     position_row = np.cumsum(sampled) - 1
 
     means = np.zeros_like(features)
-    for g in np.unique(graph.label_indices):
+    for g in distinct_genres(graph.label_indices):
         members = graph.genre_members(g)
         n = len(members)
         if n == 1:
@@ -224,10 +227,9 @@ def mlp_forward(inputs: np.ndarray, mlp: list[LayerParams]) -> np.ndarray:
     """Affine layers with ReLU between them, raw logits out."""
     inputs = np.asarray(inputs, dtype=np.float64)
     _check_affine_shapes(inputs, mlp[0], "mlp_forward")
-    hidden = inputs
     for layer in mlp[:-1]:
-        hidden = _relu(hidden @ layer.weight + layer.bias)
-    return hidden @ mlp[-1].weight + mlp[-1].bias
+        inputs = _dense_relu(inputs, layer)
+    return inputs @ mlp[-1].weight + mlp[-1].bias
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -335,15 +337,10 @@ def mlp_loss_and_grads(
     pass). Gradients come back as [dW1, db1, dW2, db2, ...].
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    pre_acts = []
     activations = [inputs]
-    hidden = inputs
     for layer in mlp[:-1]:
-        z = hidden @ layer.weight + layer.bias
-        pre_acts.append(z)
-        hidden = _relu(z)
-        activations.append(hidden)
-    logits = hidden @ mlp[-1].weight + mlp[-1].bias
+        activations.append(_dense_relu(activations[-1], layer))
+    logits = activations[-1] @ mlp[-1].weight + mlp[-1].bias
     loss, dlogits = softmax_cross_entropy(logits, targets)
 
     grads: list[np.ndarray] = []
@@ -352,5 +349,7 @@ def mlp_loss_and_grads(
         grads.insert(0, delta.sum(axis=0))
         grads.insert(0, activations[i].T @ delta)
         if i > 0:
-            delta = (delta @ mlp[i].weight.T) * (pre_acts[i - 1] > 0)
+            # the ReLU mask: activation > 0 iff pre-activation > 0, for every float
+            delta = delta @ mlp[i].weight.T
+            delta *= activations[i] > 0
     return loss, grads

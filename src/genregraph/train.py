@@ -22,6 +22,7 @@ from .graph import (
     AttachmentMode,
     GenreGraph,
     attach_unseen,
+    distinct_genres,
     draw_neighbor_positions,
     extended_adjacency_row,
     normalize,
@@ -101,7 +102,7 @@ def split_train_test(
         raise ValueError("no songs to split into training and test sets")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
-    for genre in np.unique(label_indices):
+    for genre in distinct_genres(label_indices):
         members = np.flatnonzero(label_indices == genre)
         if len(members) < 2:
             raise ValueError(f"genre index {genre} has {len(members)} song(s); need >= 2 to split")

@@ -16,7 +16,7 @@ from genregraph.audio import AudioClip, _lowpass
 from genregraph.cli import main
 from genregraph.graph import build_graph
 from genregraph.mfcc import HOP_LENGTH, LOG_FLOOR, N_FFT, N_MELS, _filter_layers, _fixed_arrays
-from genregraph.nn import TrainConfig, Variant
+from genregraph.nn import TrainConfig, Variant, softmax_cross_entropy
 from genregraph.synth import SyntheticSpec, synthesize_features
 from genregraph.train import split_train_test, train_pipeline
 
@@ -66,6 +66,36 @@ def draw_neighbors(neighbors, k, rng):
     if len(neighbors) > k:
         return rng.choice(neighbors, size=k, replace=False)
     return neighbors
+
+
+def reference_mlp_forward(inputs, mlp):
+    """Reference dense-stack forward: each layer's ReLU(hidden @ W + b) as
+    three new arrays. The program's in-place forward must match it bit for
+    bit."""
+    hidden = np.asarray(inputs, dtype=np.float64)
+    for layer in mlp[:-1]:
+        hidden = np.maximum(hidden @ layer.weight + layer.bias, 0.0)
+    return hidden @ mlp[-1].weight + mlp[-1].bias
+
+
+def reference_mlp_loss_and_grads(inputs, targets, mlp):
+    """Reference loss and gradients of a dense stack, keeping every
+    pre-activation beside its activation and masking the backward by
+    pre-activation > 0 into a new array. The program's step, which keeps
+    the activations alone, must match it bit for bit."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    pre_acts, activations = [], [inputs]
+    for layer in mlp[:-1]:
+        pre_acts.append(activations[-1] @ layer.weight + layer.bias)
+        activations.append(np.maximum(pre_acts[-1], 0.0))
+    logits = activations[-1] @ mlp[-1].weight + mlp[-1].bias
+    loss, delta = softmax_cross_entropy(logits, targets)
+    grads = []
+    for i in range(len(mlp) - 1, -1, -1):
+        grads[:0] = [activations[i].T @ delta, delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ mlp[i].weight.T) * (pre_acts[i - 1] > 0)
+    return loss, grads
 
 
 def reference_nearest(query, vectors, ids, k, exclude=-1):

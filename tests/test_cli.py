@@ -64,6 +64,31 @@ class TestStartUp:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_no_verb_imports_numpy_ma(self, fresh_python):
+        # np.unique imports numpy.ma (numpy 2.4), which costs every verb that
+        # loads it about a MiB; the program takes distinct genres without it
+        done = fresh_python(
+            "import contextlib, io, sys\n"
+            "from genregraph.cli import main\n"
+            "s, w = 'data/features.grmf', ['data/plain.grmw', 'data/sage.grmw', 'data/gcn.grmw']\n"
+            "calls = [\n"
+            "    ['synth', '--out', 'data', '--seed', '0', '--songs-per-genre', '3'],\n"
+            "    ['extract', '--manifest', 'data/manifest.csv'],\n"
+            "    *(['train', '--store', s, '--variant', v] for v in ('gcn', 'sage', 'plain')),\n"
+            "    ['evaluate', '--store', s, '--weights', *w],\n"
+            "    ['evaluate', '--store', s, '--weights', *w, '--attachment', 'feature_knn', '--out', 'knn'],\n"
+            "    ['recommend', '--store', s, '--weights', w[2], '--song-id', 'Rock/Rock_000.wav'],\n"
+            "    ['recommend', '--store', s, '--weights', w[1], '--audio', 'data/Rock/Rock_001.wav'],\n"
+            "]\n"
+            "for call in calls:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(call) == 0, call\n"
+            "    print(call[0], 'numpy.ma' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        verbs = ["synth", "extract", *["train"] * 3, *["evaluate"] * 2, *["recommend"] * 2]
+        assert done.stdout.splitlines() == [f"{verb} False" for verb in verbs]
+
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
     def test_blas_runs_on_the_calling_thread_by_default(self, fresh_python):
         # this process holds the value genregraph pinned, so the child drops

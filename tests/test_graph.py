@@ -14,6 +14,7 @@ from genregraph.graph import (
     UnknownNodeError,
     attach_unseen,
     build_graph,
+    distinct_genres,
     draw_neighbor_positions,
     _NORM_LIMIT,
     extended_adjacency_row,
@@ -96,6 +97,23 @@ class TestGenreLabel:
             label = GenreLabel.from_index(i)
             assert GENRE_NAMES[label] == label.name
             assert np.asarray([label], dtype=np.int64).tolist() == [i]
+
+
+class TestDistinctGenres:
+    """The sort-and-boundary stand-in for np.unique, which imports numpy.ma."""
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 9), st.integers(-(2**63), 2**63 - 1)), max_size=300
+        )
+    )
+    @example([])
+    @example([-(2**63), 2**63 - 1, -1, 0, -(2**63)])
+    def test_equals_np_unique_for_any_int64_array(self, values):
+        genres = np.array(values, dtype=np.int64)
+        got, expected = distinct_genres(genres), np.unique(genres)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestBuildGraph:
