@@ -359,8 +359,7 @@ def extended_adjacency_row(n_neighbors: int, self_loops: bool) -> tuple[np.ndarr
     clique's rows with self-loops. The new node's row likewise gives each
     neighbor 1/k, or each neighbor and the node itself 1/(k+1) with
     self-loops. Returns (weight per neighbor, weight on the node's own
-    feature); no neighbors and no self-loop give an all-zero row.
+    feature).
     """
-    d = n_neighbors + int(self_loops)
-    weight = 1.0 / d if d else 0.0
+    weight = 1.0 / (n_neighbors + int(self_loops))
     return np.full(n_neighbors, weight), weight if self_loops else 0.0

@@ -252,10 +252,9 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     log_probs = shifted - np.log(total)
     loss = 0.0 - float(log_probs[np.arange(n), targets].mean())  # never -0.0
 
-    dlogits = probs.copy()
-    dlogits[np.arange(n), targets] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    probs[np.arange(n), targets] -= 1.0
+    probs /= n
+    return loss, probs  # dlogits, in the probabilities' own array
 
 
 @dataclass
@@ -349,7 +348,9 @@ def mlp_loss_and_grads(
         grads.insert(0, delta.sum(axis=0))
         grads.insert(0, activations[i].T @ delta)
         if i > 0:
-            # the ReLU mask: activation > 0 iff pre-activation > 0, for every float
-            delta = delta @ mlp[i].weight.T
-            delta *= activations[i] > 0
+            # the ReLU mask (activation > 0 iff pre-activation > 0, for every
+            # float); delta W^T then goes into the activation's own array
+            mask = activations[i] > 0
+            delta = np.matmul(delta, mlp[i].weight.T, out=activations[i])
+            delta *= mask
     return loss, grads

@@ -548,12 +548,6 @@ class TestExtendedAdjacencyRow:
         np.testing.assert_allclose(weights, 1.0 / 6.0, atol=1e-15)
         assert self_w == 0.0
 
-    def test_empty_neighbor_set(self):
-        weights, self_w = extended_adjacency_row(0, False)
-        assert weights.size == 0 and self_w == 0.0
-        weights, self_w = extended_adjacency_row(0, True)
-        assert weights.size == 0 and self_w == 1.0
-
     def test_matches_dense_extended_graph(self):
         # oracle: build the (n+1)-node graph densely; the new node's row of
         # D^-1 A is the mean over its neighbors (and itself, with self-loops)
