@@ -83,20 +83,22 @@ class GenreLabel:
 _LABELS = tuple(GenreLabel(index=i, name=name) for i, name in enumerate(GENRE_NAMES))
 
 
-def distinct_genres(genres: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D int array, by a sort and a boundary mask: numpy's
-    own imports numpy.ma, which is otherwise never loaded."""
-    ordered = np.sort(genres)
-    first = np.ones(ordered.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
+def genre_cliques(genres: np.ndarray) -> list[np.ndarray]:
+    """Each present genre's ascending member indices, in ascending genre order: read-only
+    views of one stable argsort, cut where the sorted column changes (by a comparison, which
+    cannot wrap as an int64 difference can; np.unique would import numpy.ma)."""
+    order = np.argsort(genres, kind="stable")
+    order.flags.writeable = False
+    ordered = genres[order]
+    return np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1) if order.size else []
 
 
 class GenreGraph:
-    """Union-of-cliques graph over songs, each given by its genre index."""
+    """Union-of-cliques graph over songs, each given by its genre index (kept as a read-only copy)."""
 
     def __init__(self, node_ids: Sequence[str], genres: Sequence[int]):
-        genres = np.asarray(genres, dtype=np.int64)
+        genres = np.array(genres, dtype=np.int64)
+        genres.flags.writeable = False
         if len(node_ids) == 0:
             raise ValueError("graph needs at least one song")
         if genres.shape != (len(node_ids),):
@@ -110,8 +112,10 @@ class GenreGraph:
         self.node_index = {node_id: i for i, node_id in enumerate(self.node_ids)}
         if len(self.node_index) != len(self.node_ids):
             raise ValueError("node ids must be unique")
-        # sorted member indices per genre index present in the graph
-        self._members = {int(g): np.flatnonzero(genres == g) for g in distinct_genres(genres)}
+        # songs per genre index, and the present genres' member indices
+        self.counts = np.bincount(genres, minlength=len(GENRE_NAMES))
+        self.cliques = genre_cliques(genres)
+        self._members = dict(zip(np.flatnonzero(self.counts).tolist(), self.cliques))
 
     @property
     def n_nodes(self) -> int:
@@ -127,25 +131,24 @@ class GenreGraph:
             raise UnknownNodeError(node_id) from None
 
     def genre_members(self, genre_index: int) -> np.ndarray:
-        """Sorted node indices of one genre (empty if absent)."""
+        """Sorted node indices of one genre, read-only (empty if absent)."""
         return self._members.get(int(genre_index), np.empty(0, dtype=np.int64))
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.label_indices)[self.label_indices] - 1
+        return self.counts[self.label_indices] - 1
 
 
 @dataclass(frozen=True)
 class NormalizedAdjacency:
     """Symmetrically degree-normalized adjacency D^{-1/2} A D^{-1/2}.
 
-    The graph is a union of cliques, so the matrix is kept as its clique
-    member lists. Inside a clique of size n every entry is 1/(n-1) off the
+    The graph is a union of cliques, so the matrix is kept as the graph
+    itself. Inside a clique of size n every entry is 1/(n-1) off the
     diagonal without self-loops, or 1/n everywhere with them.
     """
 
-    cliques: tuple[np.ndarray, ...]
-    n_nodes: int
+    graph: GenreGraph
     self_loops: bool
 
     def apply(self, features: np.ndarray) -> np.ndarray:
@@ -155,19 +158,19 @@ class NormalizedAdjacency:
         (S - x_i)/(n-1), or S/n with self-loops: O(N*d), no n x n block.
         """
         features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != self.n_nodes:
+        graph = self.graph
+        if features.shape[0] != graph.n_nodes:
             raise ValueError(
-                f"adjacency is {self.n_nodes} nodes but features have {features.shape[0]} rows"
+                f"adjacency is {graph.n_nodes} nodes but features have {features.shape[0]} rows"
             )
-        out = np.empty_like(features)
-        for members in self.cliques:
-            rows = features[members]
-            total = rows.sum(axis=0)
-            if self.self_loops:
-                out[members] = total / len(members)
-            else:
-                out[members] = (total - rows) / (len(members) - 1)
-        return out
+        sums = np.zeros((len(graph.counts), features.shape[1]))
+        sums[graph.counts > 0] = [features[members].sum(axis=0) for members in graph.cliques]
+        # (S[g] - X) / deg, or S[g] / (deg + 1) with self-loops, in place in one n x d array
+        block = sums[graph.label_indices]
+        if not self.self_loops:
+            block -= features
+        block /= (graph.degrees + self.self_loops)[:, None]
+        return block
 
 
 def build_graph(genres: Sequence[int], node_ids: Sequence[str] | None = None) -> GenreGraph:
@@ -179,12 +182,11 @@ def build_graph(genres: Sequence[int], node_ids: Sequence[str] | None = None) ->
 
 def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdjacency:
     """Normalized adjacency of the graph, optionally after adding self-loops."""
-    cliques = tuple(graph.genre_members(g) for g in distinct_genres(graph.label_indices))
-    for members in cliques:
+    for members in graph.cliques:
         if len(members) == 1 and not add_self_loops:
             node = int(members[0])
             raise IsolatedNodeError(graph.node_ids[node], GENRE_NAMES[graph.label_indices[node]])
-    return NormalizedAdjacency(cliques=cliques, n_nodes=graph.n_nodes, self_loops=add_self_loops)
+    return NormalizedAdjacency(graph=graph, self_loops=add_self_loops)
 
 
 # rows per vectorized pass: bounds the temporaries of draw_neighbor_positions

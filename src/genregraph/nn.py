@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GenreGraph, distinct_genres, draw_neighbor_positions
+from .graph import GenreGraph, draw_neighbor_positions
 from .mfcc import N_MFCC
 
 INPUT_DIM = N_MFCC
@@ -202,8 +202,7 @@ def sampled_neighbor_means(
     position_row = np.cumsum(sampled) - 1
 
     means = np.zeros_like(features)
-    for g in distinct_genres(graph.label_indices):
-        members = graph.genre_members(g)
+    for members in graph.cliques:
         n = len(members)
         if n == 1:
             continue

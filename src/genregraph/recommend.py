@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .audio import SeedStream, derive_seed
-from .graph import GENRE_NAMES, AttachmentMode, build_graph, distinct_genres, nearest, row_norms
+from .graph import GENRE_NAMES, AttachmentMode, build_graph, genre_cliques, nearest, row_norms
 from .nn import EmbeddingModel, Variant
 from .train import TrainConfig, compute_embeddings, infer_embedding, split_train_test
 
@@ -257,9 +257,8 @@ def run_experiment(
     graph = build_graph(label_indices[train_idx], node_ids=train_ids)
 
     query_idx: list[int] = []
-    for genre in distinct_genres(label_indices[test_idx]):
-        genre_tests = test_idx[label_indices[test_idx] == genre]
-        query_idx.extend(genre_tests[: cfg.queries_per_genre])
+    for members in genre_cliques(label_indices[test_idx]):
+        query_idx.extend(test_idx[members[: cfg.queries_per_genre]])
 
     reports: dict[str, EvalReport] = {}
     for model in models:

@@ -22,9 +22,9 @@ from .graph import (
     AttachmentMode,
     GenreGraph,
     attach_unseen,
-    distinct_genres,
     draw_neighbor_positions,
     extended_adjacency_row,
+    genre_cliques,
     normalize,
 )
 from .nn import (
@@ -102,10 +102,9 @@ def split_train_test(
         raise ValueError("no songs to split into training and test sets")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
-    for genre in distinct_genres(label_indices):
-        members = np.flatnonzero(label_indices == genre)
+    for members in genre_cliques(label_indices):
         if len(members) < 2:
-            raise ValueError(f"genre index {genre} has {len(members)} song(s); need >= 2 to split")
+            raise ValueError(f"genre index {label_indices[members[0]]} has {len(members)} song(s); need >= 2 to split")
         shuffled = rng.permutation(members)
         n_test = int(round(len(members) * test_fraction))
         n_test = min(max(n_test, 1), len(members) - 1)

@@ -68,6 +68,40 @@ def draw_neighbors(neighbors, k, rng):
     return neighbors
 
 
+def reference_normalized_apply(genres, features, self_loops):
+    """Reference GCN block: each genre's members found by their own scan,
+    and each clique's rows (S - x_i)/(n-1), or S/n with self-loops, written
+    one clique at a time. The program, which forms every row from the
+    per-genre sums in one pass, must match it bit for bit."""
+    out = np.empty_like(features)
+    for genre in np.unique(genres):
+        members = np.flatnonzero(genres == genre)
+        rows = features[members]
+        total = rows.sum(axis=0)
+        if self_loops:
+            out[members] = total / len(members)
+        else:
+            out[members] = (total - rows) / (len(members) - 1)
+    return out
+
+
+def reference_split_train_test(label_indices, test_fraction, seed):
+    """Reference split: each genre's members found by their own scan, in
+    ascending genre order, then shuffled on one seeded rng. The program's
+    split, which reads the members from one grouping, must match it bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    train_parts, test_parts = [], []
+    for genre in np.unique(label_indices):
+        members = np.flatnonzero(label_indices == genre)
+        shuffled = rng.permutation(members)
+        n_test = int(round(len(members) * test_fraction))
+        n_test = min(max(n_test, 1), len(members) - 1)
+        test_parts.append(np.sort(shuffled[:n_test]))
+        train_parts.append(np.sort(shuffled[n_test:]))
+    return np.concatenate(train_parts), np.concatenate(test_parts)
+
+
 def reference_mlp_forward(inputs, mlp):
     """Reference dense-stack forward: each layer's ReLU(hidden @ W + b) as
     three new arrays. The program's in-place forward must match it bit for

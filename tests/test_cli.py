@@ -66,7 +66,7 @@ class TestStartUp:
 
     def test_no_verb_imports_numpy_ma(self, fresh_python):
         # np.unique imports numpy.ma (numpy 2.4), which costs every verb that
-        # loads it about a MiB; the program takes distinct genres without it
+        # loads it about a MiB; the program groups genre columns without it
         done = fresh_python(
             "import contextlib, io, sys\n"
             "from genregraph.cli import main\n"

@@ -14,16 +14,16 @@ from genregraph.graph import (
     UnknownNodeError,
     attach_unseen,
     build_graph,
-    distinct_genres,
     draw_neighbor_positions,
     _NORM_LIMIT,
     extended_adjacency_row,
+    genre_cliques,
     nearest,
     normalize,
     row_norms,
 )
 
-from conftest import clique_neighbors, draw_neighbors, reference_nearest
+from conftest import clique_neighbors, draw_neighbors, reference_nearest, reference_normalized_apply
 
 
 def labels_for(counts):
@@ -99,8 +99,9 @@ class TestGenreLabel:
             assert np.asarray([label], dtype=np.int64).tolist() == [i]
 
 
-class TestDistinctGenres:
-    """The sort-and-boundary stand-in for np.unique, which imports numpy.ma."""
+class TestGenreCliques:
+    """The one grouping of a genre column, which does without np.unique
+    because np.unique imports numpy.ma."""
 
     @given(
         st.lists(
@@ -109,11 +110,15 @@ class TestDistinctGenres:
     )
     @example([])
     @example([-(2**63), 2**63 - 1, -1, 0, -(2**63)])
-    def test_equals_np_unique_for_any_int64_array(self, values):
+    def test_equals_flatnonzero_per_np_unique_value_for_any_int64_array(self, values):
         genres = np.array(values, dtype=np.int64)
-        got, expected = distinct_genres(genres), np.unique(genres)
-        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
-        assert got.tobytes() == expected.tobytes()
+        got = genre_cliques(genres)
+        expected = [np.flatnonzero(genres == v) for v in np.unique(genres)]
+        assert len(got) == len(expected)
+        for members, want in zip(got, expected):
+            assert (members.dtype, members.shape) == (want.dtype, want.shape)
+            assert members.tobytes() == want.tobytes()
+            assert not members.flags.writeable
 
 
 class TestBuildGraph:
@@ -175,6 +180,16 @@ class TestBuildGraph:
         x = np.random.default_rng(len(genres)).normal(size=(len(genres), 3))
         a, b = (normalize(g, add_self_loops=self_loops).apply(x) for g in (from_labels, from_indices))
         assert a.tobytes() == b.tobytes()
+
+    def test_the_callers_genre_column_is_copied(self):
+        # the counts and cliques are built from the column, so it must not change under them
+        genres = np.array([0, 0, 1, 1])
+        graph = build_graph(genres)
+        genres[0] = 1
+        assert graph.label_indices.tolist() == [0, 0, 1, 1]
+        assert graph.genre_members(1).tolist() == [2, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            graph.label_indices[0] = 1
 
     def test_edges_iff_same_genre(self):
         graph = build_graph(labels_for({0: 3, 4: 2}))
@@ -259,6 +274,43 @@ class TestNormalize:
             np.testing.assert_allclose(adj.apply(x), expected, atol=1e-12)
         with pytest.raises(ValueError):
             adj.apply(x[:-1])
+
+
+def genre_columns(self_loops):
+    """Shuffled genre columns of up to 12 songs per genre, with their
+    seed; without self-loops no genre has a single song."""
+    count = st.one_of(st.just(0), st.integers(1 if self_loops else 2, 12))
+    counts = st.lists(count, min_size=len(GENRE_NAMES), max_size=len(GENRE_NAMES)).filter(any)
+    return st.tuples(counts, st.integers(0, 2**32 - 1))
+
+
+def column_and_features(counts, seed):
+    """The genre column of `counts`, shuffled, and features of widely
+    varying magnitude, both drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    genres = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    width = int(rng.integers(1, 6))
+    features = rng.standard_normal((len(genres), width)) * 10.0 ** rng.uniform(-3, 3, (len(genres), width))
+    return genres, features
+
+
+class TestGcnBlock:
+    """normalize(graph).apply(X), the GCN block, from the per-genre sums."""
+
+    @settings(deadline=None)
+    @given(self_loops=st.booleans(), data=st.data())
+    def test_equals_the_per_clique_loop_byte_for_byte(self, self_loops, data):
+        genres, features = column_and_features(*data.draw(genre_columns(self_loops)))
+        block = normalize(build_graph(genres), add_self_loops=self_loops).apply(features)
+        assert block.tobytes() == reference_normalized_apply(genres, features, self_loops).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(self_loops=st.booleans(), column=genre_columns(self_loops=False))
+    def test_equals_the_dense_normalized_adjacency(self, self_loops, column):
+        graph = build_graph(column_and_features(*column)[0])
+        x = np.random.default_rng(column[1]).standard_normal((graph.n_nodes, 5))
+        block = normalize(graph, add_self_loops=self_loops).apply(x)
+        np.testing.assert_allclose(block, dense_normalized(graph, self_loops) @ x, atol=1e-12)
 
 
 class TestSampleNeighbors:
@@ -357,6 +409,14 @@ class TestAttachUnseen:
         picked = attach_unseen(graph, np.zeros(30), AttachmentMode.ORACLE, true_label=folk)
         assert picked.tolist() == list(range(50))
         assert (graph.label_indices[picked] == folk).all()
+
+    def test_oracle_neighbors_cannot_be_written(self):
+        # the graph's own member array: a write would corrupt every later aggregation
+        graph = build_graph(labels_for({2: 5, 3: 4}))
+        picked = attach_unseen(graph, np.zeros(30), AttachmentMode.ORACLE, true_label=3)
+        with pytest.raises(ValueError, match="read-only"):
+            picked[0] = 0
+        assert graph.genre_members(3).tolist() == [5, 6, 7, 8]
 
     def test_oracle_requires_label(self):
         graph = build_graph(labels_for({0: 3}))

@@ -31,7 +31,7 @@ from genregraph.train import (
     train_pipeline,
 )
 
-from conftest import draw_neighbors
+from conftest import draw_neighbors, reference_split_train_test
 
 LN8 = float(np.log(8.0))
 
@@ -158,6 +158,18 @@ class TestSplitTrainTest:
             for gi in (0, 1):
                 assert np.sum(labels[train_idx] == gi) >= 1
                 assert np.sum(labels[test_idx] == gi) >= 1
+
+    @settings(deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 40), min_size=8, max_size=8).filter(lambda c: 1 not in c and any(c)),
+        test_fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_genre_scan_split(self, counts, test_fraction, seed):
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(8), counts))
+        got = split_train_test(labels, test_fraction=test_fraction, seed=seed)
+        expected = reference_split_train_test(labels, test_fraction, seed)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
 
     def test_rejects_tiny_genres_and_bad_fractions(self):
         with pytest.raises(ValueError, match="need >= 2"):
