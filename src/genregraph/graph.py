@@ -151,6 +151,13 @@ class NormalizedAdjacency:
     graph: GenreGraph
     self_loops: bool
 
+    def __post_init__(self):
+        graph = self.graph
+        for members in graph.cliques:
+            if len(members) == 1 and not self.self_loops:  # a degree-zero node
+                node = int(members[0])
+                raise IsolatedNodeError(graph.node_ids[node], GENRE_NAMES[graph.label_indices[node]])
+
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Left-multiply node features by the normalized adjacency.
 
@@ -182,10 +189,6 @@ def build_graph(genres: Sequence[int], node_ids: Sequence[str] | None = None) ->
 
 def normalize(graph: GenreGraph, add_self_loops: bool = False) -> NormalizedAdjacency:
     """Normalized adjacency of the graph, optionally after adding self-loops."""
-    for members in graph.cliques:
-        if len(members) == 1 and not add_self_loops:
-            node = int(members[0])
-            raise IsolatedNodeError(graph.node_ids[node], GENRE_NAMES[graph.label_indices[node]])
     return NormalizedAdjacency(graph=graph, self_loops=add_self_loops)
 
 

@@ -1,7 +1,6 @@
 """WAV decode/encode, random windowing, resampling."""
 
 import struct
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from genregraph.audio import (
+    _QUANTIZE_BLOCK as QUANTIZE_BLOCK,
     MAX_SAMPLE_RATE,
     MIN_SAMPLE_RATE,
     AudioClip,
@@ -149,9 +149,6 @@ def _raw_wav(bits, channels, payload, fmt_tag=1, sample_rate=22050):
     if len(payload) % 2:
         chunks += b"\x00"
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
-
-
-QUANTIZE_BLOCK = sys.modules["genregraph.audio"]._QUANTIZE_BLOCK
 
 
 class TestEncodeWav:

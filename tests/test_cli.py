@@ -97,7 +97,7 @@ class TestStartUp:
         done = fresh_python(
             "import os, time\n"
             "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
-            "import genregraph\n"
+            "import genregraph.cli\n"
             "process, thread = time.process_time(), time.thread_time()\n"
             "time.sleep(0.3)\n"
             "idle = (time.process_time() - process) - (time.thread_time() - thread)\n"
@@ -112,11 +112,26 @@ class TestStartUp:
         done = fresh_python(
             "import os\n"
             "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
-            "import genregraph\n"
+            "import genregraph.cli\n"
             "print(os.environ['OPENBLAS_NUM_THREADS'])"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "2\n"
+
+    def test_the_package_sets_the_default_and_loads_no_numpy(self, fresh_python):
+        # the default must be set before any genregraph module loads numpy,
+        # so the package sets it and imports nothing else; a name the package
+        # held would shadow the submodule of that name, as mfcc's function did
+        done = fresh_python(
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "import genregraph\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)\n"
+            "import genregraph.mfcc as m\n"
+            "print(m.__name__)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 False\ngenregraph.mfcc\n"
 
 
 class TestSynth:
@@ -290,9 +305,8 @@ class TestExtract:
         log = tmp_path / "builds.txt"
         argv = ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--out", str(tmp_path)]
         done = fresh_python(
-            "import sys\n"
+            "import genregraph.mfcc as mfcc\n"
             "from genregraph import audio, cli\n"
-            "mfcc = sys.modules['genregraph.mfcc']  # the package's mfcc is the function\n"
             "build = mfcc.mel_filterbank\n"
             "def logged(cfg):\n"
             f"    with open({str(log)!r}, 'a') as fh:\n"

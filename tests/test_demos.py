@@ -1,6 +1,8 @@
-"""Smoke test: every narrative demo script runs to completion."""
+"""Smoke test: every narrative demo script, and the README's library
+snippets, run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +28,16 @@ def test_demo_exits_zero(script, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_library_snippets_run(fresh_python):
+    # the python blocks under "## Library use" run in order in one interpreter,
+    # so a name they import from a module that no longer holds it fails here
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) == 2
+    done = fresh_python(
+        "import warnings\nwarnings.simplefilter('error', RuntimeWarning)\n" + "\n".join(blocks)
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "Rock/" in done.stdout

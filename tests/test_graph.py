@@ -11,6 +11,7 @@ from genregraph.graph import (
     AttachmentMode,
     GenreLabel,
     IsolatedNodeError,
+    NormalizedAdjacency,
     UnknownNodeError,
     attach_unseen,
     build_graph,
@@ -239,8 +240,10 @@ class TestNormalize:
 
     def test_isolated_node_without_self_loops_named(self):
         graph = build_graph(labels_for({0: 2, 3: 1}), node_ids=["a", "b", "lonely"])
-        with pytest.raises(IsolatedNodeError, match="lonely"):
-            normalize(graph)
+        # the type itself refuses, so one built directly has no 0/0 row either
+        for build in (normalize, lambda g: NormalizedAdjacency(g, self_loops=False)):
+            with pytest.raises(IsolatedNodeError, match="lonely"):
+                build(graph)
         # self-loops make the degree positive again
         mat = dense_of(graph, self_loops=True)
         assert mat[2, 2] == pytest.approx(1.0)

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import genregraph.mfcc as mfcc_module
 from genregraph.audio import AudioClip
 from genregraph.mfcc import (
     FMAX,
@@ -33,7 +34,7 @@ from genregraph.mfcc import (
 from conftest import reference_mfcc, reference_power_spectrogram
 
 CFG = MfccConfig()
-BLOCK = sys.modules["genregraph.mfcc"]._FRAME_BLOCK
+BLOCK = mfcc_module._FRAME_BLOCK
 # the default rate, CD audio's rate, and one at which 4 of the 128 mel
 # filters are narrower than a bin and so empty
 FRONT_ENDS = [CFG, MfccConfig(target_sample_rate=44100), MfccConfig(target_sample_rate=96000)]
@@ -274,22 +275,21 @@ class TestMfcc:
     def test_cached_constants_are_built_once_under_threads(self, monkeypatch):
         # synthesize_features runs mfcc on a thread pool; threads that miss the cache
         # together must share one filterbank build, so call counts repeat
-        module = sys.modules["genregraph.mfcc"]
         built = []
-        original = module.mel_filterbank
+        original = mfcc_module.mel_filterbank
 
         def counting(cfg):
             built.append(threading.get_ident())
             return original(cfg)
 
-        monkeypatch.setattr(module, "mel_filterbank", counting)
+        monkeypatch.setattr(mfcc_module, "mel_filterbank", counting)
         cfg = MfccConfig(window_seconds=0.5)
         clip = AudioClip(samples=np.random.default_rng(0).normal(size=22050), sample_rate=22050)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                module._build_filter_layers.cache_clear()
+                mfcc_module._build_filter_layers.cache_clear()
                 built.clear()
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     vectors = list(pool.map(lambda _: mfcc(clip, cfg), range(16)))
@@ -297,25 +297,23 @@ class TestMfcc:
                 assert all(np.array_equal(v, vectors[0]) for v in vectors)
         finally:
             sys.setswitchinterval(interval)
-            module._build_filter_layers.cache_clear()
+            mfcc_module._build_filter_layers.cache_clear()
 
     def test_filter_layers_are_built_once_per_rate(self, monkeypatch):
         # the filters do not depend on the window, so windows at one rate share one build
-        module = sys.modules["genregraph.mfcc"]
-        rates, original = [], module.mel_filterbank
-        monkeypatch.setattr(module, "mel_filterbank", lambda cfg: rates.append(cfg.target_sample_rate) or original(cfg))
-        module._build_filter_layers.cache_clear()
+        rates, original = [], mfcc_module.mel_filterbank
+        monkeypatch.setattr(mfcc_module, "mel_filterbank", lambda cfg: rates.append(cfg.target_sample_rate) or original(cfg))
+        mfcc_module._build_filter_layers.cache_clear()
         try:
             for cfg in (MfccConfig(window_seconds=0.5), MfccConfig(), MfccConfig(target_sample_rate=44100)):
-                module._filter_layers(cfg)
+                mfcc_module._filter_layers(cfg)
         finally:
-            module._build_filter_layers.cache_clear()
+            mfcc_module._build_filter_layers.cache_clear()
         assert rates == [22050, 44100]
 
     def test_cached_filterbank_is_read_only_and_public_one_is_fresh(self):
-        module = sys.modules["genregraph.mfcc"]
-        layers = module._filter_layers(CFG)
-        arrays = [*module._fixed_arrays(), *(a for layer in layers for a in layer)]
+        layers = mfcc_module._filter_layers(CFG)
+        arrays = [*mfcc_module._fixed_arrays(), *(a for layer in layers for a in layer)]
         assert not any(array.flags.writeable for array in arrays)
         fresh = mel_filterbank(CFG)
         assert fresh.flags.writeable and fresh is not mel_filterbank(CFG)
@@ -326,7 +324,7 @@ class TestMfcc:
         # must hold every weight of each of its filters, and no bin twice
         cfg = MfccConfig(target_sample_rate=rate)
         fb = mel_filterbank(cfg)
-        layers = sys.modules["genregraph.mfcc"]._filter_layers(cfg)
+        layers = mfcc_module._filter_layers(cfg)
         for parity, (weights, starts, filters) in enumerate(layers):
             assert np.all((fb[parity::2] > 0).sum(axis=0) <= 1)
             nonempty = [m for m in range(parity, N_MELS, 2) if fb[m].any()]
@@ -457,10 +455,9 @@ class TestScipyFreeConstants:
     def test_hann_window_is_scipys_bit_for_bit(self, n):
         from scipy.signal import get_window
 
-        module = sys.modules["genregraph.mfcc"]
-        window = module._periodic_hann(n)
+        window = mfcc_module._periodic_hann(n)
         assert window.tobytes() == get_window("hann", n, fftbins=True).tobytes()
-        assert module._fixed_arrays()[0].tobytes() == get_window("hann", N_FFT, fftbins=True).tobytes()
+        assert mfcc_module._fixed_arrays()[0].tobytes() == get_window("hann", N_FFT, fftbins=True).tobytes()
 
     def test_threads_that_first_resample_together_agree(self, fresh_python):
         # 8 threads make the first clips of a new interpreter together: they

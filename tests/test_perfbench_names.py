@@ -50,3 +50,16 @@ def test_every_name_the_workloads_import_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_the_cli_loads_every_traced_module(fresh_python):
+    # the tracer imports genregraph.cli and then wraps each layer's functions
+    # in sys.modules, so cli must load every module LAYERS names
+    layers = sorted(traced_layers())
+    done = fresh_python(
+        "import sys\n"
+        "import genregraph.cli\n"
+        f"print([layer for layer in {layers!r} if 'genregraph.' + layer not in sys.modules])"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
