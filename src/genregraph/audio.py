@@ -153,21 +153,31 @@ def decode_wav(data: bytes) -> AudioClip:
 # the wave module's 44-byte header: RIFF, a 16-byte PCM fmt chunk, data's id and size
 _WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
 _QUANTIZE_BLOCK = 1 << 15  # samples scaled per step, 256 KiB of float64
+MAX_WAV_SAMPLES = (2**32 - 37) // 2  # the RIFF size, 36 + 2 bytes per sample, is a u32
+
+
+def wav_buffer(n_samples: int) -> bytearray:
+    """A buffer for write_wav: the 44-byte header and n_samples 16-bit samples."""
+    return bytearray(_WAV_HEADER.size + 2 * n_samples)
+
+
+def write_wav(samples: np.ndarray, sample_rate: int, wav: bytearray, scaled: np.ndarray) -> None:
+    """Write samples as 16-bit mono PCM WAV into wav, a wav_buffer of their
+    length: each sample times 32767, rounded half to even and clipped to
+    int16, scaled in `scaled` a block of its size at a time."""
+    n, rate = samples.size, sample_rate
+    _WAV_HEADER.pack_into(wav, 0, b"RIFF", 36 + 2 * n, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", 2 * n)
+    pcm = np.frombuffer(wav, dtype="<i2", offset=_WAV_HEADER.size)
+    for lo in range(0, n, scaled.size):
+        block = scaled[: n - lo]  # the last block is shorter
+        np.multiply(samples[lo : lo + block.size], 32767.0, out=block)
+        pcm[lo : lo + block.size] = np.clip(np.round(block, out=block), -32768, 32767, out=block)
 
 
 def encode_wav(clip: AudioClip) -> bytes:
-    """Encode a clip as 16-bit mono PCM WAV bytes (deterministic): each
-    sample times 32767, rounded half to even and clipped to int16, written
-    a block at a time into the file's buffer behind its 44-byte header."""
-    n, rate = len(clip), clip.sample_rate
-    wav = bytearray(_WAV_HEADER.size + 2 * n)
-    _WAV_HEADER.pack_into(wav, 0, b"RIFF", 36 + 2 * n, b"WAVE", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16, b"data", 2 * n)
-    pcm = np.frombuffer(wav, dtype="<i2", offset=_WAV_HEADER.size)
-    scaled = np.empty(min(n, _QUANTIZE_BLOCK))
-    for lo in range(0, n, _QUANTIZE_BLOCK):
-        block = scaled[: n - lo]  # the last block is shorter
-        np.multiply(clip.samples[lo : lo + block.size], 32767.0, out=block)
-        pcm[lo : lo + block.size] = np.clip(np.round(block, out=block), -32768, 32767, out=block)
+    """Encode a clip as 16-bit mono PCM WAV bytes (deterministic), by write_wav."""
+    wav = wav_buffer(len(clip))
+    write_wav(clip.samples, clip.sample_rate, wav, np.empty(_QUANTIZE_BLOCK))
     return bytes(wav)
 
 

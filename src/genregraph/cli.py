@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, extract, train, evaluate, recommend.
 
-Settings resolve in three layers: the defaults of the library type or
-function a verb passes them to, then a JSON config file (--config), then
-flags; evaluate and recommend take the training settings from the weights,
+Settings resolve in two layers: the defaults of the library type or
+function a verb passes them to, then flags, one flag per setting;
+evaluate and recommend take the training settings from the weights,
 recommend the MFCC front end from the store. Every command is
-deterministic given (inputs, config, seed). Exit codes: 0 success, 1
+deterministic given (inputs, flags, seed). Exit codes: 0 success, 1
 internal error, 2 input validation error.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -60,87 +59,23 @@ EXIT_USAGE = 2
 
 
 class UsageError(ValueError):
-    """Bad user input: flags, config, manifest, store, or audio files."""
+    """Bad user input: flags, manifest, store, or audio files."""
 
 
-def _genre_list(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        value = [g.strip() for g in value.split(",") if g.strip()]
-    return tuple(value)
+def _genre_list(value: str) -> tuple[str, ...]:
+    return tuple(g.strip() for g in value.split(",") if g.strip())
 
 
-# each config key and the cast of its value; the flag of its name gives that type
-_CONFIG_KEYS = {
-    "seed": int,
-    "songs_per_genre": int,
-    "clip_seconds": float,
-    "sample_rate": int,
-    "genres": _genre_list,
-    "test_fraction": float,
-    "window_seconds": float,
-    "epochs": int,
-    "embed_lr": float,
-    "mlp_lr": float,
-    "sage_sample_k": int,
-    "self_loops": bool,
-    "attachment": AttachmentMode,
-    "queries_per_genre": int,
-    "knn_k": int,
-    "recommend_k": int,
-    "k": int,
-}
-
-# the JSON types a config value may take, by its key's cast
-_CONFIG_TYPES = {
-    bool: ("a boolean", (bool,)),
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    AttachmentMode: ("a string", (str,)),
-    _genre_list: ("a string or a list of strings", (str, list)),
-}
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(doc.keys() - _CONFIG_KEYS.keys())
-    if unknown:
-        raise UsageError(f"unknown config keys {unknown}; known keys: {sorted(_CONFIG_KEYS)}")
-    return doc
-
-
-def _given(args: argparse.Namespace, config: dict, *keys: str) -> dict:
-    """The settings among `keys` that a flag or else the config file gives,
-    cast. A key given by neither is left out, so it keeps the default of the
-    type or function the verb passes the settings to. A config value must
-    have the JSON type of its key; true and false are booleans, not numbers.
-    """
-    given = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            value = config[key]
-            kind, types = _CONFIG_TYPES[_CONFIG_KEYS[key]]
-            listed = value if type(value) is list else []
-            if type(value) not in types or any(type(g) is not str for g in listed):
-                raise UsageError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-        if value is not None:
-            given[key] = _CONFIG_KEYS[key](value)
-    return given
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The settings among `keys` that a flag gives. A key no flag gives is
+    left out, so it keeps the default of the type or function the verb
+    passes the settings to."""
+    return {key: value for key in keys if (value := getattr(args, key)) is not None}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     keys = ("genres", "songs_per_genre", "clip_seconds", "sample_rate", "seed")
-    spec = SyntheticSpec(**_given(args, config, *keys))
+    spec = SyntheticSpec(**_given(args, *keys))
     out_dir = Path(args.out)
     manifest = generate_dataset(spec, out_dir)
     print(f"wrote {len(manifest)} WAV files across {len(spec.genres)} genres to {out_dir}")
@@ -161,12 +96,11 @@ def _extract_clip(cfg: MfccConfig, seed: int, item: tuple[int, Path, str, str]):
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     manifest_path = Path(args.manifest)
     manifest = DatasetManifest.load(manifest_path)
     base = manifest_path.parent
-    seed = _given(args, config, "seed").get("seed", 0)
-    front_end = _given(args, config, "window_seconds", "sample_rate")
+    seed = _given(args, "seed").get("seed", 0)
+    front_end = _given(args, "window_seconds", "sample_rate")
     if "sample_rate" in front_end:
         front_end["target_sample_rate"] = front_end.pop("sample_rate")
     cfg = MfccConfig(**front_end)
@@ -193,9 +127,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     keys = ("embed_lr", "mlp_lr", "epochs", "seed", "sage_sample_k", "self_loops", "test_fraction")
-    cfg = TrainConfig(variant=Variant(args.variant), **_given(args, config, *keys))
+    cfg = TrainConfig(variant=Variant(args.variant), **_given(args, *keys))
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
     train_idx, _ = split_train_test(labels, test_fraction=cfg.test_fraction, seed=cfg.seed)
@@ -224,19 +157,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
     table = read_feature_store(args.store)
     ids, labels, features = table.ids, table.genre_indices, table.values
 
     models = [read_model(weights_path) for weights_path in args.weights]
     paths = {model.variant.value: weights_path for model, weights_path in zip(models, args.weights)}
     trained = models[0].cfg.seed  # run_experiment holds every file to the first one's split
-    seed = _given(args, config, "seed").get("seed", trained)
+    seed = _given(args, "seed").get("seed", trained)
     if seed != trained:
         raise UsageError(f"{args.weights[0]}: trained with seed {trained}, not the given seed {seed}")
 
-    keys = ("queries_per_genre", "attachment", "knn_k", "recommend_k")
-    cfg = ExperimentConfig(**_given(args, config, *keys))
+    settings = _given(args, "queries_per_genre", "knn_k", "recommend_k")
+    if args.attachment is not None:
+        settings["attachment"] = AttachmentMode(args.attachment)
+    cfg = ExperimentConfig(**settings)
     try:
         reports = run_experiment(ids, labels, features, models, cfg)
     except ModelOverflowError as exc:
@@ -289,14 +223,13 @@ def _holds(path: Path, data: bytes | None) -> bool:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     global _served
-    config = _load_config(args.config)
     if (args.song_id is None) == (args.audio is None):
         raise UsageError("give exactly one of --song-id or --audio")
     true_label = None
     if args.song_id is not None and (args.attachment, args.genre) != (None, None):
         raise UsageError("--attachment and --genre apply only to an --audio query")
     if args.audio is not None:
-        attachment = _given(args, config, "attachment").get("attachment", AttachmentMode.FEATURE_KNN)
+        attachment = AttachmentMode(args.attachment or AttachmentMode.FEATURE_KNN)
         if attachment is AttachmentMode.ORACLE:
             if args.genre is None:
                 raise UsageError("oracle attachment for an audio file needs --genre")
@@ -345,7 +278,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 clip[1],
                 attachment,
                 true_label=true_label,
-                **_given(args, config, "knn_k"),
                 seed=derive_seed(cfg.seed, SeedStream.QUERY_AUDIO),
                 train_norms=table.norms,
             )
@@ -353,7 +285,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     except ModelOverflowError as exc:
         raise UsageError(f"{args.store} or {args.weights}: {exc}") from None
 
-    result = recommend(query_vec, catalog, **_given(args, config, "k"), query_id=query_id)
+    result = recommend(query_vec, catalog, **_given(args, "k"), query_id=query_id)
     kept = {**catalogs, model.variant: (weights, model, catalog)}
     _served = _Served(data, table, graph, kept, clip)
     print(f"{'rank':>4}  {'song_id':<40} {'genre':<14} distance")
@@ -365,7 +297,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, help="run seed (default 0)")
 
 
@@ -385,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--songs-per-genre", type=int)
     p.add_argument("--clip-seconds", type=float)
     p.add_argument("--sample-rate", type=int)
-    p.add_argument("--genres", help="comma-separated subset of the 8 genre names")
+    p.add_argument("--genres", type=_genre_list, help="comma-separated subset of the 8 genre names")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract one MFCC vector per manifest song")
@@ -410,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="Γ report comparing trained variants")
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--seed", type=int, help="the weights' training seed; a seed given must equal it")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--store", required=True, metavar="GRMF")
@@ -422,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recommend", help="top-10 most similar songs for a query")
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--store", required=True, metavar="GRMF")
     p.add_argument("--weights", required=True, metavar="GRMW")
     p.add_argument("--song-id", help="query by id of a song in the store")

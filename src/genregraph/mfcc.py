@@ -233,6 +233,7 @@ def wav_mfcc(data: bytes, cfg: MfccConfig, seed: int, index: int = 0) -> np.ndar
     SeedStream.WINDOW, index) at the config's rate, resampling only it, then
     mfcc. The one path for extract, audio queries and the in-memory corpus.
     """
+    build_constants(cfg)  # first, so the filter bank's transient does not land on top of the decoded clip
     window_seed = derive_seed(seed, SeedStream.WINDOW, index)
     window = random_window(decode_wav(data), cfg.window_seconds, window_seed, cfg.target_sample_rate)
     return mfcc(window, cfg)

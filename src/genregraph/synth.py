@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, AudioClip, SeedStream
-from .audio import derive_seed, encode_wav, map_clips
+from .audio import MAX_SAMPLE_RATE, MAX_WAV_SAMPLES, MIN_SAMPLE_RATE, AudioClip, SeedStream
+from .audio import derive_seed, map_clips, wav_buffer, write_wav
 from .dataset import DatasetManifest, ManifestEntry
 from .graph import GENRE_NAMES, GenreLabel
 from .mfcc import MfccConfig, build_constants, wav_mfcc
@@ -124,6 +124,11 @@ class SyntheticSpec:
             raise ValueError(
                 f"sample rate must lie in {MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz, got {self.sample_rate}"
             )
+        if round(self.clip_seconds * self.sample_rate) > MAX_WAV_SAMPLES:
+            raise ValueError(
+                f"clips must be at most {MAX_WAV_SAMPLES} samples to fit a 16-bit WAV, "
+                f"got {self.clip_seconds:g} s at {self.sample_rate} Hz"
+            )
         object.__setattr__(self, "genres", tuple(self.genres))
         unknown = [g for g in self.genres if g not in GENRE_NAMES]
         if unknown:
@@ -148,14 +153,19 @@ def _sines(freqs, amps, phases, sample_rate: int, out: np.ndarray) -> np.ndarray
     return np.einsum("kj,ki->ji", left, right, out=out)
 
 
-def generate_clip(
-    recipe: TimbreRecipe,
-    seconds: float,
-    sample_rate: int,
-    rng: np.random.Generator,
-) -> AudioClip:
-    """Synthesize one song: jittered partials, tremolo, noise, peak 0.9."""
-    n = int(round(seconds * sample_rate))
+def _grids(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and scratch grids of an n-sample clip, _BLOCK samples a row;
+    two arrays, not one block, so that a clip can keep only the signal's alive."""
+    return np.empty((-(-n // _BLOCK), _BLOCK)), np.empty((-(-n // _BLOCK), _BLOCK))
+
+
+def _render(
+    recipe: TimbreRecipe, n: int, sample_rate: int, rng: np.random.Generator, grid: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Synthesize one song of n samples into the grids: jittered partials,
+    tremolo, noise, peak 0.9. Returns the signal, the first n samples of
+    grid. Every sample is written before it is read, so grids that held an
+    earlier clip give the same bytes as new ones."""
     # wide per-song jitter confuses per-song raw MFCCs across genres while
     # leaving the per-genre mean envelope distinct (the jitters average out)
     detune = 2.0 ** (rng.uniform(-3.0, 3.0) / 12.0)
@@ -171,8 +181,6 @@ def generate_clip(
     tremolo = recipe.tremolo_hz > 0.0 and recipe.tremolo_depth > 0.0
     trem_phase = rng.uniform(0.0, 2.0 * np.pi) if tremolo else 0.0
     noise = recipe.noise_level * np.exp(rng.normal(0.0, 0.8))
-    # two arrays, not one block, so that the returned clip keeps only the signal's alive
-    grid, scratch = np.empty((-(-n // _BLOCK), _BLOCK)), np.empty((-(-n // _BLOCK), _BLOCK))
     signal, row = grid.reshape(-1)[:n], scratch.reshape(-1)[:n]
     _sines(freqs, amps, phases, sample_rate, out=grid)
     if tremolo:
@@ -180,24 +188,49 @@ def generate_clip(
         signal *= np.add(row, 1.0, out=row)
     signal += np.multiply(rng.standard_normal(out=row), noise, out=row)
     signal *= 0.9 / np.max(np.abs(signal, out=row))
-    return AudioClip(samples=signal, sample_rate=sample_rate)
+    return signal
+
+
+def generate_clip(
+    recipe: TimbreRecipe,
+    seconds: float,
+    sample_rate: int,
+    rng: np.random.Generator,
+) -> AudioClip:
+    """Synthesize one song: jittered partials, tremolo, noise, peak 0.9."""
+    n = int(round(seconds * sample_rate))
+    return AudioClip(samples=_render(recipe, n, sample_rate, rng, *_grids(n)), sample_rate=sample_rate)
 
 
 def song_seed(spec: SyntheticSpec, genre_index: int, song_index: int) -> int:
     return derive_seed(spec.seed, SeedStream.CLIP, genre_index, song_index)
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_buffers(n: int) -> tuple[np.ndarray, np.ndarray, bytearray]:
+    """Both grids and the WAV buffer of an n-sample clip, which a worker keeps
+    from clip to clip: glibc trims the heap top after each clip, so new ones
+    would fault some 520 pages back in per clip. map_clips' workers are
+    processes that each render one song at a time, so no two songs share them."""
+    return (*_grids(n), wav_buffer(n))
+
+
 def _render_song(spec: SyntheticSpec, finish: Callable, item: tuple[int, tuple[int, str, int]]):
     index, (gi, genre, si) = item
     rng = np.random.default_rng(song_seed(spec, gi, si))
-    clip = generate_clip(DEFAULT_RECIPES[genre], spec.clip_seconds, spec.sample_rate, rng)
-    return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", encode_wav(clip))
+    n = int(round(spec.clip_seconds * spec.sample_rate))
+    grid, scratch, wav = _kept_buffers(n)
+    signal = _render(DEFAULT_RECIPES[genre], n, spec.sample_rate, rng, grid, scratch)
+    write_wav(signal, spec.sample_rate, wav, scratch.reshape(-1))  # scratch is free once the clip is rendered
+    return finish(index, genre, f"{genre}/{genre}_{si:03d}.wav", wav)
 
 
-def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes], object]) -> list:
+def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytearray], object]) -> list:
     """finish(corpus index, genre, song id, WAV bytes) for every song, in
     corpus (genre-major) order, on map_clips' worker processes, so finish
-    must pickle: a functools.partial of a module-level function.
+    must pickle: a functools.partial of a module-level function. The WAV
+    bytes are the worker's kept buffer, which the next song overwrites, so
+    finish writes or reads them and keeps no reference.
 
     Each song's clip comes from its own seeded rng, so the bytes do not
     depend on the workers. Processes, though the draws and einsum release
@@ -207,7 +240,7 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytes],
     return map_clips(functools.partial(_render_song, spec, finish), list(enumerate(songs)))
 
 
-def _write_song(out_dir: Path, index: int, genre: str, rel: str, wav: bytes) -> ManifestEntry:
+def _write_song(out_dir: Path, index: int, genre: str, rel: str, wav: bytearray) -> ManifestEntry:
     (out_dir / rel).write_bytes(wav)
     return ManifestEntry(path=rel, genre=genre)
 
@@ -224,7 +257,7 @@ def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifes
     return manifest
 
 
-def _song_features(cfg: MfccConfig, seed: int, index: int, genre: str, song_id: str, wav: bytes) -> FeatureRecord:
+def _song_features(cfg: MfccConfig, seed: int, index: int, genre: str, song_id: str, wav: bytearray) -> FeatureRecord:
     return FeatureRecord(song_id, GenreLabel.from_name(genre).index, wav_mfcc(wav, cfg, seed, index))
 
 

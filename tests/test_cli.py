@@ -734,14 +734,6 @@ class TestRecommend:
         rc, out, err = self.run_recommend(tiny_workspace, capsys, *extra)
         assert (rc, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
-    def test_config_keys_the_query_does_not_use_stay_ignored(self, tiny_workspace, tmp_path, capsys):
-        # one config file serves every verb
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"attachment": "oracle", "knn_k": 3}))
-        query = ["--song-id", "Rock/Rock_000.wav"]
-        rc, out, _ = self.run_recommend(tiny_workspace, capsys, *query, "--config", str(config))
-        assert (rc, out) == (EXIT_OK, self.run_recommend(tiny_workspace, capsys, *query)[1])
-
     def test_query_flags_checked_before_the_store_is_read(self, tmp_path, capsys):
         missing = ["--store", str(tmp_path / "no.grmf"), "--weights", str(tmp_path / "no.grmw")]
         for extra in (["--song-id", "a", "--audio", "b.wav"], []):
@@ -1261,147 +1253,23 @@ class TestRemovedFlags:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_workers_config_key_is_unknown(self, tiny_workspace, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"workers": 2}))
-        rc = main(["extract", "--manifest", str(tiny_workspace / "manifest.csv"),
-                   "--config", str(cfg_path), "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc == EXIT_USAGE and err.count("\n") == 1 and "unknown config keys ['workers']" in err
-        assert not (tmp_path / "features.grmf").exists()
-
-    def test_training_keys_of_a_shared_config_leave_evaluate_unchanged(self, tiny_workspace, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 1, "embed_lr": 7.0, "mlp_lr": 9.0,
-                                        "sage_sample_k": 1, "self_loops": True, "test_fraction": 0.5}))
-        weights = [str(tiny_workspace / f"{v}.grmw") for v in ("plain", "sage", "gcn")]
-        for out, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--config", str(cfg_path)])):
-            rc = main(["evaluate", "--store", str(tiny_workspace / "features.grmf"),
-                       "--weights", *weights, "--out", str(out), *extra])
-            assert rc == EXIT_OK
-        for name in ("report.json", "report.txt"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_training_keys_of_a_shared_config_leave_recommend_unchanged(
-        self, tiny_workspace, tmp_path, capsys
-    ):
-        # the seed too: recommend seeds the audio window and SAGE sample from the weights
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"seed": 1, "epochs": 1, "sage_sample_k": 1, "self_loops": True}))
-        wav = tiny_workspace / "Rock" / "Rock_000.wav"
-        argv = ["recommend", "--store", str(tiny_workspace / "features.grmf"),
-                "--weights", str(tiny_workspace / "sage.grmw"), "--audio", str(wav)]
-        printed = []
-        for extra in ([], ["--config", str(cfg_path)]):
-            capsys.readouterr()
-            assert main([*argv, *extra]) == EXIT_OK
-            printed.append(capsys.readouterr())
-        assert printed[0] == printed[1] and printed[0].err == ""
-
-
-class TestConfigFile:
-    def test_config_values_apply_and_flags_override(self, tiny_workspace, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 5, "seed": 0}))
-        out_a = tmp_path / "a"
-        rc = main(
-            [
-                "train",
-                "--store", str(tiny_workspace / "features.grmf"),
-                "--variant", "plain",
-                "--config", str(cfg_path),
-                "--out", str(out_a),
-            ]
-        )
-        assert rc == EXIT_OK
-        lines = (out_a / "plain_classifier_loss.csv").read_text().splitlines()
-        assert len(lines) == 1 + 5
-
-        out_b = tmp_path / "b"
-        rc = main(
-            [
-                "train",
-                "--store", str(tiny_workspace / "features.grmf"),
-                "--variant", "plain",
-                "--config", str(cfg_path),
-                "--epochs", "3",
-                "--out", str(out_b),
-            ]
-        )
-        assert rc == EXIT_OK
-        lines = (out_b / "plain_classifier_loss.csv").read_text().splitlines()
-        assert len(lines) == 1 + 3
-
-    def test_unknown_config_key_rejected(self, tiny_workspace, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"learning_rate": 0.1}))
-        rc = main(
-            [
-                "train",
-                "--store", str(tiny_workspace / "features.grmf"),
-                "--variant", "plain",
-                "--config", str(cfg_path),
-            ]
-        )
-        assert rc == EXIT_USAGE
-        assert "learning_rate" in capsys.readouterr().err
-
-    def test_malformed_json_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{not json")
-        rc = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg_path)])
-        assert rc == EXIT_USAGE
-        assert "JSON" in capsys.readouterr().err
-
-    def test_missing_config_file_rejected(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path), "--config", str(tmp_path / "nope.json")])
-        assert rc == EXIT_USAGE
-        assert "not found" in capsys.readouterr().err
-
-
-class TestConfigValueTypes:
-    """A config value must have its setting's JSON type; anything else exits
-    2 naming the key, before any work is done."""
-
-    def run_train(self, tiny_workspace, tmp_path, capsys, doc, variant="gcn"):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        rc = main(
-            ["train", "--store", str(tiny_workspace / "features.grmf"), "--variant", variant,
-             "--config", str(cfg_path), "--out", str(tmp_path / "out")]
-        )
-        return rc, capsys.readouterr().err
-
-    def test_bool_setting_needs_a_json_boolean(self, tiny_workspace, tmp_path, capsys):
-        for bad in ("false", 0, None):
-            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"self_loops": bad})
-            assert rc == EXIT_USAGE and "'self_loops'" in err and err.count("\n") == 1
-        rc, _ = self.run_train(tiny_workspace, tmp_path, capsys, {"self_loops": True, "epochs": 2})
-        assert rc == EXIT_OK
-
-    def test_int_setting_needs_a_json_integer(self, tiny_workspace, tmp_path, capsys):
-        for bad in (True, 2.0, "2"):
-            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"epochs": bad})
-            assert rc == EXIT_USAGE and "'epochs'" in err and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    def test_float_setting_needs_a_json_number(self, tiny_workspace, tmp_path, capsys):
-        for bad in (True, "0.01", [0.01]):
-            rc, err = self.run_train(tiny_workspace, tmp_path, capsys, {"embed_lr": bad})
-            assert rc == EXIT_USAGE and "'embed_lr'" in err and err.count("\n") == 1
-        # an integer is a number
-        rc, _ = self.run_train(tiny_workspace, tmp_path, capsys, {"mlp_lr": 1, "epochs": 2}, "plain")
-        assert rc == EXIT_OK
-
-    def test_genres_need_a_string_or_a_list_of_strings(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        for bad in (5, ["Rock", 3], {"Rock": 1}):
-            cfg_path.write_text(json.dumps({"genres": bad}))
-            rc = main(["synth", "--out", str(tmp_path / "x"), "--config", str(cfg_path)])
-            err = capsys.readouterr().err
-            assert rc == EXIT_USAGE and "'genres'" in err and err.count("\n") == 1
-        assert not (tmp_path / "x").exists()
-
+    @pytest.mark.parametrize("verb", ["synth", "extract", "train", "evaluate", "recommend"])
+    def test_config_file_is_refused(self, tmp_path, capsys, verb):
+        # each setting has one route, its flag
+        config = tmp_path / "settings.json"
+        config.write_text('{"seed": 1}')
+        out, store, weights = str(tmp_path / "out"), str(tmp_path / "s.grmf"), str(tmp_path / "w.grmw")
+        args = {
+            "synth": ["--out", out],
+            "extract": ["--manifest", str(tmp_path / "m.csv"), "--out", out],
+            "train": ["--store", store, "--variant", "gcn", "--out", out],
+            "evaluate": ["--store", store, "--weights", weights, "--out", out],
+            "recommend": ["--store", store, "--weights", weights, "--song-id", "a"],
+        }[verb]
+        assert main([verb, *args, "--config", str(config)]) == EXIT_USAGE
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.endswith(f"error: unrecognized arguments: --config {config}\n")
+        assert list(tmp_path.iterdir()) == [config]
 
 class TestSettingRanges:
     """Settings the program cannot run exit 2 with one line before any work:
@@ -1418,7 +1286,8 @@ class TestSettingRanges:
     @pytest.mark.parametrize(
         "flag, value, words",
         [("--clip-seconds", "inf", "finite"), ("--sample-rate", "500000", "8000..384000 Hz"),
-         ("--sample-rate", "4000", "8000..384000 Hz"), ("--genres", "Rock,Rock", "Rock")],
+         ("--sample-rate", "4000", "8000..384000 Hz"), ("--genres", "Rock,Rock", "Rock"),
+         ("--clip-seconds", "1e9", "at most 2147483629 samples to fit a 16-bit WAV")],
     )
     def test_synth(self, tmp_path, capsys, flag, value, words):
         argv = ["synth", "--out", str(tmp_path / "x"), "--songs-per-genre", "2", flag, value]
@@ -1475,8 +1344,7 @@ class TestSettingRanges:
 class TestPathOfTheWrongKind:
     @pytest.mark.parametrize(
         "case",
-        ["recommend --store", "recommend --audio", "extract --manifest", "train --config",
-         "train --out"],
+        ["recommend --store", "recommend --audio", "extract --manifest", "train --out"],
     )
     def test_is_one_line_usage_error(self, tiny_workspace, tmp_path, capsys, case):
         # a directory where a file belongs, or a file where a directory belongs
@@ -1490,7 +1358,6 @@ class TestPathOfTheWrongKind:
             "recommend --store": [*recommend, "--store", str(a_dir), "--song-id", "Rock/Rock_000.wav"],
             "recommend --audio": [*recommend, "--store", store, "--audio", str(a_dir)],
             "extract --manifest": ["extract", "--manifest", str(a_dir)],
-            "train --config": [*train, "--config", str(a_dir)],
             "train --out": [*train, "--out", str(a_file)],
         }[case]
         rc = main(argv)
@@ -1570,18 +1437,13 @@ class TestWeightsCarryTheirSettings:
         out, err = capsys.readouterr()
         assert err == "" and "GCN" in out and (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("given", ["flag"])
     def test_a_seed_other_than_the_weights_is_one_line_naming_the_file(
         self, tiny_workspace, tmp_path, capsys, given
     ):
         weights = tiny_workspace / "plain.grmw"
         args = ["evaluate", "--store", str(tiny_workspace / "features.grmf"),
-                "--weights", str(weights), "--out", str(tmp_path)]
-        if given == "flag":
-            args += ["--seed", "1"]
-        else:
-            (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1}))
-            args += ["--config", str(tmp_path / "cfg.json")]
+                "--weights", str(weights), "--out", str(tmp_path), "--seed", "1"]
         capsys.readouterr()
         assert main(args) == EXIT_USAGE
         out, err = capsys.readouterr()
@@ -1609,7 +1471,7 @@ class TestWeightsCarryTheirSettings:
 
 
 class TestUnsetSettingsKeepTheLibraryDefaults:
-    """A setting that no flag and no config key gives keeps the default of
+    """A setting that no flag gives keeps the default of
     the library type the verb passes its settings to."""
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -1647,12 +1509,8 @@ class TestOptionCount:
             verb: sum(1 for a in parser._actions if a.option_strings and a.dest != "help")
             for verb, parser in verbs.items()
         }
-        assert counts == {"synth": 7, "extract": 6, "train": 11, "evaluate": 9, "recommend": 8}
-        assert sum(counts.values()) == 41  # --no-self-loops is the other half of --self-loops
-        assert len(cli._CONFIG_KEYS) == 17
-        # each config key names a flag of some verb
-        dests = {a.dest for parser in verbs.values() for a in parser._actions}
-        assert set(cli._CONFIG_KEYS) <= dests
+        assert counts == {"synth": 6, "extract": 5, "train": 10, "evaluate": 8, "recommend": 7}
+        assert sum(counts.values()) == 36  # --no-self-loops is the other half of --self-loops
 
     def test_fields_of_the_config_types_the_verbs_fill(self):
         # every other MFCC setting is a constant: the store records the whole front end

@@ -334,6 +334,28 @@ class TestMfcc:
                 assert start == support[0]
                 assert np.array_equal(weights[support], fb[m, support])
 
+    def test_wav_mfcc_builds_the_constants_before_it_decodes(self, fresh_python):
+        # the mel filter bank's transient of about 2 MiB would otherwise land
+        # on top of the decoded clip, at recommend --audio's peak
+        script = """
+import numpy as np
+from genregraph import mfcc
+from genregraph.audio import AudioClip, encode_wav
+
+seen, decode_wav = [], mfcc.decode_wav
+def spy(data):
+    seen.append(mfcc._build_filter_layers.cache_info().currsize)
+    return decode_wav(data)
+
+mfcc.decode_wav = spy
+wav = encode_wav(AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 6 * 22050), 22050))
+mfcc.wav_mfcc(wav, mfcc.MfccConfig(), 0)
+print(seen)
+"""
+        done = fresh_python(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[1]\n"
+
 
 class TestDenseOracle:
     """mfcc sums each filter over its own bins and applies one DCT to the

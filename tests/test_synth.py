@@ -242,6 +242,28 @@ class TestWorkerPoolMatchesSequentialOracle:
             assert np.array_equal(record.values, wav_mfcc(wav, cfg, 4, index))
 
 
+class TestWorkersKeepTheirBuffers:
+    def test_later_songs_fault_in_almost_no_pages(self, fresh_python):
+        # glibc trims the heap top after each clip, so buffers made per clip
+        # would fault some 520 pages back in every time
+        done = fresh_python(
+            "import resource\n"
+            "from genregraph import synth\n"
+            "spec = synth.SyntheticSpec(songs_per_genre=3, seed=0)\n"
+            "songs = [(gi, g, si) for gi, g in enumerate(spec.genres) for si in range(3)]\n"
+            "finish = lambda index, genre, rel, wav: len(wav)\n"
+            "faults = []\n"
+            "for index, song in enumerate(songs):\n"
+            "    if index == 8:\n"
+            "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "    synth._render_song(spec, finish, (index, song))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults[0])",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 512
+
+
 class TestSynthesizeFeatures:
     def test_matches_the_file_pipeline_byte_for_byte(self, tmp_path):
         spec = SyntheticSpec(songs_per_genre=2, seed=5)
