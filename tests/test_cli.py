@@ -1344,7 +1344,8 @@ class TestSettingRanges:
 class TestPathOfTheWrongKind:
     @pytest.mark.parametrize(
         "case",
-        ["recommend --store", "recommend --audio", "extract --manifest", "train --out"],
+        ["recommend --store", "recommend --audio", "extract --manifest", "extract --out", "train --store",
+         "train --out", "evaluate --weights", "evaluate --out", "synth --out"],
     )
     def test_is_one_line_usage_error(self, tiny_workspace, tmp_path, capsys, case):
         # a directory where a file belongs, or a file where a directory belongs
@@ -1358,12 +1359,63 @@ class TestPathOfTheWrongKind:
             "recommend --store": [*recommend, "--store", str(a_dir), "--song-id", "Rock/Rock_000.wav"],
             "recommend --audio": [*recommend, "--store", store, "--audio", str(a_dir)],
             "extract --manifest": ["extract", "--manifest", str(a_dir)],
+            "extract --out": ["extract", "--manifest", str(tiny_workspace / "manifest.csv"), "--out", str(a_file)],
+            "train --store": ["train", "--store", str(a_dir), "--variant", "gcn", "--out", str(a_dir)],
             "train --out": [*train, "--out", str(a_file)],
+            "evaluate --weights": ["evaluate", "--store", store, "--weights", str(a_dir), "--out", str(a_dir)],
+            "evaluate --out": ["evaluate", "--store", store, "--weights", str(tiny_workspace / "gcn.grmw"),
+                               "--out", str(a_file)],
+            "synth --out": ["synth", "--out", str(a_file), "--songs-per-genre", "2"],
         }[case]
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE, err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert a_file.read_text() == "" and list(a_dir.iterdir()) == []
+
+
+class TestFlagValueTypes:
+    """Each flag's parser casts its value to the setting's type; a value of
+    another type exits 2 naming the flag, before any work is done."""
+
+    @pytest.mark.parametrize(
+        "verb, flag, value",
+        [("synth", "--songs-per-genre", "2.5"), ("train", "--epochs", "2.0"),
+         ("train", "--embed-lr", "fast"), ("evaluate", "--attachment", "nearest"),
+         ("recommend", "--k", "ten")],
+    )
+    def test_a_value_of_another_type_is_refused(self, tmp_path, capsys, verb, flag, value):
+        out, store, weights = str(tmp_path / "out"), str(tmp_path / "s.grmf"), str(tmp_path / "w.grmw")
+        args = {
+            "synth": ["--out", out],
+            "train": ["--store", store, "--variant", "gcn", "--out", out],
+            "evaluate": ["--store", store, "--weights", weights, "--out", out],
+            "recommend": ["--store", store, "--weights", weights, "--song-id", "a"],
+        }[verb]
+        assert main([verb, *args, flag, value]) == EXIT_USAGE
+        printed = capsys.readouterr()
+        assert printed.out == "" and f"error: argument {flag}: invalid" in printed.err
+        assert repr(value) in printed.err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_genres_are_split_at_commas(self, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda spec, out_dir: specs.append(spec) or [])
+        assert main(["synth", "--out", str(tmp_path), "--genres", " Rock, Folk ,"]) == EXIT_OK
+        assert [spec.genres for spec in specs] == [("Rock", "Folk")]
+
+    def test_evaluate_reads_the_attachment_as_its_mode(self, tiny_workspace, tmp_path, monkeypatch):
+        run_experiment, modes = cli.run_experiment, []
+
+        def spy(*args, **kwargs):
+            modes.append(args[4].attachment)  # the ExperimentConfig
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        argv = ["evaluate", "--store", str(tiny_workspace / "features.grmf"),
+                "--weights", str(tiny_workspace / "gcn.grmw"), "--out", str(tmp_path)]
+        assert main([*argv, "--attachment", "oracle"]) == EXIT_OK
+        assert len(modes) == 1 and modes[0] is AttachmentMode.ORACLE
 
 
 class TestRepeatedSongId:
