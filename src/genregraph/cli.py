@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .audio import ClipTooShortError, SeedStream, WavDecodeError, derive_seed, map_clips
-from .dataset import DatasetManifest, ManifestError
+from .dataset import ManifestError, read_manifest
 from .graph import GENRE_NAMES, AttachmentMode, GenreGraph, GenreLabel, IsolatedNodeError, build_graph
 from .mfcc import N_MFCC, MfccConfig, build_constants, wav_mfcc
 from .nn import EmbeddingModel, Variant
@@ -77,8 +77,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     keys = ("genres", "songs_per_genre", "clip_seconds", "sample_rate", "seed")
     spec = SyntheticSpec(**_given(args, *keys))
     out_dir = Path(args.out)
-    manifest = generate_dataset(spec, out_dir)
-    print(f"wrote {len(manifest)} WAV files across {len(spec.genres)} genres to {out_dir}")
+    rows = generate_dataset(spec, out_dir)
+    print(f"wrote {len(rows)} WAV files across {len(spec.genres)} genres to {out_dir}")
     print(f"manifest: {out_dir / 'manifest.csv'}")
     return EXIT_OK
 
@@ -97,7 +97,7 @@ def _extract_clip(cfg: MfccConfig, seed: int, item: tuple[int, Path, str, str]):
 
 def cmd_extract(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
-    manifest = DatasetManifest.load(manifest_path)
+    rows = read_manifest(manifest_path)
     base = manifest_path.parent
     seed = _given(args, "seed").get("seed", 0)
     front_end = _given(args, "window_seconds", "sample_rate")
@@ -108,14 +108,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # the mel step's segment sums hold the GIL, so the clips go to worker
     # processes, which share the MFCC constants built before they fork
     build_constants(cfg)
-    items = [(i, manifest.resolve(e, base), e.path, e.genre) for i, e in enumerate(manifest.entries)]
+    # an absolute path in the manifest stays absolute under the join
+    items = [(i, base / song, song, genre) for i, (song, genre) in enumerate(rows)]
     results = map_clips(functools.partial(_extract_clip, cfg, seed), items)
 
     failures = [msg for _, rec, msg in results if rec is None]
     for msg in failures:
         print(f"error: {msg}", file=sys.stderr)
     if failures:
-        raise UsageError(f"{len(failures)} of {len(manifest)} files failed extraction")
+        raise UsageError(f"{len(failures)} of {len(rows)} files failed extraction")
 
     records = [rec for _, rec, _ in results]
     out_dir = Path(args.out) if args.out else base

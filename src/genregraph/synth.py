@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import MAX_SAMPLE_RATE, MAX_WAV_SAMPLES, MIN_SAMPLE_RATE, AudioClip, SeedStream
 from .audio import derive_seed, map_clips, wav_buffer, write_wav
-from .dataset import DatasetManifest, ManifestEntry
+from .dataset import write_manifest
 from .graph import GENRE_NAMES, GenreLabel
 from .mfcc import MfccConfig, build_constants, wav_mfcc
 from .stores import FeatureRecord
@@ -240,21 +240,21 @@ def _for_each_song(spec: SyntheticSpec, finish: Callable[[int, str, str, bytearr
     return map_clips(functools.partial(_render_song, spec, finish), list(enumerate(songs)))
 
 
-def _write_song(out_dir: Path, index: int, genre: str, rel: str, wav: bytearray) -> ManifestEntry:
+def _write_song(out_dir: Path, index: int, genre: str, rel: str, wav: bytearray) -> tuple[str, str]:
     (out_dir / rel).write_bytes(wav)
-    return ManifestEntry(path=rel, genre=genre)
+    return rel, genre
 
 
-def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
-    """Write one WAV per song plus manifest.csv of (path, genre) rows;
-    byte-identical per seed. Paths are relative to out_dir."""
+def generate_dataset(spec: SyntheticSpec, out_dir: str | Path) -> list[tuple[str, str]]:
+    """Write one WAV per song plus manifest.csv of (path, genre) rows, and
+    return the rows; byte-identical per seed. Paths are relative to out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for genre in spec.genres:
         (out_dir / genre).mkdir(exist_ok=True)
-    manifest = DatasetManifest(entries=tuple(_for_each_song(spec, functools.partial(_write_song, out_dir))))
-    manifest.save(out_dir / "manifest.csv")
-    return manifest
+    rows = _for_each_song(spec, functools.partial(_write_song, out_dir))
+    write_manifest(out_dir / "manifest.csv", rows)
+    return rows
 
 
 def _song_features(cfg: MfccConfig, seed: int, index: int, genre: str, song_id: str, wav: bytearray) -> FeatureRecord:

@@ -125,25 +125,36 @@ def _fit(
     the layers in place. Records each epoch's loss before the step and
     after it, on the same block.
 
+    When the next epoch's block is the same array, its pre-step loss and
+    gradients are this epoch's post-step loss: one forward serves both, so
+    a plain forward runs only before a new block and after the last epoch.
+
     Output layers start at zero, so the first loss is ln 8 unless the
     stage's `inputs` overflowed a hidden layer: if it is not finite while
     they are, ModelOverflowError. Any other non-finite loss is
-    TrainingDivergedError. Callers run it under np.errstate, so neither
-    prints a numpy warning.
+    TrainingDivergedError, named for the epoch whose step or block made it.
+    Callers run it under np.errstate, so neither prints a numpy warning.
     """
     params = [arr for layer in layers for arr in layer.arrays()]
     state = AdamState.for_params(params, lr=lr)
     train_losses, eval_losses = [], []
-    for epoch, block in enumerate(batches):
-        loss, grads = mlp_loss_and_grads(block, targets, layers)
-        if epoch == 0 and not np.isfinite(loss) and np.isfinite(inputs).all():
-            raise ModelOverflowError(variant)
+    grads = None  # the block's pre-step gradients, if the last epoch's post-step forward made them
+    for epoch, (block, upcoming) in enumerate(itertools.pairwise(itertools.chain(batches, [None]))):
+        if grads is None:
+            loss, grads = mlp_loss_and_grads(block, targets, layers)
+            if epoch == 0 and not np.isfinite(loss) and np.isfinite(inputs).all():
+                raise ModelOverflowError(variant)
         adam_step(params, grads, state)
-        eval_loss, _ = softmax_cross_entropy(mlp_forward(block, layers), targets)
+        if upcoming is block:
+            eval_loss, grads = mlp_loss_and_grads(block, targets, layers)
+        else:
+            eval_loss, _ = softmax_cross_entropy(mlp_forward(block, layers), targets)
+            grads = None
         if not np.isfinite([loss, eval_loss]).all():
             raise TrainingDivergedError(epoch)
         train_losses.append(loss)
         eval_losses.append(eval_loss)
+        loss = eval_loss
     return LossCurve(train_losses=train_losses, eval_losses=eval_losses)
 
 

@@ -16,9 +16,23 @@ from genregraph.audio import AudioClip, _lowpass
 from genregraph.cli import main
 from genregraph.graph import build_graph
 from genregraph.mfcc import HOP_LENGTH, LOG_FLOOR, N_FFT, N_MELS, _filter_layers, _fixed_arrays
-from genregraph.nn import TrainConfig, Variant, softmax_cross_entropy
+from genregraph.nn import (
+    AdamState,
+    TrainConfig,
+    Variant,
+    adam_step,
+    mlp_forward,
+    mlp_loss_and_grads,
+    softmax_cross_entropy,
+)
 from genregraph.synth import SyntheticSpec, synthesize_features
-from genregraph.train import split_train_test, train_pipeline
+from genregraph.train import (
+    LossCurve,
+    ModelOverflowError,
+    TrainingDivergedError,
+    split_train_test,
+    train_pipeline,
+)
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run
 # and no per-example deadline, which a loaded runner would trip.
@@ -130,6 +144,28 @@ def reference_mlp_loss_and_grads(inputs, targets, mlp):
         if i > 0:
             delta = (delta @ mlp[i].weight.T) * (pre_acts[i - 1] > 0)
     return loss, grads
+
+
+def reference_fit(layers, batches, targets, lr, variant, inputs):
+    """Reference training loop: every epoch takes its pre-step loss and
+    gradients, steps, then runs a forward of its own for the post-step
+    loss. The program, which takes a repeated block's post-step loss from
+    the next epoch's pass, must match its losses and parameters bit for bit
+    and raise the same error at the same epoch."""
+    params = [arr for layer in layers for arr in layer.arrays()]
+    state = AdamState.for_params(params, lr=lr)
+    train_losses, eval_losses = [], []
+    for epoch, block in enumerate(batches):
+        loss, grads = mlp_loss_and_grads(block, targets, layers)
+        if epoch == 0 and not np.isfinite(loss) and np.isfinite(inputs).all():
+            raise ModelOverflowError(variant)
+        adam_step(params, grads, state)
+        eval_loss, _ = softmax_cross_entropy(mlp_forward(block, layers), targets)
+        if not np.isfinite([loss, eval_loss]).all():
+            raise TrainingDivergedError(epoch)
+        train_losses.append(loss)
+        eval_losses.append(eval_loss)
+    return LossCurve(train_losses=train_losses, eval_losses=eval_losses)
 
 
 def reference_nearest(query, vectors, ids, k, exclude=-1):

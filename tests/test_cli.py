@@ -350,6 +350,29 @@ class TestExtract:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert main(["extract", "--manifest", str(tmp_path / "nope.csv")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("path,split\na.wav,train\n", "{csv}: manifest needs 'path' and 'genre' columns, found ['path', 'split']"),
+            ("path,genre\na.wav,Folk\n,Rock\n", "manifest entry has an empty path"),
+            ("path,genre\na.wav,Polka\n", f"unknown genre 'Polka' (expected one of {GENRE_NAMES})"),
+            ("path,genre\n", "manifest has no entries"),
+            ("path,genre\na.wav,Folk\nb.wav,Rock\na.wav,Rock\n", "duplicate path 'a.wav'"),
+            # every row is checked before the paths are compared
+            ("path,genre\na.wav,Folk\na.wav,Folk\nb.wav,Polka\n", f"unknown genre 'Polka' (expected one of {GENRE_NAMES})"),
+        ],
+        ids=["no-genre-column", "empty-path", "unknown-genre", "no-rows", "duplicate-path", "row-before-duplicate"],
+    )
+    def test_a_bad_manifest_is_one_line_naming_the_fault(self, tmp_path, capsys, text, message):
+        # extract refuses the manifest before it opens a single file
+        csv_path = tmp_path / "manifest.csv"
+        csv_path.write_text(text)
+        assert main(["extract", "--manifest", str(csv_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(csv=csv_path)}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
+
 
 class TestTrain:
     def test_artifacts_per_variant(self, tiny_workspace):
@@ -365,6 +388,18 @@ class TestTrain:
         lines = (tiny_workspace / "gcn_embedding_loss.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,eval_loss"
         assert len(lines) == 1 + 12
+
+    @pytest.mark.parametrize(
+        "name", ["gcn_embedding_loss", "plain_classifier_loss", "sage_classifier_loss", "gcn_classifier_loss"]
+    )
+    def test_a_repeated_blocks_eval_loss_is_the_next_train_loss(self, desk_cli_workspace, name):
+        # each epoch's post-step loss and the next epoch's pre-step loss are
+        # the same forward on the same block; SAGE's embedding stage draws a
+        # new block every epoch, so its file is not among these
+        text = (desk_cli_workspace["root"] / f"{name}.csv").read_text().splitlines()
+        rows = [line.split(",") for line in text[1:]]
+        assert len(rows) == 50
+        assert [row[2] for row in rows[:-1]] == [row[1] for row in rows[1:]]
 
     def test_weights_load_as_the_right_variant(self, tiny_workspace):
         for name, variant in [("plain", Variant.PLAIN), ("sage", Variant.SAGE), ("gcn", Variant.GCN)]:

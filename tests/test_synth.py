@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from genregraph.audio import SeedStream, decode_wav, encode_wav, random_window, resample
-from genregraph.dataset import DatasetManifest
+from genregraph.dataset import read_manifest
 from genregraph.graph import GENRE_NAMES, GenreLabel
 from genregraph.mfcc import MfccConfig, mfcc, wav_mfcc
 from genregraph.synth import (
@@ -134,26 +134,25 @@ class TestGenerateClip:
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     spec = SyntheticSpec(songs_per_genre=3, seed=1)
-    manifest = generate_dataset(spec, out)
-    return spec, out, manifest
+    rows = generate_dataset(spec, out)
+    return spec, out, rows
 
 
 class TestGenerateDataset:
     def test_writes_every_file_and_manifest_row(self, tiny_dataset):
-        spec, out, manifest = tiny_dataset
-        assert len(manifest) == 24
+        spec, out, rows = tiny_dataset
+        assert len(rows) == 24
         assert (out / "manifest.csv").exists()
-        for entry in manifest.entries:
-            wav = manifest.resolve(entry, out)
+        for song, _ in rows:
+            wav = out / song
             assert wav.exists()
             clip = decode_wav(wav.read_bytes())
             assert clip.sample_rate == spec.sample_rate
             assert clip.duration >= 5.0
 
     def test_loaded_manifest_round_trips(self, tiny_dataset):
-        _, out, manifest = tiny_dataset
-        loaded = DatasetManifest.load(out / "manifest.csv")
-        assert loaded == manifest
+        _, out, rows = tiny_dataset
+        assert read_manifest(out / "manifest.csv") == rows
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         spec = SyntheticSpec(songs_per_genre=2, seed=7)
@@ -180,8 +179,7 @@ def sequential_corpus(spec):
 
 def assert_is_the_sequential_corpus(spec, out):
     oracle = sequential_corpus(spec)
-    manifest = DatasetManifest.load(out / "manifest.csv")
-    assert [(e.path, e.genre) for e in manifest.entries] == [(i, g) for i, g, _ in oracle]
+    assert read_manifest(out / "manifest.csv") == [(i, g) for i, g, _ in oracle]
     assert len([p for p in out.rglob("*") if p.is_file()]) == 1 + len(oracle)
     for song_id, _, wav in oracle:
         assert (out / song_id).read_bytes() == wav, song_id
@@ -268,12 +266,12 @@ class TestSynthesizeFeatures:
     def test_matches_the_file_pipeline_byte_for_byte(self, tmp_path):
         spec = SyntheticSpec(songs_per_genre=2, seed=5)
         out = tmp_path / "corpus"
-        manifest = generate_dataset(spec, out)
+        rows = generate_dataset(spec, out)
         cfg = MfccConfig()
 
         from_disk = []
-        for index, entry in enumerate(manifest.entries):
-            clip = decode_wav(manifest.resolve(entry, out).read_bytes())
+        for index, (song, _) in enumerate(rows):
+            clip = decode_wav((out / song).read_bytes())
             clip = resample(clip, cfg.target_sample_rate)
             window = random_window(
                 clip, cfg.window_seconds, seed=derive_seed(spec.seed, SeedStream.WINDOW, index)
@@ -282,9 +280,9 @@ class TestSynthesizeFeatures:
 
         in_memory = synthesize_features(spec)
         assert len(in_memory) == len(from_disk)
-        for rec, disk_vec, entry in zip(in_memory, from_disk, manifest.entries):
-            assert rec.song_id == entry.path
-            assert rec.genre_name == entry.genre
+        for rec, disk_vec, (song, genre) in zip(in_memory, from_disk, rows):
+            assert rec.song_id == song
+            assert rec.genre_name == genre
             assert np.array_equal(rec.values, disk_vec)
 
     def test_desk_records_shape(self, desk_records):

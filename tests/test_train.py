@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genregraph import train
 from genregraph.graph import AttachmentMode, GenreLabel, build_graph
 from genregraph.nn import (
     EMBED_DIM,
     INPUT_DIM,
     N_GENRES,
+    LayerParams,
     Variant,
     build_model,
     embedding_forward,
@@ -20,8 +22,10 @@ from genregraph.nn import (
 )
 from genregraph.train import (
     LossCurve,
+    ModelOverflowError,
     TrainConfig,
     TrainingDivergedError,
+    _fit,
     compute_embeddings,
     derive_seed,
     infer_embedding,
@@ -31,7 +35,7 @@ from genregraph.train import (
     train_pipeline,
 )
 
-from conftest import draw_neighbors, reference_split_train_test
+from conftest import draw_neighbors, reference_fit, reference_split_train_test
 
 LN8 = float(np.log(8.0))
 
@@ -359,6 +363,82 @@ class TestTrainPipeline:
         for la, lb in zip(model_a.mlp, model_b.mlp):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
+
+
+def fit_outcome(fit, layers, blocks, targets, lr):
+    """What a training loop makes of copies of `layers` over `blocks`: its
+    losses and final parameters as bytes, or the type and epoch of the
+    error it raises. The first block is the stage's inputs."""
+    layers = [LayerParams(layer.weight.copy(), layer.bias.copy()) for layer in layers]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            curve = fit(layers, iter(blocks), targets, lr, Variant.PLAIN, blocks[0])
+        except (TrainingDivergedError, ModelOverflowError) as exc:
+            return type(exc), getattr(exc, "epoch", None)
+    return (
+        curve.train_losses.tobytes(),
+        curve.eval_losses.tobytes(),
+        [arr.tobytes() for layer in layers for arr in layer.arrays()],
+    )
+
+
+def random_stack(rng, widths):
+    return [LayerParams(rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in zip(widths, widths[1:])]
+
+
+def block_schedule(rng, kinds, rows, width, scale):
+    """One block per epoch: "repeated" is one array every time, "copy" a
+    new array of its values, "fresh" a new array of new values."""
+    repeated = scale * rng.normal(size=(rows, width))
+    return [
+        repeated if kind == "repeated" else repeated.copy() if kind == "copy" else scale * rng.normal(size=(rows, width))
+        for kind in kinds
+    ]
+
+
+class TestFitMatchesTheReferenceLoop:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=3).map(tuple),
+        classes=st.integers(2, 6),
+        rows=st.integers(1, 8),
+        scale=st.sampled_from([1.0, 1e307]),
+        lr=st.one_of(st.floats(1e-4, 1.0), st.sampled_from([1e3, 1e150, 1e300])),
+        kinds=st.lists(st.sampled_from(["repeated", "copy", "fresh"]), min_size=1, max_size=6),
+    )
+    def test_losses_parameters_and_errors_equal_the_reference(self, seed, widths, classes, rows, scale, lr, kinds):
+        # a two- or three-layer stack; 1e307 inputs can overflow it at epoch 0
+        rng = np.random.default_rng(seed)
+        layers = random_stack(rng, (*widths, classes))
+        targets = rng.integers(0, classes, size=rows)
+        blocks = block_schedule(rng, kinds, rows, widths[0], scale)
+        expected = fit_outcome(reference_fit, layers, blocks, targets, lr)
+        assert fit_outcome(_fit, layers, blocks, targets, lr) == expected
+
+    @pytest.mark.parametrize(
+        "kinds", [["repeated"] * 3, ["fresh"] * 3, ["repeated", "fresh", "repeated"], ["copy", "repeated", "repeated"]]
+    )
+    def test_a_step_that_makes_the_loss_non_finite_fails_at_the_reference_epoch(self, kinds):
+        rng = np.random.default_rng(5)
+        layers = random_stack(rng, (4, 6, 3))
+        targets = rng.integers(0, 3, size=5)
+        blocks = block_schedule(rng, kinds, 5, 4, 1.0)
+        expected = fit_outcome(reference_fit, layers, blocks, targets, 1e300)
+        assert expected == (TrainingDivergedError, 0)
+        assert fit_outcome(_fit, layers, blocks, targets, 1e300) == expected
+
+    @pytest.mark.parametrize("variant, forwards", [(Variant.GCN, 2), (Variant.SAGE, 4 + 1), (Variant.PLAIN, 1)])
+    def test_a_forward_runs_only_before_a_new_block_and_after_the_last_epoch(
+        self, cluster_desk, monkeypatch, variant, forwards
+    ):
+        # 4 epochs: GCN's A_hat X and every classifier input repeat, so each
+        # stage runs one forward; SAGE draws a new block every epoch
+        graph, feats, targets = cluster_desk
+        calls = []
+        monkeypatch.setattr(train, "mlp_forward", lambda *args: calls.append(1) or mlp_forward(*args))
+        train_pipeline(graph, feats, targets, TrainConfig(variant=variant, epochs=4))
+        assert len(calls) == forwards
 
 
 def dense_extended_embedding(graph, train_features, new_feature, chosen_idx, layer, self_loops):
