@@ -9,7 +9,7 @@ from .graph import GENRE_NAMES
 
 
 class ManifestError(ValueError):
-    """Malformed manifest: bad header, unknown genre, duplicate path."""
+    """Malformed manifest: not CSV, bad header or row, unknown genre, duplicate path."""
 
 
 def write_manifest(path: str | Path, rows: list[tuple[str, str]]) -> None:
@@ -22,22 +22,34 @@ def write_manifest(path: str | Path, rows: list[tuple[str, str]]) -> None:
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     """The (path, genre) rows of a manifest; columns other than path and
-    genre are ignored. Refuses a missing column, then the first row with an
-    empty path or an unknown genre, then an empty manifest, then the first
+    genre are ignored. Refuses a missing column, then the first row that
+    is not CSV, has too few fields, an empty path or one with a line
+    break, or an unknown genre, then an empty manifest, then the first
     repeated path."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "path" not in fields or "genre" not in fields:
-            raise ManifestError(f"{path}: manifest needs 'path' and 'genre' columns, found {fields}")
-        rows = []
-        for row in reader:
-            song, genre = row["path"], row["genre"]
-            if not song:
-                raise ManifestError("manifest entry has an empty path")
-            if genre not in GENRE_NAMES:
-                raise ManifestError(f"unknown genre {genre!r} (expected one of {GENRE_NAMES})")
-            rows.append((song, genre))
+        reader = csv.DictReader(fh, strict=True)
+        try:
+            fields = reader.fieldnames or []
+            if "path" not in fields or "genre" not in fields:
+                raise ManifestError(f"{path}: manifest needs 'path' and 'genre' columns, found {fields}")
+            rows = []
+            for row in reader:
+                song, genre = row["path"], row["genre"]
+                if song is None or genre is None:
+                    raise ManifestError(f"{path}: line {reader.line_num}: row has too few fields")
+                if not song:
+                    raise ManifestError("manifest entry has an empty path")
+                if "\n" in song or "\r" in song:
+                    raise ManifestError(f"{path}: line {reader.line_num}: path {song!r} holds a line break")
+                if genre not in GENRE_NAMES:
+                    raise ManifestError(f"unknown genre {genre!r} (expected one of {GENRE_NAMES})")
+                rows.append((song, genre))
+        except csv.Error as exc:
+            # the record that failed starts on the line after those read whole
+            fault = exc
+            if "field limit" in str(exc):
+                fault = f"a field is longer than the limit of {csv.field_size_limit()} characters"
+            raise ManifestError(f"{path}: line {reader.line_num + 1}: {fault}") from None
     if not rows:
         raise ManifestError("manifest has no entries")
     seen = set()

@@ -321,7 +321,8 @@ def reference_resample(clip, target_sample_rate):
 @pytest.fixture
 def fresh_python(tmp_path):
     """Run a Python snippet in a new interpreter, as each CLI verb runs;
-    genregraph imports from this checkout's src/."""
+    genregraph imports from this checkout's src/. A numpy RuntimeWarning is
+    an error there, as pytest's filterwarnings makes it in this process."""
 
     def run(code: str, timeout: float = 300) -> subprocess.CompletedProcess:
         env = dict(os.environ)
@@ -329,7 +330,7 @@ def fresh_python(tmp_path):
             [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         return subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code], cwd=tmp_path, env=env,
             capture_output=True, text=True, timeout=timeout,
         )
 

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from genregraph.audio import SeedStream, derive_seed, encode_wav, AudioClip, ClipTooShortError, WavDecodeError
 from genregraph import audio, cli
 from genregraph.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, build_parser, main
+from genregraph.dataset import read_manifest
 from genregraph.graph import GENRE_NAMES, AttachmentMode
 from genregraph.mfcc import MfccConfig, wav_mfcc
 from genregraph.nn import Variant, build_model
@@ -53,6 +56,18 @@ def tiny_workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """The README quick start at 3 songs per genre, seed 0: synth, extract
+    and train of every variant at their defaults."""
+    root = tmp_path_factory.mktemp("quickstart")
+    assert main(["synth", "--out", str(root), "--seed", "0", "--songs-per-genre", "3"]) == 0
+    assert main(["extract", "--manifest", str(root / "manifest.csv")]) == 0
+    for variant in ("gcn", "sage", "plain"):
+        assert main(["train", "--store", str(root / "features.grmf"), "--variant", variant]) == 0
+    return root
+
+
 class TestStartUp:
     def test_package_and_cli_import_without_scipy(self, fresh_python):
         # scipy.signal alone took a second and 76 MiB; no verb uses
@@ -63,6 +78,42 @@ class TestStartUp:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_no_verb_imports_scipy_at_44100_or_96000_hz(self, quickstart, tmp_path, fresh_python):
+        # scipy is only a test dependency: every verb runs behind an import
+        # hook that refuses it, which the workers inherit, so an import that
+        # creeps back in (the resampler is its likeliest home) fails the call.
+        # At 96 kHz four of the 128 mel filters hold no bin, so extract and
+        # recommend --audio run the path that leaves those bands empty
+        rate44100, rate96000 = tmp_path / "rate44100", tmp_path / "rate96000"
+        store44100, store96000 = str(rate44100 / "features.grmf"), str(rate96000 / "features.grmf")
+        calls = [
+            ["synth", "--out", str(rate44100), "--seed", "0", "--songs-per-genre", "3", "--sample-rate", "44100"],
+            ["extract", "--manifest", str(rate44100 / "manifest.csv")],
+            ["train", "--store", store44100, "--variant", "gcn"],
+            ["evaluate", "--store", store44100, "--weights", str(rate44100 / "gcn.grmw")],
+            ["recommend", "--store", store44100, "--weights", str(rate44100 / "gcn.grmw"),
+             "--audio", str(rate44100 / "Rock" / "Rock_000.wav")],
+            ["extract", "--manifest", str(quickstart / "manifest.csv"), "--sample-rate", "96000",
+             "--out", str(rate96000)],
+            ["recommend", "--store", store96000, "--weights", str(quickstart / "sage.grmw"),
+             "--audio", str(quickstart / "Rock" / "Rock_001.wav")],
+        ]
+        done = fresh_python(
+            "import contextlib, io, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'the program imported {name}')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "from genregraph.cli import main\n"
+            f"for call in {calls!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(call) == 0, call\n",
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert read_feature_store(store96000).front_end == MfccConfig(target_sample_rate=96000)
 
     def test_no_verb_imports_numpy_ma(self, fresh_python):
         # np.unique imports numpy.ma (numpy 2.4), which costs every verb that
@@ -177,6 +228,31 @@ class TestSynth:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(out / blocked) in err[0], err
         assert not (out / "manifest.csv").exists()
+
+    def test_two_blas_threads_write_the_same_corpus_and_store_and_leave_no_worker(
+        self, quickstart, tmp_path, fresh_python
+    ):
+        # synth sums each clip's partials with einsum, which calls no BLAS,
+        # and the store must not depend on the thread count either; the pools
+        # of synth and extract join their workers before the verb returns
+        out = tmp_path / "out"
+        done = fresh_python(
+            "import contextlib, io, multiprocessing, os\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "from genregraph.cli import main\n"
+            f"for call in [['synth', '--out', {str(out)!r}, '--seed', '0', '--songs-per-genre', '3'],\n"
+            f"             ['extract', '--manifest', {str(out / 'manifest.csv')!r}]]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(call) == 0, call\n"
+            "    print(call[0], multiprocessing.active_children())",
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["synth []", "extract []"]
+        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(written) == 24 + 2  # the WAVs, the manifest and the store
+        for rel in written:
+            assert (out / rel).read_bytes() == (quickstart / rel).read_bytes(), rel
 
     def test_unknown_genre_is_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path), "--genres", "Polka"])
@@ -360,8 +436,17 @@ class TestExtract:
             ("path,genre\na.wav,Folk\nb.wav,Rock\na.wav,Rock\n", "duplicate path 'a.wav'"),
             # every row is checked before the paths are compared
             ("path,genre\na.wav,Folk\na.wav,Folk\nb.wav,Polka\n", f"unknown genre 'Polka' (expected one of {GENRE_NAMES})"),
+            # csv refuses a field past its limit, which stays at 131,072 characters
+            ("path,genre\na.wav,Folk\n" + "x" * 140_000 + ",Rock\n",
+             "{csv}: line 3: a field is longer than the limit of 131072 characters"),
+            # the quote would swallow the rest of the file into one path
+            ("path,genre\na.wav,Folk\n\"b.wav,Rock\nc.wav,Pop\n", "{csv}: line 3: unexpected end of data"),
+            ("path,genre\na.wav,Folk\nb.wav\n", "{csv}: line 3: row has too few fields"),
+            # a path is one line of every message that names it
+            ("path,genre\n\"a\nb.wav\",Folk\n", "{csv}: line 3: path 'a\\nb.wav' holds a line break"),
         ],
-        ids=["no-genre-column", "empty-path", "unknown-genre", "no-rows", "duplicate-path", "row-before-duplicate"],
+        ids=["no-genre-column", "empty-path", "unknown-genre", "no-rows", "duplicate-path", "row-before-duplicate",
+             "long-field", "unclosed-quote", "one-field", "line-break-in-path"],
     )
     def test_a_bad_manifest_is_one_line_naming_the_fault(self, tmp_path, capsys, text, message):
         # extract refuses the manifest before it opens a single file
@@ -372,6 +457,41 @@ class TestExtract:
         assert captured.err == f"error: {message.format(csv=csv_path)}\n"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        header=st.sampled_from([b"path,genre\n", b""]),
+        tokens=st.lists(
+            st.sampled_from([b"path,genre", b",", b'"', b"\r", b"\n", b"\0", b"\xff", b"x" * 140_000,
+                             *(genre.encode() for genre in GENRE_NAMES)]),
+            max_size=16,
+        ),
+    )
+    @example(header=b"path,genre\n", tokens=[b"Rock", b",", b"Rock", b"\n", b"\0", b",", b"Folk"])
+    @example(header=b"path,genre\n", tokens=[b"x" * 140_000, b",", b"Rock"])
+    @example(header=b"path,genre\n", tokens=[b'"', b"Rock", b",", b"Rock"])
+    @example(header=b"path,genre\n", tokens=[b"Rock"])
+    def test_any_manifest_exits_0_or_2_with_error_lines_only(
+        self, tmp_path, capsys, monkeypatch, header, tokens
+    ):
+        # no manifest row names a file that exists, so extract exits 2; a
+        # serial map keeps the examples from forking a pool each
+        monkeypatch.setattr(cli, "map_clips", lambda fn, items: [fn(item) for item in items])
+        csv_path = tmp_path / "manifest.csv"
+        csv_path.write_bytes(header + b"".join(tokens))
+        try:
+            read_manifest(csv_path)
+            refused = False
+        except ValueError:
+            refused = True
+        capsys.readouterr()
+        rc = main(["extract", "--manifest", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_USAGE) and out == "" and "Traceback" not in err
+        assert all(line.startswith("error: ") for line in err.splitlines())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
+        if refused:
+            assert err.count("\n") == 1 and len(err.splitlines()) == 1
 
 
 class TestTrain:
@@ -541,6 +661,15 @@ class TestEvaluate:
         for payload in doc.values():
             assert payload["attachment_mode"] == "oracle"
             assert payload["counts"]["catalog_size"] == 24
+
+    def test_report_does_not_depend_on_the_weights_order(self, quickstart, tmp_path):
+        weights = {v: str(quickstart / f"{v}.grmw") for v in ("plain", "sage", "gcn")}
+        for name, order in (("given", ("plain", "sage", "gcn")), ("reordered", ("gcn", "sage", "plain"))):
+            argv = ["evaluate", "--store", str(quickstart / "features.grmf"),
+                    "--weights", *(weights[v] for v in order), "--out", str(tmp_path / name)]
+            assert main(argv) == EXIT_OK
+        for report in ("report.json", "report.txt"):
+            assert (tmp_path / "given" / report).read_bytes() == (tmp_path / "reordered" / report).read_bytes()
 
     def test_duplicate_variant_weights_rejected(self, tiny_workspace, capsys):
         rc = main(
@@ -832,6 +961,65 @@ class TestRecommendMatchesExhaustiveRanking:
             assert [r[3] for r in rows] == [f"{dist[j]:.6f}" for j in order]
 
 
+@pytest.fixture(scope="module")
+def eight_genre_workspace(tmp_path_factory):
+    """8 genres x 24 songs, seed 0, with weights of every variant at the
+    defaults: 176 training and 192 store rows, enough that a graph-layer
+    product over all of them would pass OpenBLAS's one-thread cutoff of
+    2**18 multiply-adds (145 rows at GCN's 30 inputs, 72 at SAGE's 60)."""
+    root = tmp_path_factory.mktemp("eight_genres")
+    assert main(["synth", "--out", str(root), "--seed", "0", "--songs-per-genre", "24"]) == 0
+    assert main(["extract", "--manifest", str(root / "manifest.csv")]) == 0
+    for variant in ("gcn", "sage", "plain"):
+        assert main(["train", "--store", str(root / "features.grmf"), "--variant", variant]) == 0
+    return root
+
+
+# the printouts of a list of calls of main in a new interpreter whose BLAS runs
+# the given number of threads, set before numpy loads
+SERVE_SCRIPT = """
+import contextlib, io, json, os
+os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+from genregraph.cli import main
+printed = []
+for call in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(call) == 0, call
+    printed.append(out.getvalue())
+print(json.dumps(printed))
+"""
+
+
+class TestServingAtOneAndTwoBlasThreads:
+    def test_evaluate_and_recommend_print_and_report_the_same_bytes(
+        self, eight_genre_workspace, tmp_path, fresh_python
+    ):
+        root = eight_genre_workspace
+        store, wav = str(root / "features.grmf"), str(root / "Rock" / "Rock_001.wav")
+        weights = [str(root / f"{v}.grmw") for v in ("plain", "sage", "gcn")]
+        printed = {}
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            calls = [
+                ["evaluate", "--store", store, "--weights", *weights, "--out", str(out / "oracle")],
+                ["evaluate", "--store", store, "--weights", *weights, "--attachment", "feature_knn",
+                 "--out", str(out / "feature_knn")],
+                *(["recommend", "--store", store, "--weights", w, *query]
+                  for w in weights for query in (["--song-id", "Rock/Rock_000.wav"], ["--audio", wav])),
+            ]
+            done = fresh_python(SERVE_SCRIPT.format(threads=threads, calls=calls), timeout=120)
+            assert done.returncode == 0, done.stderr
+            printed[threads] = json.loads(done.stdout)
+        # the evaluate tables, less the line naming the report's path, then the recommend lists
+        for threads in (1, 2):
+            printed[threads][:2] = [text.rsplit("report -> ", 1)[0] for text in printed[threads][:2]]
+        assert printed[1] == printed[2]
+        assert [len(text.splitlines()) for text in printed[1][2:]] == [11] * 6
+        for mode in ("oracle", "feature_knn"):
+            for report in ("report.json", "report.txt"):
+                assert (tmp_path / "1" / mode / report).read_bytes() == (tmp_path / "2" / mode / report).read_bytes()
+
+
 class TestServedState:
     """Calls of main in one process reuse the store's columns and graph and
     each variant's catalog while the store bytes, the weight bytes and the
@@ -1104,6 +1292,15 @@ class TestServedState:
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *self.SONG))
         self.assert_like_fresh(capsys, fresh_python, self.argv(served, "gcn", *audio))
         assert parsed[3:] == ["gcn.grmw"]
+
+    def test_k_past_the_catalog_size_lists_every_other_song(self, quickstart, capsys, fresh_python):
+        # 24 songs and 30 asked for, so every row is a candidate of the search
+        for variant, query, rows in (("gcn", ["--song-id", "Rock/Rock_000.wav"], 23),
+                                     ("sage", ["--audio", str(quickstart / "Rock" / "Rock_001.wav")], 24)):
+            argv = self.argv(quickstart, variant, *query, "--k", "30")
+            rc, out, _ = self.assert_like_fresh(capsys, fresh_python, argv)
+            assert rc == EXIT_OK and len(out.splitlines()) == 1 + rows
+            assert self.in_process(capsys, argv) == (rc, out, "")  # again, from the kept state
 
     @pytest.fixture
     def large_store(self, tmp_path, monkeypatch):
@@ -1478,14 +1675,15 @@ class TestRepeatedSongId:
 
 @pytest.fixture(scope="module")
 def two_genre_workspace(tmp_path_factory):
-    """Rock and Folk only, 12 songs each, with GCN and SAGE weights."""
+    """Rock and Folk only, 13 songs each, with GCN and SAGE weights at the
+    defaults: 12 training songs per genre, so every SAGE row (degree 11)
+    and an audio query attached to a clique draw a sample of k = 10."""
     root = tmp_path_factory.mktemp("two_genres")
-    argv = ["synth", "--out", str(root), "--genres", "Rock,Folk", "--songs-per-genre", "12"]
+    argv = ["synth", "--out", str(root), "--genres", "Rock,Folk", "--songs-per-genre", "13"]
     assert main(argv) == 0
     assert main(["extract", "--manifest", str(root / "manifest.csv")]) == 0
     for variant in ("gcn", "sage"):
-        argv = ["train", "--store", str(root / "features.grmf"), "--variant", variant, "--epochs", "3"]
-        assert main(argv) == 0
+        assert main(["train", "--store", str(root / "features.grmf"), "--variant", variant]) == 0
     return root
 
 
@@ -1505,6 +1703,12 @@ class TestOracleAttachment:
         assert out == "" and err == "error: no Pop song in the graph to attach to\n"
         assert main([*base, "--genre", "Rock"]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 11
+
+    def test_sage_sampled_from_cliques_above_k_trains_twice_to_the_same_bytes(self, two_genre_workspace, tmp_path):
+        root = two_genre_workspace
+        assert main(["train", "--store", str(root / "features.grmf"), "--variant", "sage", "--out", str(tmp_path)]) == 0
+        for name in ("sage.grmw", "sage_embedding_loss.csv", "sage_classifier_loss.csv"):
+            assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name
 
 
 class TestWeightsCarryTheirSettings:
