@@ -28,28 +28,29 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     repeated path."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, strict=True)
+        # every message names the line after the last record read whole,
+        # where the failing record starts unless blank lines come between
+        start = 1
         try:
             fields = reader.fieldnames or []
             if "path" not in fields or "genre" not in fields:
                 raise ManifestError(f"{path}: manifest needs 'path' and 'genre' columns, found {fields}")
             rows = []
+            start = reader.line_num + 1
             for row in reader:
                 song, genre = row["path"], row["genre"]
                 if song is None or genre is None:
-                    raise ManifestError(f"{path}: line {reader.line_num}: row has too few fields")
+                    raise ManifestError(f"{path}: line {start}: row has too few fields")
                 if not song:
                     raise ManifestError("manifest entry has an empty path")
                 if "\n" in song or "\r" in song:
-                    raise ManifestError(f"{path}: line {reader.line_num}: path {song!r} holds a line break")
+                    raise ManifestError(f"{path}: line {start}: path {song!r} holds a line break")
                 if genre not in GENRE_NAMES:
                     raise ManifestError(f"unknown genre {genre!r} (expected one of {GENRE_NAMES})")
                 rows.append((song, genre))
+                start = reader.line_num + 1
         except csv.Error as exc:
-            # the record that failed starts on the line after those read whole
-            fault = exc
-            if "field limit" in str(exc):
-                fault = f"a field is longer than the limit of {csv.field_size_limit()} characters"
-            raise ManifestError(f"{path}: line {reader.line_num + 1}: {fault}") from None
+            raise ManifestError(f"{path}: line {start}: {exc}") from None
     if not rows:
         raise ManifestError("manifest has no entries")
     seen = set()

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import shutil
 import struct
 import threading
@@ -229,30 +230,37 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error: ") and str(out / blocked) in err[0], err
         assert not (out / "manifest.csv").exists()
 
-    def test_two_blas_threads_write_the_same_corpus_and_store_and_leave_no_worker(
-        self, quickstart, tmp_path, fresh_python
-    ):
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+    def test_two_blas_threads_write_the_same_corpus_and_store_and_leave_no_worker(self, tmp_path, fresh_python):
         # synth sums each clip's partials with einsum, which calls no BLAS,
         # and the store must not depend on the thread count either; the pools
-        # of synth and extract join their workers before the verb returns
-        out = tmp_path / "out"
-        done = fresh_python(
-            "import contextlib, io, multiprocessing, os\n"
-            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
-            "from genregraph.cli import main\n"
-            f"for call in [['synth', '--out', {str(out)!r}, '--seed', '0', '--songs-per-genre', '3'],\n"
-            f"             ['extract', '--manifest', {str(out / 'manifest.csv')!r}]]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(call) == 0, call\n"
-            "    print(call[0], multiprocessing.active_children())",
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["synth []", "extract []"]
-        written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        # of synth and extract join their workers before the verb returns.
+        # Each side runs in its own interpreter, which sets the count before
+        # numpy loads and reports the BLAS threads numpy started
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            done = fresh_python(
+                "import contextlib, io, multiprocessing, os\n"
+                f"os.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n"
+                "import numpy\n"
+                "print(len(os.listdir('/proc/self/task')))\n"
+                "from genregraph.cli import main\n"
+                f"for call in [['synth', '--out', {str(out)!r}, '--seed', '0', '--songs-per-genre', '3'],\n"
+                f"             ['extract', '--manifest', {str(out / 'manifest.csv')!r}]]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(call) == 0, call\n"
+                "    print(call[0], multiprocessing.active_children())",
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            # OpenBLAS starts no more threads than the process has CPUs
+            started = min(threads, len(os.sched_getaffinity(0)))
+            assert done.stdout.splitlines() == [str(started), "synth []", "extract []"]
+        written = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
         assert len(written) == 24 + 2  # the WAVs, the manifest and the store
         for rel in written:
-            assert (out / rel).read_bytes() == (quickstart / rel).read_bytes(), rel
+            assert (tmp_path / "2" / rel).read_bytes() == (tmp_path / "1" / rel).read_bytes(), rel
+        assert sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*") if p.is_file()) == written
 
     def test_unknown_genre_is_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path), "--genres", "Polka"])
@@ -438,12 +446,12 @@ class TestExtract:
             ("path,genre\na.wav,Folk\na.wav,Folk\nb.wav,Polka\n", f"unknown genre 'Polka' (expected one of {GENRE_NAMES})"),
             # csv refuses a field past its limit, which stays at 131,072 characters
             ("path,genre\na.wav,Folk\n" + "x" * 140_000 + ",Rock\n",
-             "{csv}: line 3: a field is longer than the limit of 131072 characters"),
+             "{csv}: line 3: field larger than field limit (131072)"),
             # the quote would swallow the rest of the file into one path
             ("path,genre\na.wav,Folk\n\"b.wav,Rock\nc.wav,Pop\n", "{csv}: line 3: unexpected end of data"),
             ("path,genre\na.wav,Folk\nb.wav\n", "{csv}: line 3: row has too few fields"),
             # a path is one line of every message that names it
-            ("path,genre\n\"a\nb.wav\",Folk\n", "{csv}: line 3: path 'a\\nb.wav' holds a line break"),
+            ("path,genre\n\"a\nb.wav\",Folk\n", "{csv}: line 2: path 'a\\nb.wav' holds a line break"),
         ],
         ids=["no-genre-column", "empty-path", "unknown-genre", "no-rows", "duplicate-path", "row-before-duplicate",
              "long-field", "unclosed-quote", "one-field", "line-break-in-path"],
